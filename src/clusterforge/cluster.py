@@ -15,6 +15,7 @@ rank-faithful; the duality statement is kept as a test invariant.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,11 +23,14 @@ from .errors import (
     BalanceUnsolvable,
     ConstructionFailed,
     DimensionMismatch,
+    NoSolution,
+    NotASummand,
     NotFoundWithinBound,
     PreconditionViolated,
+    SimpleAtVertex,
 )
 from .quiver import Quiver, is_dynkin, validate
-from .zlinalg import FinAbGroup, IntMatrix, kernel_basis, snf
+from .zlinalg import FinAbGroup, IntMatrix, kernel_basis, snf, solve
 from . import rep, serre
 from .rep import ZRep
 from .serre import ShiftedModule
@@ -256,7 +260,7 @@ def _close_under_reflection_transport(q: Quiver, pool: RigidPool) -> None:
             for v in reversed(order):
                 try:
                     cur_q, m = serre.reflect(cur_q, m, v)
-                except Exception:
+                except SimpleAtVertex:
                     ok = False
                     break
             if not ok or cur_q != q:
@@ -324,10 +328,11 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
     """Middle terms of both exchange triangles for the pair (x, y).
 
     The triangle collapses to a zero middle term exactly when the
-    suspension of one end is isomorphic to the other; otherwise the
-    multiset is pinned by dimension balance over the complement and,
-    for all-module triangles, certified by an explicit short exact
-    sequence.
+    suspension of one end is isomorphic to the other.  Otherwise the
+    multiset is the unique non-negative solution of the dimension
+    balance over the complement (the complement's classes are linearly
+    independent) and, for all-module triangles, is certified by an
+    explicit short exact sequence.
     """
     if ext1_c(x, y) != RANK_ONE:
         raise PreconditionViolated("exchange triangles need Ext1 free of rank one")
@@ -339,66 +344,60 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
 
 
 def _middle_term(tail: ClusterObject, head: ClusterObject, complement) -> tuple:
-    """Middle multiset of the triangle tail -> E -> head -> sigma tail."""
+    """Middle multiset of the triangle tail -> E -> head -> sigma tail.
+
+    E is read off the unique solution of dim E = dim head + dim tail
+    over the complement; the witness is "ses" when an explicit short
+    exact sequence certifies it and "balance" otherwise.
+    """
     st = tail.to_shifted()
     if normalize(ShiftedModule(st.module, st.shift + 1)).key() == head.key():
         return (), "connecting-iso"
     target = tuple(a + b for a, b in zip(head.dim_c(), tail.dim_c()))
-    solutions = _balance_solutions(target, complement)
-    if not solutions:
+    sol = _balance_solution(target, complement)
+    if sol is None:
         raise BalanceUnsolvable(
             f"no middle term over the complement balances {target}")
-    if tail.is_module and head.is_module:
-        module_solutions = [s for s in solutions
-                            if all(c.is_module for c, m in zip(complement, s) if m)]
-        for sol in module_solutions:
-            if _verify_ses(tail, head, complement, sol):
-                return _multiset(complement, sol), "ses"
-    best = min(solutions, key=lambda s: (sum(s), s))
-    return _multiset(complement, best), "balance"
+    middle = tuple(obj for obj, m in zip(complement, sol) for _ in range(m))
+    multiset = tuple(sorted(middle, key=lambda o: o.key()))
+    if (tail.is_module and head.is_module and all(c.is_module for c in middle)
+            and _ses_certified(tail, head, middle)):
+        return multiset, "ses"
+    return multiset, "balance"
 
 
-def _multiset(complement, multiplicities) -> tuple:
-    out = []
-    for obj, m in zip(complement, multiplicities):
-        out.extend([obj] * m)
-    return tuple(sorted(out, key=lambda o: o.key()))
+def _balance_solution(target, complement) -> tuple | None:
+    """The multiplicities m >= 0 with sum of m_c dim_c(c) equal to target.
 
-
-def _balance_solutions(target, complement, cap: int = 12) -> list:
-    dims = [c.dim_c() for c in complement]
+    The classes of a cluster-tilting complement are linearly
+    independent, so the integer system has at most one solution;
+    None when it has none or the solution has a negative entry.
+    """
     n = len(target)
-    solutions = []
-    counts = [0] * len(complement)
-
-    def descend(idx, remaining):
-        if idx == len(complement):
-            if all(x == 0 for x in remaining):
-                solutions.append(tuple(counts))
-            return
-        d = dims[idx]
-        for m in range(cap + 1):
-            rest = tuple(r - m * x for r, x in zip(remaining, d))
-            counts[idx] = m
-            descend(idx + 1, rest)
-        counts[idx] = 0
-
-    descend(0, tuple(target))
-    return solutions
+    dims = [c.dim_c() for c in complement]
+    matrix = IntMatrix(n, len(dims), tuple(tuple(d[i] for d in dims) for i in range(n)))
+    if kernel_basis(matrix).cols:
+        raise PreconditionViolated("complement classes are linearly dependent")
+    try:
+        sol = solve(matrix, target)
+    except NoSolution:
+        return None
+    if any(m < 0 for m in sol):
+        return None
+    return sol
 
 
-def _verify_ses(tail: ClusterObject, head: ClusterObject, complement, sol) -> bool:
-    """Look for 0 -> tail -> E -> head -> 0 with E the proposed multiset."""
-    parts = []
-    for obj, m in zip(complement, sol):
-        parts.extend([obj.module] * m)
+@lru_cache(maxsize=None)
+def _ses_certified(tail: ClusterObject, head: ClusterObject, middle: tuple) -> bool:
+    """Look for 0 -> tail -> E -> head -> 0 with E the direct sum of middle."""
+    parts = [obj.module for obj in middle]
     if not parts:
         return False
-    middle = rep.direct_sum_many(parts)
+    total = rep.direct_sum_many(parts)
     if tuple(a + b for a, b in zip(rep.dim_vector(tail.module), rep.dim_vector(head.module))) \
-            != rep.dim_vector(middle):
+            != rep.dim_vector(total):
         return False
-    basis = rep.hom_group(tail.module, middle).basis
+    basis = rep.hom_group(tail.module, total).basis
     if not basis or len(basis) > 4:
         return False
     box = range(-2, 3)
@@ -417,13 +416,13 @@ def _verify_ses(tail: ClusterObject, head: ClusterObject, complement, sol) -> bo
                 nxt = tuple(a.add(b) for a, b in zip(acc, add))
             yield from candidates(idx + 1, nxt)
 
-    zero = tuple(IntMatrix.zero(middle.gens[v], tail.module.gens[v]) for v in range(q.n))
+    zero = tuple(IntMatrix.zero(total.gens[v], tail.module.gens[v]) for v in range(q.n))
     for maps in candidates(0, zero):
         if any(kernel_basis(maps[v]).cols for v in range(q.n)):
             continue
         if any(d > 1 for v in range(q.n) for d in snf(maps[v]).invariant_factors):
             continue
-        coker = rep.cokernel_rep(tail.module, middle, maps, saturate=True)
+        coker = rep.cokernel_rep(tail.module, total, maps, saturate=True)
         if rep.dim_vector(coker) != rep.dim_vector(head.module):
             continue
         if rep.is_exceptional(coker) and rep.are_isomorphic_exceptional(coker, head.module):
@@ -504,7 +503,7 @@ def mutate_construct(summands, k: int) -> ClusterObject:
         while True:
             try:
                 result = rep.strip_summand(result, obj.module)
-            except Exception:
+            except NotASummand:
                 break
     if result.is_zero() or not rep.is_exceptional(result):
         raise ConstructionFailed("stripped approximation cone is not exceptional")
@@ -579,9 +578,6 @@ class ExchangeGraph:
     truncated: bool = False
     truncation_reason: str = ""
 
-    def node_keys(self) -> tuple:
-        return tuple(tuple(s.key() for s in node) for node in self.nodes)
-
     def degree(self, i: int) -> int:
         return sum(1 for e in self.edges if e[0] == i)
 
@@ -599,9 +595,9 @@ def exchange_graph(q: Quiver, dim_bound: int = 12, max_nodes: int = 10000) -> Ex
     edges = []
     truncated = False
     reason = ""
-    frontier = [0]
+    frontier = deque([0])
     while frontier:
-        current = frontier.pop(0)
+        current = frontier.popleft()
         for k in range(q.n):
             try:
                 neighbor, triangles = mutate(nodes[current], k, pool)

@@ -345,10 +345,6 @@ def _unflatten_hom(m: ZRep, n: ZRep, flat) -> tuple:
     return tuple(mats)
 
 
-def hom_rank(m: ZRep, n: ZRep) -> int:
-    return hom_group(m, n).free_rank
-
-
 # ---------------------------------------------------------------------------
 # Ext^1
 
@@ -784,13 +780,6 @@ def _minimize_step(m, rows_slots, cols_slots, d, aug=None, down=None, up=None):
 
 # ---------------------------------------------------------------------------
 # realizing formal sums (used by tests and by the Serre functor machinery)
-
-def proj_sum_rep(q: Quiver, slots) -> ZRep:
-    slots = tuple(slots)
-    if not slots:
-        return zero_rep(q)
-    return direct_sum_many([projective(q, v) for v in slots])
-
 
 def inj_sum_rep(q: Quiver, slots) -> ZRep:
     slots = tuple(slots)

@@ -116,13 +116,6 @@ class IntMatrix:
                          tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
 
 
-def hstack_all(matrices: Sequence[IntMatrix], rows: int) -> IntMatrix:
-    out = IntMatrix.zero(rows, 0)
-    for m in matrices:
-        out = out.hstack(m)
-    return out
-
-
 def block_diag(matrices: Sequence[IntMatrix]) -> IntMatrix:
     rows = sum(m.rows for m in matrices)
     cols = sum(m.cols for m in matrices)
@@ -355,14 +348,6 @@ def solve_matrix(m: IntMatrix, b: IntMatrix) -> IntMatrix:
         ys.append(y)
     x = IntMatrix(m.cols, b.cols, tuple(tuple(ys[k][i] for k in range(b.cols)) for i in range(m.cols)))
     return dec.v_inv.mul(x)
-
-
-def is_solvable(m: IntMatrix, b: IntMatrix) -> bool:
-    try:
-        solve_matrix(m, b)
-        return True
-    except NoSolution:
-        return False
 
 
 def column_span_basis(m: IntMatrix) -> IntMatrix:

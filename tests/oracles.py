@@ -3,7 +3,8 @@
 Nothing here touches the mutation engine or the exchange-graph search:
 positive roots come from reflection closure on the underlying graph,
 and cluster counts from exhaustive enumeration of maximal pairwise
-compatible subsets of a pool.
+compatible subsets of a pool, or from the closed-form finite-type
+counts of Fomin-Zelevinsky (Cluster algebras II, 2003).
 """
 
 from itertools import combinations
@@ -71,3 +72,20 @@ def maximal_compatible_sets(pool):
         if ok:
             found.append(tuple(sorted(combo, key=lambda o: o.key())))
     return found
+
+
+def _binomial(n, k):
+    out = 1
+    for i in range(k):
+        out = out * (n - i) // (i + 1)
+    return out
+
+
+def cluster_count_a(n):
+    """Clusters of type A_n: the Catalan number C(2n+2, n+1) / (n+2)."""
+    return _binomial(2 * n + 2, n + 1) // (n + 2)
+
+
+def cluster_count_d(n):
+    """Clusters of type D_n, n >= 4: (3n-2)/n * C(2n-2, n-1)."""
+    return (3 * n - 2) * _binomial(2 * n - 2, n - 1) // n

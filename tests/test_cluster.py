@@ -1,6 +1,6 @@
 import pytest
 
-from clusterforge.errors import NotFoundWithinBound, PreconditionViolated
+from clusterforge.errors import BalanceUnsolvable, NotFoundWithinBound, PreconditionViolated
 from clusterforge.quiver import Quiver
 from clusterforge.rep import (
     dim_vector,
@@ -11,6 +11,8 @@ from clusterforge.rep import (
 from clusterforge.serre import ShiftedModule, f_apply
 from clusterforge.cluster import (
     ClusterObject,
+    _balance_solution,
+    _ses_certified,
     build_pool,
     canonical_cluster,
     exchange_graph,
@@ -299,8 +301,57 @@ def test_exchange_triangle_a3_end_vertex():
 
 
 def test_exchange_triangles_balance_unsolvable():
-    from clusterforge.errors import BalanceUnsolvable
     x = co(projective(A2, 2))
     y = co(simple(A2, 1))
     with pytest.raises(BalanceUnsolvable):
         exchange_triangles(x, y, ())
+
+
+def test_balance_solution_unique():
+    # 0 -> P_3 -> P_2 -> S_2 -> 0: dim S_2 + dim P_3 is dim P_2 alone
+    p1, p2 = co(projective(A3, 1)), co(projective(A3, 2))
+    assert _balance_solution((0, 1, 1), (p1, p2)) == (0, 1)
+    assert _balance_solution((1, 2, 2), (p1, p2)) == (1, 1)
+    assert _balance_solution((1, 2, 3), (p1, p2)) is None  # not in the span
+
+
+def test_balance_solution_negative_is_unsolvable():
+    # over the complement {sigma P_1} the balance forces multiplicity -1
+    complement = (sp(A2, 1),)
+    assert _balance_solution((1, 1), complement) is None
+    with pytest.raises(BalanceUnsolvable):
+        exchange_triangles(co(projective(A2, 2)), co(simple(A2, 1)), complement)
+
+
+def test_balance_solution_dependent_complement():
+    complement = (co(projective(A2, 1)), co(projective(A2, 2)), co(simple(A2, 1)))
+    with pytest.raises(PreconditionViolated):
+        _balance_solution((1, 1), complement)
+    with pytest.raises(PreconditionViolated):
+        exchange_triangles(co(projective(A2, 2)), co(simple(A2, 1)), complement)
+
+
+def test_exchange_triangles_certified_once():
+    pool = build_pool(A3, 6)
+    initial = canonical_cluster([co(projective(A3, i)) for i in A3.vertices])
+    k = next(i for i, s in enumerate(initial) if s.key() == ("M", (0, 0, 1)))
+    _ses_certified.cache_clear()
+    _, tri = mutate(initial, k, pool)
+    before = _ses_certified.cache_info()
+    again = exchange_triangles(tri.x, tri.y, initial[:k] + initial[k + 1:])
+    after = _ses_certified.cache_info()
+    assert again == tri
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+
+
+def test_exchange_graph_closed_form_counts():
+    assert [oracles.cluster_count_a(n) for n in (1, 2, 3, 4, 5)] == [2, 5, 14, 42, 132]
+    assert [oracles.cluster_count_d(n) for n in (4, 5)] == [50, 182]
+    a5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (4, 5)))
+    d5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
+    for q, expected in ((a5, oracles.cluster_count_a(5)), (d5, oracles.cluster_count_d(5))):
+        g = exchange_graph(q, 12)
+        assert not g.truncated
+        assert len(g.nodes) == expected
+        assert len(g.edges) == expected * q.n
