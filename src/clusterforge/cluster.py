@@ -30,7 +30,14 @@ from .errors import (
     SimpleAtVertex,
 )
 from .quiver import Quiver, is_dynkin, validate
-from .zlinalg import FinAbGroup, IntMatrix, kernel_basis, snf, solve
+from .zlinalg import (
+    FinAbGroup,
+    IntMatrix,
+    cokernel_structure,
+    is_split_injective,
+    rank,
+    solve,
+)
 from . import rep, serre
 from .rep import ZRep
 from .serre import ShiftedModule
@@ -376,7 +383,7 @@ def _balance_solution(target, complement) -> tuple | None:
     n = len(target)
     dims = [c.dim_c() for c in complement]
     matrix = IntMatrix(n, len(dims), tuple(tuple(d[i] for d in dims) for i in range(n)))
-    if kernel_basis(matrix).cols:
+    if rank(matrix) < matrix.cols:
         raise PreconditionViolated("complement classes are linearly dependent")
     try:
         sol = solve(matrix, target)
@@ -418,9 +425,7 @@ def _ses_certified(tail: ClusterObject, head: ClusterObject, middle: tuple) -> b
 
     zero = tuple(IntMatrix.zero(total.gens[v], tail.module.gens[v]) for v in range(q.n))
     for maps in candidates(0, zero):
-        if any(kernel_basis(maps[v]).cols for v in range(q.n)):
-            continue
-        if any(d > 1 for v in range(q.n) for d in snf(maps[v]).invariant_factors):
+        if not all(is_split_injective(maps[v]) for v in range(q.n)):
             continue
         coker = rep.cokernel_rep(tail.module, total, maps, saturate=True)
         if rep.dim_vector(coker) != rep.dim_vector(head.module):
@@ -531,17 +536,12 @@ def _left_approximation_cokernel(xm: ZRep, others) -> ZRep | None:
         for block in maps_rows[v]:
             stack = stack.vstack(block)
         maps.append(stack)
-    for v in range(q.n):
-        if kernel_basis(maps[v]).cols:
-            return None
-        if any(d > 1 for d in snf(maps[v]).invariant_factors):
-            return None
+    if not all(is_split_injective(maps[v]) for v in range(q.n)):
+        return None
     return rep.cokernel_rep(xm, middle, tuple(maps), saturate=True)
 
 
 def _right_approximation_kernel(xm: ZRep, others) -> ZRep | None:
-    from .zlinalg import cokernel_structure
-
     q = xm.quiver
     pieces = []
     maps_cols = [[] for _ in range(q.n)]

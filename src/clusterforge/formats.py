@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 import os
 
-from .errors import FormatError
+from .errors import ClusterForgeError, FormatError
 from .quiver import Quiver
 from .zlinalg import FinAbGroup, IntMatrix
 from . import cluster, rep
@@ -105,7 +105,7 @@ def parse_quiver(text: str) -> Quiver:
         arrows = ()
     try:
         return Quiver(vertices, arrows)
-    except Exception as exc:
+    except ClusterForgeError as exc:
         raise FormatError(str(exc), line=header_line)
 
 
@@ -186,7 +186,7 @@ def parse_rep(text: str, quiver: Quiver) -> ZRep:
             act_mats.append(IntMatrix.zero(*shape))
     try:
         return ZRep(quiver, tuple(gens), tuple(rel_mats), tuple(act_mats))
-    except Exception as exc:
+    except ClusterForgeError as exc:
         raise FormatError(str(exc), line=header_line)
 
 

@@ -32,7 +32,10 @@ from .zlinalg import (
     block_diag,
     cokernel_structure,
     column_span_basis,
+    free_cokernel,
+    is_split_injective,
     kernel_basis,
+    rank,
     rank_mod,
     snf,
     solve_matrix,
@@ -191,7 +194,7 @@ def dim_vector(m: ZRep) -> tuple:
     """Free rank per vertex; equals the generator counts for lattices."""
     if m.is_lattice:
         return m.gens
-    return tuple(g - snf(r).rank for g, r in zip(m.gens, m.relations))
+    return tuple(g - rank(r) for g, r in zip(m.gens, m.relations))
 
 
 def direct_sum(m: ZRep, n: ZRep) -> ZRep:
@@ -309,7 +312,7 @@ def hom_group(m: ZRep, n: ZRep) -> Hom:
             full[nvars + aux_at + j] = -rel.entries[r][j]
         big.append(full)
         aux_at += rel.cols
-    system = IntMatrix.from_rows(big, cols=nvars + aux_total)
+    system = IntMatrix(len(big), nvars + aux_total, tuple(map(tuple, big)))
     kb = kernel_basis(system)
     span = kb.submatrix(range(nvars), range(kb.cols))
 
@@ -386,7 +389,7 @@ def _lattice_ext_matrix(m: ZRep, n: ZRep) -> IntMatrix:
                 for k in range(n.gens[su]):
                     row[var(su, k, c)] -= na.entries[r][k]
                 rows.append(row)
-    return IntMatrix.from_rows(rows, cols=nvars)
+    return IntMatrix(len(rows), nvars, tuple(map(tuple, rows)))
 
 
 def _hom_into(res_slots, n: ZRep):
@@ -860,25 +863,12 @@ def cokernel_rep(m: ZRep, n: ZRep, maps, saturate: bool = False) -> ZRep:
     """
     q = m.quiver
     if saturate:
-        projections = []
-        new_gens = []
-        for v in range(q.n):
-            dec = snf(maps[v])
-            r = dec.rank
-            rows = n.gens[v]
-            proj = dec.u_inv.submatrix(range(r, rows), range(rows))
-            projections.append(proj)
-            new_gens.append(rows - r)
-        sections = []
-        for v in range(q.n):
-            dec = snf(maps[v])
-            r = dec.rank
-            rows = n.gens[v]
-            sections.append(dec.U.submatrix(range(rows), range(r, rows)))
+        projections, sections = zip(*(free_cokernel(maps[v]) for v in range(q.n)))
+        new_gens = tuple(p.rows for p in projections)
         actions = []
         for a, (s, t) in enumerate(q.arrows):
             actions.append(projections[t - 1].mul(n.actions[a]).mul(sections[s - 1]))
-        return make_lattice(q, tuple(new_gens), tuple(actions))
+        return make_lattice(q, new_gens, tuple(actions))
     relations = tuple(n.relations[v].hstack(maps[v]) for v in range(q.n))
     return ZRep(q, n.gens, relations, n.actions)
 
@@ -954,12 +944,7 @@ def are_isomorphic_exceptional(m: ZRep, n: ZRep) -> bool:
 
 
 def _is_unimodular(mat: IntMatrix) -> bool:
-    if mat.rows != mat.cols:
-        return False
-    if mat.rows == 0:
-        return True
-    dec = snf(mat)
-    return dec.rank == mat.rows and all(d == 1 for d in dec.invariant_factors)
+    return mat.rows == mat.cols and is_split_injective(mat)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .errors import (
     VertexNotSinkOrSource,
 )
 from .quiver import Quiver
-from .zlinalg import IntMatrix, cokernel_structure, kernel_basis, snf
+from .zlinalg import IntMatrix, cokernel_structure, free_cokernel, kernel_basis
 from . import rep
 from .rep import ZRep
 
@@ -190,13 +190,11 @@ def _reflect_source(q: Quiver, m: ZRep, k: int) -> tuple:
     for a in outgoing:
         offsets[a] = stacked.rows
         stacked = stacked.vstack(m.actions[a])
-    if kernel_basis(stacked).cols:
+    proj, _ = free_cokernel(stacked)
+    if stacked.rows - proj.rows != stacked.cols:
         raise SimpleAtVertex(f"total map out of source {k} is not injective")
-    dec = snf(stacked)
-    r = dec.rank
-    proj = dec.u_inv.submatrix(range(r, stacked.rows), range(stacked.rows))
     new_q = q.reflected(k)
-    gens = tuple(stacked.rows - r if v == k else m.gens[v - 1] for v in q.vertices)
+    gens = tuple(proj.rows if v == k else m.gens[v - 1] for v in q.vertices)
     actions = []
     for a, (s, t) in enumerate(q.arrows):
         if s == k:

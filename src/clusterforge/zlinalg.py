@@ -10,6 +10,16 @@ fixed-size integer arrays.
 Matrices are immutable and row-major.  Pivoting is deterministic
 (smallest nonzero absolute value, first occurrence in row-major scan),
 so the transforms U and V are reproducible between runs.
+
+One elimination, `_eliminate`, serves every caller and updates only the
+transforms (of M = U S V) the caller reads:
+
+- `snf`: all four, U, u_inv, V and v_inv;
+- `rank`, `is_split_injective`, `cokernel_structure`: none;
+- `kernel_basis`: v_inv;
+- `solve` / `solve_matrix`: u_inv and v_inv;
+- `column_span_basis`: U;
+- `free_cokernel`: U and u_inv.
 """
 
 from __future__ import annotations
@@ -174,76 +184,91 @@ def _pivot(s, t, rows, cols):
     return best
 
 
-def snf(m: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with all four transforms.
+def _eliminate(m: IntMatrix, track=()) -> tuple:
+    """Reduce m to Smith form, carrying only the transforms named in track.
 
-    The working matrix is reduced by elementary row and column
-    operations; every row operation E on S is compensated by a column
-    operation on U (and its inverse on u_inv), keeping M = U*S*V exact
-    at every step.
+    track holds any of "U", "u_inv", "V", "v_inv".  Every row operation E
+    on the working matrix S is compensated by a column operation on U
+    (and E itself on u_inv), every column operation likewise on V and
+    v_inv, keeping M = U*S*V exact at every step.  Pivots and steps
+    depend on S alone, so a tracked transform comes out the same whatever
+    else is tracked.  Rows and columns before the current pivot are
+    already zero in S, so S is only updated in the trailing block.
+
+    Returns (diagonal, transforms): the min(rows, cols) diagonal entries
+    of S, nonzero ones first, and a dict of each tracked transform as a
+    list of row lists.
     """
     rows, cols = m.rows, m.cols
     s = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    ui = [row[:] for row in u]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vi = [row[:] for row in v]
+    u = _eye(rows) if "U" in track else None
+    ui = _eye(rows) if "u_inv" in track else None
+    v = _eye(cols) if "V" in track else None
+    vi = _eye(cols) if "v_inv" in track else None
 
     def row_swap(a, b):
         s[a], s[b] = s[b], s[a]
-        for r in u:
-            r[a], r[b] = r[b], r[a]
-        ui[a], ui[b] = ui[b], ui[a]
+        if u is not None:
+            for r in u:
+                r[a], r[b] = r[b], r[a]
+        if ui is not None:
+            ui[a], ui[b] = ui[b], ui[a]
 
-    def col_swap(a, b):
-        for r in s:
+    def col_swap(a, b, lo):
+        for r in s[lo:]:
             r[a], r[b] = r[b], r[a]
-        v[a], v[b] = v[b], v[a]
-        for r in vi:
-            r[a], r[b] = r[b], r[a]
+        if v is not None:
+            v[a], v[b] = v[b], v[a]
+        if vi is not None:
+            for r in vi:
+                r[a], r[b] = r[b], r[a]
 
-    def row_add(dst, src, k):
-        # S: row dst += k * row src ; U: col src -= k * col dst ; Uinv: row dst += k * row src
+    def row_add(dst, src, k, lo):
+        # S: row dst += k * row src ; U: col src -= k * col dst ; u_inv: row dst += k * row src
         srow = s[src]
         drow = s[dst]
-        for j in range(cols):
+        for j in range(lo, cols):
             drow[j] += k * srow[j]
-        for r in u:
-            r[src] -= k * r[dst]
-        si = ui[src]
-        di = ui[dst]
-        for j in range(rows):
-            di[j] += k * si[j]
+        if u is not None:
+            for r in u:
+                r[src] -= k * r[dst]
+        if ui is not None:
+            ui[dst] = [a + k * b for a, b in zip(ui[dst], ui[src])]
 
-    def col_add(dst, src, k):
-        # S: col dst += k * col src ; V: row src -= k * row dst ; Vinv: col dst += k * col src
-        for r in s:
+    def col_add(dst, src, k, lo):
+        # S: col dst += k * col src ; V: row src -= k * row dst ; v_inv: col dst += k * col src
+        for r in s[lo:]:
             r[dst] += k * r[src]
-        vs = v[src]
-        vd = v[dst]
-        for j in range(cols):
-            vs[j] -= k * vd[j]
-        for r in vi:
-            r[dst] += k * r[src]
+        if v is not None:
+            v[src] = [a - k * b for a, b in zip(v[src], v[dst])]
+        if vi is not None:
+            for r in vi:
+                r[dst] += k * r[src]
 
     def row_negate(a):
         s[a] = [-x for x in s[a]]
-        for r in u:
-            r[a] = -r[a]
-        ui[a] = [-x for x in ui[a]]
+        if u is not None:
+            for r in u:
+                r[a] = -r[a]
+        if ui is not None:
+            ui[a] = [-x for x in ui[a]]
 
-    t = 0
-    while t < min(rows, cols):
-        pos = _pivot(s, t, rows, cols)
-        if pos is None:
-            break
+    def place_pivot(t, pos):
         i, j = pos
         if i != t:
             row_swap(t, i)
         if j != t:
-            col_swap(t, j)
+            col_swap(t, j, t)
         if s[t][t] < 0:
             row_negate(t)
+
+    diag_len = min(rows, cols)
+    t = 0
+    while t < diag_len:
+        pos = _pivot(s, t, rows, cols)
+        if pos is None:
+            break
+        place_pivot(t, pos)
         while True:
             pivot = s[t][t]
             dirty = False
@@ -251,52 +276,78 @@ def snf(m: IntMatrix) -> SnfDecomposition:
                 if s[i][t]:
                     q = s[i][t] // pivot
                     if q:
-                        row_add(i, t, -q)
+                        row_add(i, t, -q, t)
                     if s[i][t]:
                         dirty = True
             for j in range(t + 1, cols):
                 if s[t][j]:
                     q = s[t][j] // pivot
                     if q:
-                        col_add(j, t, -q)
+                        col_add(j, t, -q, t)
                     if s[t][j]:
                         dirty = True
             if dirty:
                 # a smaller remainder appeared; re-pivot on it
-                pos = _pivot(s, t, rows, cols)
-                i, j = pos
-                if i != t:
-                    row_swap(t, i)
-                if j != t:
-                    col_swap(t, j)
-                if s[t][t] < 0:
-                    row_negate(t)
+                place_pivot(t, _pivot(s, t, rows, cols))
                 continue
-            # row and column are clear; enforce divisibility of the block
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if s[i][j] % pivot:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            # row and column are clear; enforce divisibility of the block,
+            # which a unit pivot divides already
+            if pivot == 1:
+                break
+            bad = next((i for i in range(t + 1, rows)
+                        if any(x % pivot for x in s[i][t + 1:])), None)
             if bad is None:
                 break
-            row_add(t, bad, 1)
+            row_add(t, bad, 1, t)
         t += 1
 
+    found = {"U": u, "u_inv": ui, "V": v, "v_inv": vi}
+    return (tuple(s[i][i] for i in range(diag_len)),
+            {name: found[name] for name in track})
+
+
+def _eye(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _wrap(rows: list, cols: int) -> IntMatrix:
+    """Row lists of plain ints as an IntMatrix, without coercing again."""
+    return IntMatrix(len(rows), cols, tuple(map(tuple, rows)))
+
+
+def _rank(diagonal: tuple) -> int:
+    return sum(1 for d in diagonal if d)
+
+
+def snf(m: IntMatrix) -> SnfDecomposition:
+    """Smith normal form with all four transforms."""
+    diagonal, t = _eliminate(m, ("U", "u_inv", "V", "v_inv"))
+    rows, cols = m.rows, m.cols
+    # off its diagonal the reduced matrix is zero
+    s = [[0] * cols for _ in range(rows)]
+    for i, d in enumerate(diagonal):
+        s[i][i] = d
     return SnfDecomposition(
-        U=IntMatrix.from_rows(u, cols=rows),
-        S=IntMatrix.from_rows(s, cols=cols),
-        V=IntMatrix.from_rows(v, cols=cols),
-        u_inv=IntMatrix.from_rows(ui, cols=rows),
-        v_inv=IntMatrix.from_rows(vi, cols=cols),
+        U=_wrap(t["U"], rows),
+        S=_wrap(s, cols),
+        V=_wrap(t["V"], cols),
+        u_inv=_wrap(t["u_inv"], rows),
+        v_inv=_wrap(t["v_inv"], cols),
     )
 
 
 def rank(m: IntMatrix) -> int:
-    return snf(m).rank
+    return _rank(_eliminate(m)[0])
+
+
+def is_split_injective(m: IntMatrix) -> bool:
+    """Whether m is injective with saturated image, i.e. has a left inverse.
+
+    Exactly when every Smith invariant factor is 1 and the rank is the
+    column count; a square m is then unimodular.
+    """
+    diagonal, _ = _eliminate(m)
+    return len(diagonal) == m.cols and all(d == 1 for d in diagonal)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -304,18 +355,19 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
     The kernel of an integer matrix is automatically saturated: the
     returned columns extend to a basis of Z^cols.  Each basis vector is
-    sign-normalized so its first nonzero entry is positive.
+    sign-normalized so its first nonzero entry is positive.  These are
+    the trailing columns of v_inv, the only transform tracked.
     """
-    dec = snf(m)
-    r = dec.rank
-    cols = []
+    diagonal, t = _eliminate(m, ("v_inv",))
+    vi = t["v_inv"]
+    r = _rank(diagonal)
+    signs = []
     for j in range(r, m.cols):
-        vec = dec.v_inv.col(j)
-        lead = next((x for x in vec if x != 0), 0)
-        if lead < 0:
-            vec = tuple(-x for x in vec)
-        cols.append(vec)
-    return IntMatrix(m.cols, len(cols), tuple(tuple(c[i] for c in cols) for i in range(m.cols)))
+        lead = next((row[j] for row in vi if row[j]), 0)
+        signs.append(-1 if lead < 0 else 1)
+    return IntMatrix(m.cols, len(signs),
+                     tuple(tuple(x if sg > 0 else -x for x, sg in zip(row[r:], signs))
+                           for row in vi))
 
 
 def solve(m: IntMatrix, b: Sequence[int]) -> tuple:
@@ -326,13 +378,15 @@ def solve(m: IntMatrix, b: Sequence[int]) -> tuple:
 
 
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Integer solution X of m X = b (columnwise), or NoSolution."""
+    """Integer solution X of m X = b (columnwise), or NoSolution.
+
+    Tracks u_inv and v_inv: with m = U S V, X = v_inv S^+ u_inv b.
+    """
     if b.rows != m.rows:
         raise DimensionMismatch("right-hand side has wrong row count")
-    dec = snf(m)
-    r = dec.rank
-    diag = dec.diagonal
-    c = dec.u_inv.mul(b)
+    diag, t = _eliminate(m, ("u_inv", "v_inv"))
+    r = _rank(diag)
+    c = _wrap(t["u_inv"], m.rows).mul(b)
     ys = []
     for k in range(b.cols):
         y = [0] * m.cols
@@ -347,18 +401,34 @@ def solve_matrix(m: IntMatrix, b: IntMatrix) -> IntMatrix:
                 raise NoSolution(f"column {k} is inconsistent")
         ys.append(y)
     x = IntMatrix(m.cols, b.cols, tuple(tuple(ys[k][i] for k in range(b.cols)) for i in range(m.cols)))
-    return dec.v_inv.mul(x)
+    return _wrap(t["v_inv"], m.cols).mul(x)
 
 
 def column_span_basis(m: IntMatrix) -> IntMatrix:
-    """A basis (as columns) of the subgroup of Z^rows spanned by the columns."""
-    dec = snf(m)
-    r = dec.rank
-    cols = []
-    for t in range(r):
-        d = dec.S.entries[t][t]
-        cols.append(tuple(d * dec.U.entries[i][t] for i in range(m.rows)))
-    return IntMatrix(m.rows, r, tuple(tuple(c[i] for c in cols) for i in range(m.rows)))
+    """A basis (as columns) of the subgroup of Z^rows spanned by the columns.
+
+    Column t is d_t times column t of U, the only transform tracked.
+    """
+    diag, t = _eliminate(m, ("U",))
+    u = t["U"]
+    r = _rank(diag)
+    return IntMatrix(m.rows, r, tuple(tuple(d * x for d, x in zip(diag[:r], row)) for row in u))
+
+
+def free_cokernel(m: IntMatrix) -> tuple:
+    """(proj, section) for the free part of Z^rows / (column span of m).
+
+    proj (rows - r by rows) maps Z^rows onto Z^(rows - r) and kills the
+    saturation of the column span; section (rows by rows - r) is a right
+    inverse of proj.  They are the trailing rows of u_inv and the
+    trailing columns of U, the only transforms tracked.
+    """
+    diag, t = _eliminate(m, ("U", "u_inv"))
+    rows = m.rows
+    r = _rank(diag)
+    proj = IntMatrix(rows - r, rows, tuple(map(tuple, t["u_inv"][r:])))
+    section = IntMatrix(rows, rows - r, tuple(tuple(row[r:]) for row in t["U"]))
+    return proj, section
 
 
 @dataclass(frozen=True)
@@ -431,10 +501,8 @@ def group_from_factors(free_rank: int, factors: Iterable[int]) -> FinAbGroup:
 
 def cokernel_structure(m: IntMatrix) -> FinAbGroup:
     """Structure of Z^rows / (column span of m)."""
-    dec = snf(m)
-    free = m.rows - dec.rank
-    torsion = tuple(d for d in dec.invariant_factors if d > 1)
-    return FinAbGroup(free, torsion)
+    diagonal, _ = _eliminate(m)
+    return FinAbGroup(m.rows - _rank(diagonal), tuple(d for d in diagonal if d > 1))
 
 
 def subquotient_structure(span: IntMatrix, relations: IntMatrix) -> FinAbGroup:

@@ -59,6 +59,27 @@ def test_quiver_parse_errors_name_lines():
         parse_quiver("clusterforge/0 quiver\nvertices 2\n")
 
 
+def test_constructor_errors_become_format_errors(tmp_path, capsys):
+    # both files parse cleanly; the Quiver / ZRep constructors reject them
+    bad_quiver = "clusterforge/1 quiver\nvertices 2\narrows [[1, 3]]\n"
+    bad_rep = ("clusterforge/1 rep\nquiver a2.quiver\ngenerators [1, 1]\n"
+               "relations 1 [[2]]\naction 1 [[1]]\n")
+    with pytest.raises(FormatError) as info:
+        parse_quiver(bad_quiver)
+    assert "out of range" in str(info.value)
+    with pytest.raises(FormatError) as info:
+        parse_rep(bad_rep, A2)
+    assert "does not preserve relations" in str(info.value)
+    (tmp_path / "a2.quiver").write_text(A2_TEXT)
+    (tmp_path / "bad.quiver").write_text(bad_quiver)
+    (tmp_path / "bad.rep").write_text(bad_rep)
+    assert main(["check", str(tmp_path / "bad.quiver")]) == 2
+    assert "out of range" in capsys.readouterr().err
+    assert main(["ext", str(tmp_path / "a2.quiver"), str(tmp_path / "bad.rep"),
+                 str(tmp_path / "bad.rep")]) == 2
+    assert "does not preserve relations" in capsys.readouterr().err
+
+
 def test_rep_round_trip():
     for m in (simple(A2, 1), projective(A2, 1), torsion_simple(A2, 1, 2)):
         text = serialize_rep(m, quiver_ref="a2.quiver")

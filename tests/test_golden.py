@@ -1,0 +1,41 @@
+"""Golden CLI output.
+
+The stdout of `graph --format structured` and `verify` is a contract:
+it must stay byte-identical across refactors of the algebra beneath it.
+These digests were recorded from the implementation before the lean
+Smith-form core; a changed digest means the CLI output changed.
+"""
+
+import hashlib
+
+import pytest
+
+from clusterforge.cli import main
+
+QUIVERS = {
+    "a4.quiver": "vertices 4\narrows [[1, 2], [2, 3], [3, 4]]\n",
+    "d4.quiver": "vertices 4\narrows [[1, 4], [2, 4], [3, 4]]\n",
+    "kronecker.quiver": "vertices 2\narrows [[1, 2], [1, 2]]\n",
+}
+
+GOLDEN = (
+    (("graph", "a4.quiver", "--dim-bound", "12", "--format", "structured"),
+     "e549323cf025dc82a20a2875152e36448387fca5f732c24b237511709f2357c4"),
+    (("graph", "d4.quiver", "--dim-bound", "12", "--format", "structured"),
+     "c6d2b41a971dcc331c6208bd5632a00d2e15688642d912d81040a71e787964bd"),
+    (("graph", "kronecker.quiver", "--dim-bound", "6", "--max-nodes", "6",
+      "--format", "structured"),
+     "26fbacdba565245e9f369faf957b3200954bf2919c50e15c4fb349cc9e3ffcfe"),
+    (("verify", "d4.quiver", "--prime", "2"),
+     "497d19efc958f25196695f2dc93dd0a6b300b8d8c39b78f778e7bd5cfc8558df"),
+)
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[:2]) for a, _ in GOLDEN])
+def test_cli_stdout_digest(tmp_path, monkeypatch, capsys, argv, digest):
+    for name, body in QUIVERS.items():
+        (tmp_path / name).write_text("clusterforge/1 quiver\n" + body)
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

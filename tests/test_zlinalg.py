@@ -5,10 +5,14 @@ from clusterforge.errors import NoSolution
 from clusterforge.zlinalg import (
     FinAbGroup,
     IntMatrix,
+    _eliminate,
     cokernel_structure,
     column_span_basis,
+    free_cokernel,
     group_from_factors,
+    is_split_injective,
     kernel_basis,
+    rank,
     rank_mod,
     snf,
     solve,
@@ -80,17 +84,24 @@ def test_subquotient():
     assert subquotient_structure(span, rels) == FinAbGroup(1)
 
 
-matrices = st.integers(min_value=1, max_value=5).flatmap(
-    lambda r: st.integers(min_value=1, max_value=5).flatmap(
+def test_from_rows_coerces_to_plain_int():
+    m = IntMatrix.from_rows([[True, 2]])
+    assert m.entries == ((1, 2),)
+    assert all(type(x) is int for x in m.entries[0])
+
+
+# Shapes start at 0: hom_group builds 0-row and 0-column systems at
+# vertices without generators.
+matrices = st.integers(min_value=0, max_value=5).flatmap(
+    lambda r: st.integers(min_value=0, max_value=5).flatmap(
         lambda c: st.lists(
             st.lists(st.integers(min_value=-30, max_value=30), min_size=c, max_size=c),
-            min_size=r, max_size=r)))
+            min_size=r, max_size=r).map(lambda rows: IntMatrix.from_rows(rows, cols=c))))
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
-def test_snf_reconstruction_property(rows):
-    m = IntMatrix.from_rows(rows)
+def test_snf_reconstruction_property(m):
     dec = snf(m)
     assert dec.U.mul(dec.S).mul(dec.V).entries == m.entries
     assert dec.U.mul(dec.u_inv).entries == IntMatrix.identity(m.rows).entries
@@ -106,8 +117,7 @@ def test_snf_reconstruction_property(rows):
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
-def test_kernel_saturated_property(rows):
-    m = IntMatrix.from_rows(rows)
+def test_kernel_saturated_property(m):
     k = kernel_basis(m)
     assert m.mul(k).is_zero()
     if k.cols:
@@ -117,8 +127,7 @@ def test_kernel_saturated_property(rows):
 
 @settings(max_examples=40, deadline=None)
 @given(matrices, st.sampled_from([2, 3, 5, 7]))
-def test_cokernel_mod_p_dimension(rows, p):
-    m = IntMatrix.from_rows(rows)
+def test_cokernel_mod_p_dimension(m, p):
     g = cokernel_structure(m)
     expected = g.free_rank + sum(1 for d in g.torsion if d % p == 0)
     assert m.rows - rank_mod(m, p) == expected
@@ -141,8 +150,7 @@ def test_square_determinant_matches_invariants(rows):
 
 @settings(max_examples=40, deadline=None)
 @given(matrices)
-def test_column_span_basis_spans(rows):
-    m = IntMatrix.from_rows(rows)
+def test_column_span_basis_spans(m):
     basis = column_span_basis(m)
     # every original column solves over the basis, and conversely
     if basis.cols:
@@ -151,3 +159,82 @@ def test_column_span_basis_spans(rows):
         assert m.is_zero()
     if m.cols and not m.is_zero():
         solve_matrix(m, basis)
+
+
+TRANSFORMS = ("U", "u_inv", "V", "v_inv")
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices, st.sets(st.sampled_from(TRANSFORMS)))
+def test_tracked_transforms_match_full_snf(m, track):
+    # the elimination's steps depend on S alone, so each tracked
+    # transform equals the full decomposition's, whatever else is tracked
+    dec = snf(m)
+    diagonal, transforms = _eliminate(m, tuple(sorted(track)))
+    assert diagonal == dec.diagonal
+    assert set(transforms) == track
+    for name, rows in transforms.items():
+        assert tuple(map(tuple, rows)) == getattr(dec, name).entries
+
+
+def _snf_solve_matrix(m, b):
+    """solve_matrix written against the full decomposition."""
+    dec = snf(m)
+    r = dec.rank
+    c = dec.u_inv.mul(b)
+    y = [[0] * b.cols for _ in range(m.cols)]
+    for k in range(b.cols):
+        for i in range(m.rows):
+            if i < r:
+                q, rem = divmod(c.entries[i][k], dec.diagonal[i])
+                if rem:
+                    raise NoSolution("not solvable over Z")
+                y[i][k] = q
+            elif c.entries[i][k]:
+                raise NoSolution("inconsistent")
+    return dec.v_inv.mul(IntMatrix.from_rows(y, cols=b.cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices, st.data())
+def test_lean_paths_match_full_snf(m, data):
+    dec = snf(m)
+    r = dec.rank
+    assert rank(m) == r
+    assert rank_mod(m, 0) == r
+    assert cokernel_structure(m) == FinAbGroup(
+        m.rows - r, tuple(d for d in dec.invariant_factors if d > 1))
+    assert is_split_injective(m) == (r == m.cols and all(d == 1 for d in dec.invariant_factors))
+
+    kernel_cols = []
+    for j in range(r, m.cols):
+        vec = dec.v_inv.col(j)
+        if next((x for x in vec if x), 0) < 0:
+            vec = tuple(-x for x in vec)
+        kernel_cols.append(vec)
+    expected = IntMatrix.from_rows([[c[i] for c in kernel_cols] for i in range(m.cols)],
+                                   cols=len(kernel_cols))
+    assert kernel_basis(m) == expected
+
+    span = [[dec.diagonal[t] * dec.U.entries[i][t] for t in range(r)] for i in range(m.rows)]
+    assert column_span_basis(m) == IntMatrix.from_rows(span, cols=r)
+
+    proj, section = free_cokernel(m)
+    assert proj == dec.u_inv.submatrix(range(r, m.rows), range(m.rows))
+    assert section == dec.U.submatrix(range(m.rows), range(r, m.rows))
+
+    k = data.draw(st.integers(0, 2))
+    x = IntMatrix.from_rows(data.draw(st.lists(
+        st.lists(st.integers(-5, 5), min_size=k, max_size=k),
+        min_size=m.cols, max_size=m.cols)), cols=k)
+    noise = IntMatrix.from_rows(data.draw(st.lists(
+        st.lists(st.integers(-1, 1), min_size=k, max_size=k),
+        min_size=m.rows, max_size=m.rows)), cols=k)
+    for b in (m.mul(x), m.mul(x).add(noise)):
+        try:
+            want = _snf_solve_matrix(m, b)
+        except NoSolution:
+            with pytest.raises(NoSolution):
+                solve_matrix(m, b)
+        else:
+            assert solve_matrix(m, b) == want
