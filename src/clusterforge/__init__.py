@@ -23,6 +23,7 @@ from .errors import (
     SimpleAtVertex,
     VertexNotSinkOrSource,
 )
+from .memo import clear_caches
 from .quiver import Quiver, coxeter_apply, dynkin_type, euler_form, validate
 from .zlinalg import FinAbGroup, IntMatrix, cokernel_structure, kernel_basis, snf, solve
 from .rep import (

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import (
     BalanceUnsolvable,
@@ -29,6 +28,7 @@ from .errors import (
     PreconditionViolated,
     SimpleAtVertex,
 )
+from .memo import memo
 from .quiver import Quiver, is_dynkin, validate
 from .zlinalg import (
     FinAbGroup,
@@ -148,7 +148,6 @@ def _orbit_hom(sx: ShiftedModule, sy: ShiftedModule) -> FinAbGroup:
     return total
 
 
-@lru_cache(maxsize=None)
 def hom_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
     """Morphism group in the cluster category."""
     if x.quiver != y.quiver:
@@ -156,7 +155,7 @@ def hom_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
     return _orbit_hom(x.to_shifted(), y.to_shifted())
 
 
-@lru_cache(maxsize=None)
+@memo
 def ext1_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
     """Ext^1 in the cluster category: hom_c against the suspension."""
     if x.quiver != y.quiver:
@@ -394,7 +393,7 @@ def _balance_solution(target, complement) -> tuple | None:
     return sol
 
 
-@lru_cache(maxsize=None)
+@memo
 def _ses_certified(tail: ClusterObject, head: ClusterObject, middle: tuple) -> bool:
     """Look for 0 -> tail -> E -> head -> 0 with E the direct sum of middle."""
     parts = [obj.module for obj in middle]

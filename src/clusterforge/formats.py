@@ -58,6 +58,17 @@ def _parse_int_list(token: str, line: int):
     return value
 
 
+def _parse_index(token: str, top: int, what: str, line: int) -> int:
+    """A 1-based index in 1..top."""
+    try:
+        idx = int(token)
+    except ValueError:
+        raise FormatError(f"{what} wants an index, found {token!r}", line=line)
+    if not 1 <= idx <= top:
+        raise FormatError(f"{what} index {idx} out of range 1..{top}", line=line)
+    return idx
+
+
 def _parse_matrix(token: str, line: int):
     try:
         value = ast.literal_eval(token)
@@ -139,17 +150,17 @@ def parse_rep(text: str, quiver: Quiver) -> ZRep:
             continue  # reference resolved by the caller
         elif key == "generators":
             gens = _parse_int_list(value, no)
+            if any(g < 0 for g in gens):
+                raise FormatError("generator counts must be non-negative", line=no)
         elif key in ("relations", "action"):
             idx_token, _, mat_token = value.partition(" ")
-            try:
-                idx = int(idx_token)
-            except ValueError:
-                raise FormatError(f"{key} wants an index, found {idx_token!r}", line=no)
+            top = quiver.n if key == "relations" else len(quiver.arrows)
+            idx = _parse_index(idx_token, top, key, no)
             mat = _parse_matrix(mat_token.strip(), no)
-            if key == "relations":
-                relations[idx] = (mat, no)
-            else:
-                actions[idx] = (mat, no)
+            table = relations if key == "relations" else actions
+            if idx in table:
+                raise FormatError(f"{key} {idx} is given twice", line=no)
+            table[idx] = (mat, no)
         else:
             raise FormatError(f"unknown field {key!r} in rep file", line=no)
     if gens is None:
@@ -258,9 +269,11 @@ def parse_cluster(text: str, quiver: Quiver, pool: cluster.RigidPool | None = No
         kind, _, arg = value.partition(" ")
         arg = arg.strip()
         if kind == "projective":
-            summands.append(ClusterObject.from_module(rep.projective(quiver, int(arg))))
+            v = _parse_index(arg, quiver.n, "projective", no)
+            summands.append(ClusterObject.from_module(rep.projective(quiver, v)))
         elif kind == "shifted_projective":
-            summands.append(ClusterObject.sigma_projective(quiver, int(arg)))
+            v = _parse_index(arg, quiver.n, "shifted_projective", no)
+            summands.append(ClusterObject.sigma_projective(quiver, v))
         elif kind == "dim":
             dims = tuple(_parse_int_list(arg, no))
             if pool is None:

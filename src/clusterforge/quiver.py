@@ -10,9 +10,9 @@ cycles (in particular loops) are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CyclicQuiver, DimensionMismatch
+from .memo import memo
 from .zlinalg import IntMatrix, snf
 
 
@@ -105,7 +105,6 @@ def validate(q: Quiver) -> tuple:
     return tuple(order)
 
 
-@lru_cache(maxsize=None)
 def euler_matrix(q: Quiver) -> IntMatrix:
     """B with <d, e> = d^T B e, i.e. B = I - (arrow count matrix)."""
     rows = [[0] * q.n for _ in range(q.n)]
@@ -120,11 +119,9 @@ def euler_form(q: Quiver, d, e) -> int:
     """<d, e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j."""
     if len(d) != q.n or len(e) != q.n:
         raise DimensionMismatch("dimension vector length does not match quiver")
-    b = euler_matrix(q)
-    return sum(d[i] * b.entries[i][j] * e[j] for i in range(q.n) for j in range(q.n))
+    return sum(x * y for x, y in zip(d, e)) - sum(d[s - 1] * e[t - 1] for s, t in q.arrows)
 
 
-@lru_cache(maxsize=None)
 def _euler_inverse(q: Quiver) -> IntMatrix:
     # B is unimodular (triangular with unit diagonal in topological order)
     dec = snf(euler_matrix(q))
@@ -132,14 +129,13 @@ def _euler_inverse(q: Quiver) -> IntMatrix:
     return dec.v_inv.mul(dec.u_inv)
 
 
-@lru_cache(maxsize=None)
+@memo
 def coxeter_matrix(q: Quiver) -> IntMatrix:
     """Phi = -B^{-1} B^T, normalized so Phi . dim M = dim tau(M)."""
     b = euler_matrix(q)
     return _euler_inverse(q).mul(b.transpose()).neg()
 
 
-@lru_cache(maxsize=None)
 def coxeter_inverse(q: Quiver) -> IntMatrix:
     """Phi^{-1} = -B^{-T} B."""
     b = euler_matrix(q)

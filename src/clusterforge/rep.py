@@ -16,8 +16,6 @@ sink the resolution collapses to two terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     DimensionMismatch,
@@ -25,6 +23,7 @@ from .errors import (
     NotASummand,
     PreconditionViolated,
 )
+from .memo import memo
 from .quiver import Quiver, validate
 from .zlinalg import (
     FinAbGroup,
@@ -45,7 +44,7 @@ from .zlinalg import (
 # ---------------------------------------------------------------------------
 # paths
 
-@lru_cache(maxsize=None)
+@memo
 def paths_from(q: Quiver, i: int) -> dict:
     """All paths starting at i, grouped by endpoint and sorted.
 
@@ -65,7 +64,7 @@ def paths_from(q: Quiver, i: int) -> dict:
     return {j: tuple(sorted(ps)) for j, ps in found.items()}
 
 
-@lru_cache(maxsize=None)
+@memo
 def paths_into(q: Quiver, i: int) -> dict:
     """All paths ending at i, grouped by start vertex and sorted."""
     return {j: paths_from(q, j)[i] for j in q.vertices}
@@ -157,7 +156,7 @@ def torsion_simple(q: Quiver, i: int, order: int) -> ZRep:
     return ZRep(q, gens, relations, actions)
 
 
-@lru_cache(maxsize=None)
+@memo
 def projective(q: Quiver, i: int) -> ZRep:
     """P_i, free on the paths starting at i, arrows acting by concatenation."""
     bases = paths_from(q, i)
@@ -173,7 +172,7 @@ def projective(q: Quiver, i: int) -> ZRep:
     return make_lattice(q, ranks, actions)
 
 
-@lru_cache(maxsize=None)
+@memo
 def injective_lattice(q: Quiver, i: int) -> ZRep:
     """I_i, free on the paths ending at i, arrows acting by front cancellation."""
     bases = paths_into(q, i)
@@ -255,44 +254,76 @@ class Hom:
         return self.group.free_rank
 
 
-def _hom_var_layout(m: ZRep, n: ZRep):
+def _hom_var_layout(m_gens, n_gens):
+    """Offsets of the vertexwise blocks f_v (n_v x m_v, row-major) and their total."""
     offsets = []
     total = 0
-    for v in range(m.quiver.n):
+    for g_m, g_n in zip(m_gens, n_gens):
         offsets.append(total)
-        total += n.gens[v] * m.gens[v]
+        total += g_n * g_m
     return offsets, total
 
 
-@lru_cache(maxsize=None)
+def _intertwining_rows(q: Quiver, m_gens, n_gens, m_actions, n_actions) -> tuple:
+    """Rows of the map (f_v)_v -> (f_{t(a)} M_a - N_a f_{s(a)})_a, and its width.
+
+    Actions are per-arrow row tuples (IntMatrix entries, or FieldRep
+    actions); the variables follow _hom_var_layout.  There is one row per
+    entry (r, c) of each arrow component, in arrow, row, column order.
+    """
+    offsets, nvars = _hom_var_layout(m_gens, n_gens)
+    rows = []
+    for a, (s, t) in enumerate(q.arrows):
+        su, tv = s - 1, t - 1
+        ma, na = m_actions[a], n_actions[a]
+        g_ms, g_mt, g_ns = m_gens[su], m_gens[tv], n_gens[su]
+        for r in range(n_gens[tv]):
+            at_t = offsets[tv] + r * g_mt
+            na_r = na[r]
+            for c in range(g_ms):
+                row = [0] * nvars
+                for k in range(g_mt):
+                    row[at_t + k] += ma[k][c]
+                at_s = offsets[su] + c
+                for k in range(g_ns):
+                    row[at_s + k * g_ms] -= na_r[k]
+                rows.append(row)
+    return rows, nvars
+
+
+def _intertwining_matrix(q: Quiver, m_gens, n_gens, m_actions, n_actions) -> IntMatrix:
+    rows, nvars = _intertwining_rows(q, m_gens, n_gens, m_actions, n_actions)
+    return IntMatrix(len(rows), nvars, tuple(map(tuple, rows)))
+
+
+@memo
 def hom_group(m: ZRep, n: ZRep) -> Hom:
     """All homomorphisms of representations m -> n over the path algebra.
 
     Solves the intertwining system f_{t(a)} M_a = N_a f_{s(a)} on
-    vertexwise matrices, working modulo the target presentations.
+    vertexwise matrices.  Between lattices Hom is the kernel of the
+    intertwining matrix (Ext^1 is its cokernel); otherwise the system is
+    solved modulo the target presentations.
     """
     q = m.quiver
     if n.quiver != q:
         raise DimensionMismatch("representations live over different quivers")
-    offsets, nvars = _hom_var_layout(m, n)
+    m_actions = [x.entries for x in m.actions]
+    n_actions = [x.entries for x in n.actions]
+    if m.is_lattice and n.is_lattice:
+        kb = kernel_basis(_intertwining_matrix(q, m.gens, n.gens, m_actions, n_actions))
+        basis = tuple(_unflatten_hom(m, n, kb.col(j)) for j in range(kb.cols))
+        return Hom(FinAbGroup(kb.cols), basis)
 
-    constraints = []  # (coefficient row over f-vars, relation matrix, relation row)
+    offsets, _ = _hom_var_layout(m.gens, n.gens)
 
     def var(v, r, c):
         return offsets[v] + r * m.gens[v] + c
 
-    for a, (s, t) in enumerate(q.arrows):
-        su, tv = s - 1, t - 1
-        ma, na = m.actions[a], n.actions[a]
-        rel = n.relations[tv]
-        for r in range(n.gens[tv]):
-            for c in range(m.gens[su]):
-                row = [0] * nvars
-                for k in range(m.gens[tv]):
-                    row[var(tv, r, k)] += ma.entries[k][c]
-                for k in range(n.gens[su]):
-                    row[var(su, k, c)] -= na.entries[r][k]
-                constraints.append((row, rel, r))
+    rows, nvars = _intertwining_rows(q, m.gens, n.gens, m_actions, n_actions)
+    # each equation holds modulo one row of the target relations: row r at t(a)
+    rels = [n.relations[t - 1].entries[r] for s, t in q.arrows
+            for r in range(n.gens[t - 1]) for _ in range(m.gens[s - 1])]
     for v in range(q.n):
         relm = m.relations[v]
         reln = n.relations[v]
@@ -301,24 +332,22 @@ def hom_group(m: ZRep, n: ZRep) -> Hom:
                 row = [0] * nvars
                 for k in range(m.gens[v]):
                     row[var(v, r, k)] += relm.entries[k][c]
-                constraints.append((row, reln, r))
+                rows.append(row)
+                rels.append(reln.entries[r])
 
-    aux_total = sum(rel.cols for _, rel, _ in constraints)
+    aux_total = sum(map(len, rels))
+    pad = [0] * aux_total
     big = []
-    aux_at = 0
-    for row, rel, r in constraints:
-        full = row + [0] * aux_total
-        for j in range(rel.cols):
-            full[nvars + aux_at + j] = -rel.entries[r][j]
-        big.append(full)
-        aux_at += rel.cols
-    system = IntMatrix(len(big), nvars + aux_total, tuple(map(tuple, big)))
+    aux_at = nvars
+    for row, rel in zip(rows, rels):
+        full = row + pad
+        for j, x in enumerate(rel):
+            full[aux_at + j] = -x
+        big.append(tuple(full))
+        aux_at += len(rel)
+    system = IntMatrix(len(big), nvars + aux_total, tuple(big))
     kb = kernel_basis(system)
     span = kb.submatrix(range(nvars), range(kb.cols))
-
-    if m.is_lattice and n.is_lattice:
-        basis = tuple(_unflatten_hom(m, n, span.col(j)) for j in range(span.cols))
-        return Hom(FinAbGroup(span.cols), basis)
 
     # quotient by maps landing inside the target relations
     zgens = []
@@ -337,7 +366,7 @@ def hom_group(m: ZRep, n: ZRep) -> Hom:
 
 
 def _unflatten_hom(m: ZRep, n: ZRep, flat) -> tuple:
-    offsets, _ = _hom_var_layout(m, n)
+    offsets, _ = _hom_var_layout(m.gens, n.gens)
     mats = []
     for v in range(m.quiver.n):
         g_n, g_m = n.gens[v], m.gens[v]
@@ -351,7 +380,7 @@ def _unflatten_hom(m: ZRep, n: ZRep, flat) -> tuple:
 # ---------------------------------------------------------------------------
 # Ext^1
 
-@lru_cache(maxsize=None)
+@memo
 def ext1_group(m: ZRep, n: ZRep) -> FinAbGroup:
     """Ext^1 over the integral path algebra.
 
@@ -365,31 +394,10 @@ def ext1_group(m: ZRep, n: ZRep) -> FinAbGroup:
     if n.quiver != q:
         raise DimensionMismatch("representations live over different quivers")
     if m.is_lattice and n.is_lattice:
-        return cokernel_structure(_lattice_ext_matrix(m, n))
+        return cokernel_structure(_intertwining_matrix(
+            q, m.gens, n.gens, [x.entries for x in m.actions], [x.entries for x in n.actions]))
     res = projective_resolution(m)
     return _resolution_h1(res, n)
-
-
-def _lattice_ext_matrix(m: ZRep, n: ZRep) -> IntMatrix:
-    q = m.quiver
-    offsets, nvars = _hom_var_layout(m, n)
-
-    def var(v, r, c):
-        return offsets[v] + r * m.gens[v] + c
-
-    rows = []
-    for a, (s, t) in enumerate(q.arrows):
-        su, tv = s - 1, t - 1
-        ma, na = m.actions[a], n.actions[a]
-        for r in range(n.gens[tv]):
-            for c in range(m.gens[su]):
-                row = [0] * nvars
-                for k in range(m.gens[tv]):
-                    row[var(tv, r, k)] += ma.entries[k][c]
-                for k in range(n.gens[su]):
-                    row[var(su, k, c)] -= na.entries[r][k]
-                rows.append(row)
-    return IntMatrix(len(rows), nvars, tuple(map(tuple, rows)))
 
 
 def _hom_into(res_slots, n: ZRep):
@@ -505,7 +513,6 @@ def _apply_path_sum(m: ZRep, ps: dict, start: int, target: int, vec) -> tuple:
     return tuple(acc)
 
 
-@lru_cache(maxsize=None)
 def projective_resolution(m: ZRep) -> ProjResolution:
     """A minimal projective resolution, length <= 1 for lattices, <= 2 in general.
 
@@ -950,12 +957,11 @@ def _is_unimodular(mat: IntMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # rigidity
 
-@lru_cache(maxsize=None)
 def is_rigid(m: ZRep) -> bool:
     return ext1_group(m, m).is_trivial
 
 
-@lru_cache(maxsize=None)
+@memo
 def is_exceptional(m: ZRep) -> bool:
     """Rigid with endomorphism group free of rank one."""
     if not is_rigid(m):
@@ -973,14 +979,19 @@ class FieldRep:
     quiver: Quiver
     p: int
     dims: tuple
-    actions: tuple  # per arrow, tuple of row tuples (ints mod p, Fractions for p == 0)
+    actions: tuple  # per arrow, tuple of row tuples (ints mod p; integers for p == 0)
 
 
 def base_change(m: ZRep, p: int) -> FieldRep:
-    """Vertexwise tensor with the prime field F_p, or with Q when p == 0."""
+    """Vertexwise tensor with the prime field F_p, or with Q when p == 0.
+
+    Over Q the torsion dies, so the saturated cokernel of the relations
+    is an integral form of m tensor Q and its action matrices serve as is.
+    """
     q = m.quiver
     if p == 0:
-        return _base_change_rational(m)
+        free = cokernel_rep(m, m, m.relations, saturate=True)
+        return FieldRep(q, 0, free.gens, tuple(a.entries for a in free.actions))
     bases = []   # per vertex: (pivot coords, reduced relation rows, free coords)
     for v in range(q.n):
         rel = m.relations[v]
@@ -1033,53 +1044,6 @@ def _reduce_mod_basis(vec, pivots, reduced, p):
     return out
 
 
-def _base_change_rational(m: ZRep) -> FieldRep:
-    q = m.quiver
-    bases = []
-    for v in range(q.n):
-        rel = m.relations[v]
-        rows = [[Fraction(x) for x in rel.col(j)] for j in range(rel.cols)]
-        reduced, pivots = _rref_rational(rows, m.gens[v])
-        free = [c for c in range(m.gens[v]) if c not in pivots]
-        bases.append((pivots, reduced, free))
-    dims = tuple(len(b[2]) for b in bases)
-    actions = []
-    for a, (s, t) in enumerate(q.arrows):
-        su, tv = s - 1, t - 1
-        mat = m.actions[a]
-        cols = []
-        for c in bases[su][2]:
-            vec = [Fraction(mat.entries[r][c]) for r in range(m.gens[tv])]
-            for pc, pr in bases[tv][0].items():
-                f = vec[pc]
-                if f:
-                    vec = [x - f * y for x, y in zip(vec, bases[tv][1][pr])]
-            cols.append([vec[r] for r in bases[tv][2]])
-        actions.append(tuple(tuple(cols[c][r] for c in range(dims[su]))
-                             for r in range(dims[tv])))
-    return FieldRep(q, 0, dims, tuple(actions))
-
-
-def _rref_rational(rows, width):
-    work = [list(r) for r in rows]
-    pivots = {}
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots[c] = r
-        r += 1
-    return work, pivots
-
-
 def field_hom_ext_dims(m: FieldRep, n: FieldRep) -> tuple:
     """(dim Hom, dim Ext^1) over the field, from one intertwining matrix.
 
@@ -1089,42 +1053,6 @@ def field_hom_ext_dims(m: FieldRep, n: FieldRep) -> tuple:
     """
     if m.quiver != n.quiver or m.p != n.p:
         raise DimensionMismatch("field representations are not comparable")
-    q = m.quiver
-    offsets = []
-    total = 0
-    for v in range(q.n):
-        offsets.append(total)
-        total += n.dims[v] * m.dims[v]
-    rows = []
-    for a, (s, t) in enumerate(q.arrows):
-        su, tv = s - 1, t - 1
-        ma, na = m.actions[a], n.actions[a]
-        for r in range(n.dims[tv]):
-            for c in range(m.dims[su]):
-                row = [0 if n.p else Fraction(0)] * total
-                for k in range(m.dims[tv]):
-                    row[offsets[tv] + r * m.dims[tv] + k] += ma[k][c]
-                for k in range(n.dims[su]):
-                    row[offsets[su] + k * m.dims[su] + c] -= na[r][k]
-                rows.append(row)
-    if n.p:
-        mat = IntMatrix.from_rows([[x % n.p for x in row] for row in rows], cols=total)
-        rk = rank_mod(mat, n.p)
-    else:
-        scaled = []
-        for row in rows:
-            denom = 1
-            for x in row:
-                denom = denom * x.denominator // _gcd(denom, x.denominator)
-            scaled.append([int(x * denom) for x in row])
-        mat = IntMatrix.from_rows(scaled, cols=total)
-        rk = rank_mod(mat, 0)
-    hom_dim = total - rk
-    ext_dim = len(rows) - rk
-    return hom_dim, ext_dim
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    mat = _intertwining_matrix(m.quiver, m.dims, n.dims, m.actions, n.actions)
+    rk = rank_mod(mat, n.p)
+    return mat.cols - rk, mat.rows - rk

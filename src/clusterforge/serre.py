@@ -16,7 +16,6 @@ fixed shift window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     IsInjective,
@@ -26,6 +25,7 @@ from .errors import (
     SimpleAtVertex,
     VertexNotSinkOrSource,
 )
+from .memo import memo
 from .quiver import Quiver
 from .zlinalg import IntMatrix, cokernel_structure, free_cokernel, kernel_basis
 from . import rep
@@ -43,7 +43,7 @@ class ShiftedModule:
 # ---------------------------------------------------------------------------
 # recognizing projectives and injective lattices
 
-@lru_cache(maxsize=None)
+@memo
 def projective_index_of(m: ZRep) -> int | None:
     q = m.quiver
     for i in q.vertices:
@@ -53,7 +53,7 @@ def projective_index_of(m: ZRep) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@memo
 def injective_index_of(m: ZRep) -> int | None:
     q = m.quiver
     for i in q.vertices:
@@ -83,7 +83,7 @@ def nakayama_map(q: Quiver, row_slots, col_slots, entries) -> tuple:
 # ---------------------------------------------------------------------------
 # AR translation
 
-@lru_cache(maxsize=None)
+@memo
 def tau(m: ZRep) -> ZRep:
     """The translate of a non-projective exceptional lattice."""
     if not m.is_lattice or not rep.is_exceptional(m):
@@ -102,7 +102,7 @@ def tau(m: ZRep) -> ZRep:
     return kernel
 
 
-@lru_cache(maxsize=None)
+@memo
 def tau_inv(m: ZRep) -> ZRep:
     """Inverse translate, computed through the opposite quiver."""
     if not m.is_lattice or not rep.is_exceptional(m):

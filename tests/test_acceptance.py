@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from clusterforge import cluster, quiver as quiver_mod, rep, serre
+from clusterforge import clear_caches, rep, serre
 from clusterforge.cluster import (
     build_pool,
     canonical_cluster,
@@ -44,21 +44,13 @@ KRONECKER = Quiver(2, ((1, 2), (1, 2)))
 RANK_ONE = FinAbGroup(1)
 
 
-def _clear_all_caches():
-    for module in (quiver_mod, rep, serre, cluster):
-        for name in dir(module):
-            fn = getattr(module, name)
-            if callable(fn) and hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-
-
 @pytest.fixture(scope="module")
 def dynkin_data():
     """Pools, graphs, and oracle enumerations for the Dynkin cases.
 
     Built cold (caches cleared) so the recorded wall time is honest.
     """
-    _clear_all_caches()
+    clear_caches()
     start = time.perf_counter()
     data = {}
     for name, q, roots, clusters in (
@@ -73,7 +65,7 @@ def dynkin_data():
 
 
 def test_criterion_1_paper_example_reproduction():
-    _clear_all_caches()
+    clear_caches()
     start = time.perf_counter()
     m = torsion_simple(A2, 1, 2)
     group = ext1_group(m, m)
@@ -92,7 +84,7 @@ def test_criterion_1_paper_example_reproduction():
 
 
 def test_criterion_2_a2_pentagon():
-    _clear_all_caches()
+    clear_caches()
     start = time.perf_counter()
     pool = build_pool(A2, 5)
     assert len(pool.objects) == 5

@@ -1,5 +1,6 @@
 import pytest
 
+from clusterforge import clear_caches
 from clusterforge.errors import BalanceUnsolvable, NotFoundWithinBound, PreconditionViolated
 from clusterforge.quiver import Quiver
 from clusterforge.rep import (
@@ -335,7 +336,7 @@ def test_exchange_triangles_certified_once():
     pool = build_pool(A3, 6)
     initial = canonical_cluster([co(projective(A3, i)) for i in A3.vertices])
     k = next(i for i, s in enumerate(initial) if s.key() == ("M", (0, 0, 1)))
-    _ses_certified.cache_clear()
+    clear_caches()
     _, tri = mutate(initial, k, pool)
     before = _ses_certified.cache_info()
     again = exchange_triangles(tri.x, tri.y, initial[:k] + initial[k + 1:])

@@ -80,6 +80,40 @@ def test_constructor_errors_become_format_errors(tmp_path, capsys):
     assert "does not preserve relations" in capsys.readouterr().err
 
 
+def test_bad_rep_lines_name_lines(tmp_path, capsys):
+    with pytest.raises(FormatError) as info:
+        parse_rep("clusterforge/1 rep\ngenerators [1, 0]\naction 7 [[5]]\n", A2)
+    assert "line 3" in str(info.value) and "out of range" in str(info.value)
+    with pytest.raises(FormatError) as info:
+        parse_rep("clusterforge/1 rep\ngenerators [1, 0]\nrelations 9 [[2]]\n", A2)
+    assert "line 3" in str(info.value) and "out of range" in str(info.value)
+    with pytest.raises(FormatError) as info:
+        parse_rep("clusterforge/1 rep\ngenerators [1, 1]\naction 1 [[1]]\naction 1 [[0]]\n", A2)
+    assert "line 4" in str(info.value) and "twice" in str(info.value)
+    with pytest.raises(FormatError) as info:
+        parse_rep("clusterforge/1 rep\ngenerators [-1, 0]\n", A2)
+    assert "line 2" in str(info.value)
+    (tmp_path / "a2.quiver").write_text(A2_TEXT)
+    (tmp_path / "stray.rep").write_text(
+        "clusterforge/1 rep\nquiver a2.quiver\ngenerators [1, 0]\n"
+        "action 7 [[5]]\nrelations 9 [[2]]\n")
+    assert main(["ext", str(tmp_path / "a2.quiver"), str(tmp_path / "stray.rep"),
+                 str(tmp_path / "stray.rep")]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("summand", ["projective 9", "projective x", "shifted_projective 0",
+                                     "shifted_projective 3"])
+def test_bad_cluster_vertex_is_a_parse_error(tmp_path, capsys, summand):
+    (tmp_path / "a2.quiver").write_text(A2_TEXT)
+    (tmp_path / "c.cluster").write_text(
+        f"clusterforge/1 cluster\nquiver a2.quiver\nsummand projective 1\nsummand {summand}\n")
+    assert main(["mutate", str(tmp_path / "a2.quiver"), str(tmp_path / "c.cluster"), "1",
+                 "--dim-bound", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 4:")
+
+
 def test_rep_round_trip():
     for m in (simple(A2, 1), projective(A2, 1), torsion_simple(A2, 1, 2)):
         text = serialize_rep(m, quiver_ref="a2.quiver")

@@ -207,8 +207,11 @@ def test_base_change_examples():
     m = torsion_simple(A2, 1, 2)
     assert base_change(m, 2).dims == (1, 0)
     assert base_change(m, 3).dims == (0, 0)
+    assert base_change(m, 0).dims == (0, 0)
+    assert base_change(direct_sum(m, simple(A2, 1)), 0).dims == (1, 0)
     assert base_change(projective(A2, 1), 7).dims == (1, 1)
     assert base_change(projective(A2, 1), 0).dims == (1, 1)
+    assert base_change(projective(A2, 1), 0).actions == (((1,),),)
 
 
 def test_field_dims_examples():
@@ -283,7 +286,7 @@ def test_base_change_matches_integral_ranks_up_to_13():
     for m in mods:
         for n in mods:
             want = (hom_group(m, n).free_rank, ext1_group(m, n).free_rank)
-            for p in (2, 3, 5, 7, 11, 13):
+            for p in (0, 2, 3, 5, 7, 11, 13):
                 got = field_hom_ext_dims(base_change(m, p), base_change(n, p))
                 assert got == want, (dim_vector(m), dim_vector(n), p)
 
