@@ -1,9 +1,11 @@
 """Golden CLI output.
 
-The stdout of `graph --format structured` and `verify` is a contract:
-it must stay byte-identical across refactors of the algebra beneath it.
-These digests were recorded from the implementation before the lean
-Smith-form core; a changed digest means the CLI output changed.
+The stdout of `graph --format structured`, `pool` and `verify` is a
+contract: it must stay byte-identical across refactors of the algebra
+beneath it.  The graph and verify digests were recorded from the
+implementation before the lean Smith-form core, the pool digests from
+the one before cached hashes; a changed digest means the CLI output
+changed.
 """
 
 import hashlib
@@ -28,6 +30,10 @@ GOLDEN = (
      "26fbacdba565245e9f369faf957b3200954bf2919c50e15c4fb349cc9e3ffcfe"),
     (("verify", "d4.quiver", "--prime", "2"),
      "497d19efc958f25196695f2dc93dd0a6b300b8d8c39b78f778e7bd5cfc8558df"),
+    (("pool", "d4.quiver", "--dim-bound", "12"),
+     "08cb798a9b89d28f76709598ce21fb40180ef7a02377bee62bdd458aa935c0a6"),
+    (("pool", "kronecker.quiver", "--dim-bound", "6"),
+     "3ff879cad6657d628f282790d6d2d0ae3449e7069cda773922b351ab86d1addd"),
 )
 
 
