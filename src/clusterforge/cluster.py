@@ -15,7 +15,8 @@ rank-faithful; the duality statement is kept as a test invariant.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     PreconditionViolated,
     SimpleAtVertex,
 )
-from .memo import memo
+from .memo import hash_once, memo, once
 from .quiver import Quiver, is_dynkin, validate
 from .zlinalg import (
     FinAbGroup,
@@ -46,6 +47,7 @@ from .serre import ShiftedModule
 # ---------------------------------------------------------------------------
 # objects
 
+@hash_once
 @dataclass(frozen=True)
 class ClusterObject:
     """A module-variant or shifted-projective object of the cluster category."""
@@ -77,6 +79,7 @@ class ClusterObject:
     def is_module(self) -> bool:
         return self.module is not None
 
+    @once
     def key(self) -> tuple:
         """Canonical key; exceptional modules are determined by dimension vector."""
         if self.is_module:
@@ -199,7 +202,8 @@ class RigidPool:
         if key in self.provenance:
             return False
         self.provenance[key] = tag
-        self.objects = tuple(sorted(self.objects + (obj,), key=lambda o: o.key()))
+        i = bisect(self.objects, key, key=ClusterObject.key)
+        self.objects = self.objects[:i] + (obj,) + self.objects[i:]
         return True
 
 
@@ -576,6 +580,7 @@ class ExchangeGraph:
     edges: tuple = ()      # (node index, position, node index, triangles)
     truncated: bool = False
     truncation_reason: str = ""
+    truncations: tuple = ()  # sorted (cause, count): node-limit, not-found-within-bound
 
     def degree(self, i: int) -> int:
         return sum(1 for e in self.edges if e[0] == i)
@@ -592,7 +597,7 @@ def exchange_graph(q: Quiver, dim_bound: int = 12, max_nodes: int = 10000) -> Ex
     nodes = [initial]
     index = {tuple(s.key() for s in initial): 0}
     edges = []
-    truncated = False
+    causes = Counter()
     reason = ""
     frontier = deque([0])
     while frontier:
@@ -601,20 +606,21 @@ def exchange_graph(q: Quiver, dim_bound: int = 12, max_nodes: int = 10000) -> Ex
             try:
                 neighbor, triangles = mutate(nodes[current], k, pool)
             except NotFoundWithinBound as exc:
-                truncated = True
+                causes["not-found-within-bound"] += 1
                 reason = str(exc)
                 continue
             nkey = tuple(s.key() for s in neighbor)
             if nkey not in index:
                 if len(nodes) >= max_nodes:
-                    truncated = True
+                    causes["node-limit"] += 1
                     reason = reason or f"node limit {max_nodes} reached"
                     continue
                 index[nkey] = len(nodes)
                 nodes.append(neighbor)
                 frontier.append(index[nkey])
             edges.append((current, k, index[nkey], triangles))
-    return ExchangeGraph(q, tuple(nodes), tuple(edges), truncated, reason)
+    return ExchangeGraph(q, tuple(nodes), tuple(edges), bool(causes), reason,
+                         tuple(sorted(causes.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CyclicQuiver, DimensionMismatch
-from .memo import memo
+from .memo import hash_once, memo
 from .zlinalg import IntMatrix, snf
 
 
+@hash_once
 @dataclass(frozen=True)
 class Quiver:
     n: int

@@ -23,7 +23,7 @@ from .errors import (
     NotASummand,
     PreconditionViolated,
 )
-from .memo import memo
+from .memo import hash_once, memo
 from .quiver import Quiver, validate
 from .zlinalg import (
     FinAbGroup,
@@ -83,6 +83,7 @@ def path_target(q: Quiver, start: int, path: tuple) -> int:
 # ---------------------------------------------------------------------------
 # representations
 
+@hash_once
 @dataclass(frozen=True)
 class ZRep:
     """A finitely presented representation over the integral path algebra."""

@@ -28,8 +28,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NoSolution
+from .memo import hash_once
 
 
+@hash_once
 @dataclass(frozen=True)
 class IntMatrix:
     """An immutable integer matrix; zero rows or columns are allowed."""

@@ -233,6 +233,24 @@ def test_exchange_graph_kronecker_truncates():
     g = exchange_graph(KRONECKER, 4, 8)
     assert g.truncated
     assert len(g.nodes) <= 8
+    assert g.truncations == (("node-limit", 2),)
+    assert g.truncation_reason == "node limit 8 reached"
+
+
+def test_exchange_graph_counts_every_truncation_cause():
+    # at bound 1 the pool misses partners of clusters with a shifted
+    # projective; the last such miss names the reason, both causes count
+    g = exchange_graph(KRONECKER, 1, 8)
+    assert g.truncated
+    assert g.truncations == (("node-limit", 1), ("not-found-within-bound", 2))
+    assert g.truncation_reason.startswith("no exchange partner for SP2")
+
+
+def test_exchange_graph_closing_has_no_truncations():
+    g = exchange_graph(A3, 6, 1000)
+    assert not g.truncated
+    assert g.truncation_reason == ""
+    assert g.truncations == ()
 
 
 def test_all_module_fallback_extends_pool():
