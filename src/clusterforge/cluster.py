@@ -23,7 +23,6 @@ from .errors import (
     BalanceUnsolvable,
     ConstructionFailed,
     DimensionMismatch,
-    NoSolution,
     NotASummand,
     NotFoundWithinBound,
     PreconditionViolated,
@@ -36,8 +35,7 @@ from .zlinalg import (
     IntMatrix,
     cokernel_structure,
     is_split_injective,
-    rank,
-    solve,
+    solve_with_rank,
 )
 from . import rep, serre
 from .rep import ZRep
@@ -353,12 +351,16 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
                                 e_witness=ew, e_prime_witness=epw)
 
 
-def _middle_term(tail: ClusterObject, head: ClusterObject, complement) -> tuple:
+@memo
+def _middle_term(tail: ClusterObject, head: ClusterObject, complement: tuple) -> tuple:
     """Middle multiset of the triangle tail -> E -> head -> sigma tail.
 
     E is read off the unique solution of dim E = dim head + dim tail
     over the complement; the witness is "ses" when an explicit short
-    exact sequence certifies it and "balance" otherwise.
+    exact sequence certifies it and "balance" otherwise.  Memoized
+    because exchange_graph meets every undirected edge from both ends:
+    the reverse mutation asks for the same two triangles with tail and
+    head swapped over the same canonical complement.
     """
     st = tail.to_shifted()
     if normalize(ShiftedModule(st.module, st.shift + 1)).key() == head.key():
@@ -386,13 +388,10 @@ def _balance_solution(target, complement) -> tuple | None:
     n = len(target)
     dims = [c.dim_c() for c in complement]
     matrix = IntMatrix(n, len(dims), tuple(tuple(d[i] for d in dims) for i in range(n)))
-    if rank(matrix) < matrix.cols:
+    r, sol = solve_with_rank(matrix, target)
+    if r < matrix.cols:
         raise PreconditionViolated("complement classes are linearly dependent")
-    try:
-        sol = solve(matrix, target)
-    except NoSolution:
-        return None
-    if any(m < 0 for m in sol):
+    if sol is None or any(m < 0 for m in sol):
         return None
     return sol
 

@@ -114,9 +114,6 @@ class ZRep:
     def is_lattice(self) -> bool:
         return all(r.cols == 0 for r in self.relations)
 
-    def gen_count(self, v: int) -> int:
-        return self.gens[v - 1]
-
     def relation(self, v: int) -> IntMatrix:
         return self.relations[v - 1]
 

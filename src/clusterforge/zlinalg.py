@@ -17,7 +17,7 @@ transforms (of M = U S V) the caller reads:
 - `snf`: all four, U, u_inv, V and v_inv;
 - `rank`, `is_split_injective`, `cokernel_structure`: none;
 - `kernel_basis`: v_inv;
-- `solve` / `solve_matrix`: u_inv and v_inv;
+- `solve` / `solve_matrix` / `solve_with_rank`: u_inv and v_inv;
 - `column_span_basis`: U;
 - `free_cokernel`: U and u_inv.
 """
@@ -379,6 +379,22 @@ def solve(m: IntMatrix, b: Sequence[int]) -> tuple:
     return solve_matrix(m, IntMatrix.column(b)).col(0)
 
 
+def solve_with_rank(m: IntMatrix, b: Sequence[int]) -> tuple:
+    """(rank of m, some integer solution x of m x = b or None).
+
+    Both come from one elimination, for callers that must check the
+    rank before they trust a solution.
+    """
+    if len(b) != m.rows:
+        raise DimensionMismatch("right-hand side has wrong length")
+    reduced = _eliminate(m, ("u_inv", "v_inv"))
+    try:
+        x = _solve_reduced(m, reduced, IntMatrix.column(b)).col(0)
+    except NoSolution:
+        x = None
+    return _rank(reduced[0]), x
+
+
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Integer solution X of m X = b (columnwise), or NoSolution.
 
@@ -386,7 +402,12 @@ def solve_matrix(m: IntMatrix, b: IntMatrix) -> IntMatrix:
     """
     if b.rows != m.rows:
         raise DimensionMismatch("right-hand side has wrong row count")
-    diag, t = _eliminate(m, ("u_inv", "v_inv"))
+    return _solve_reduced(m, _eliminate(m, ("u_inv", "v_inv")), b)
+
+
+def _solve_reduced(m: IntMatrix, reduced: tuple, b: IntMatrix) -> IntMatrix:
+    """solve_matrix on the result of _eliminate(m, ("u_inv", "v_inv"))."""
+    diag, t = reduced
     r = _rank(diag)
     c = _wrap(t["u_inv"], m.rows).mul(b)
     ys = []
@@ -462,10 +483,6 @@ class FinAbGroup:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    @property
-    def is_free(self) -> bool:
-        return not self.torsion
 
     def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
         return group_from_factors(self.free_rank + other.free_rank, self.torsion + other.torsion)

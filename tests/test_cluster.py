@@ -13,6 +13,7 @@ from clusterforge.serre import ShiftedModule, f_apply
 from clusterforge.cluster import (
     ClusterObject,
     _balance_solution,
+    _middle_term,
     _ses_certified,
     build_pool,
     canonical_cluster,
@@ -356,12 +357,49 @@ def test_exchange_triangles_certified_once():
     k = next(i for i, s in enumerate(initial) if s.key() == ("M", (0, 0, 1)))
     clear_caches()
     _, tri = mutate(initial, k, pool)
-    before = _ses_certified.cache_info()
+    assert tri.e_prime_witness == "ses"
+    certified = _ses_certified.cache_info().misses
+    before = _middle_term.cache_info()
     again = exchange_triangles(tri.x, tri.y, initial[:k] + initial[k + 1:])
-    after = _ses_certified.cache_info()
+    after = _middle_term.cache_info()
     assert again == tri
+    # the repeated call stops at the middle-term table, so the SES
+    # search behind the "ses" witness ran once
     assert after.misses == before.misses
-    assert after.hits > before.hits
+    assert after.hits == before.hits + 2
+    assert _ses_certified.cache_info().misses == certified
+
+
+A4 = Quiver(4, ((1, 2), (2, 3), (3, 4)))
+D4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
+
+
+@pytest.mark.parametrize("q, edges", [(A3, 42), (A4, 168), (D4, 200)])
+def test_exchange_triangles_are_an_involution(q, edges):
+    # mutation is an involution: the reverse edge carries the same two
+    # triangles with the ends and the middle terms swapped
+    g = exchange_graph(q, 6)
+    assert len(g.edges) == edges
+    for i, _, j, tri in g.edges:
+        reverse = [t for a, _, b, t in g.edges if (a, b) == (j, i)
+                   and (t.x, t.y, t.e, t.e_prime, t.e_witness, t.e_prime_witness)
+                   == (tri.y, tri.x, tri.e_prime, tri.e, tri.e_prime_witness, tri.e_witness)]
+        assert len(reverse) == 1
+
+
+def test_mutating_back_hits_the_middle_terms():
+    pool = build_pool(A3, 6)
+    initial = canonical_cluster([co(projective(A3, i)) for i in A3.vertices])
+    k = next(i for i, s in enumerate(initial) if s.key() == ("M", (0, 1, 1)))
+    clear_caches()
+    step, tri = mutate(initial, k, pool)
+    before = _middle_term.cache_info()
+    back, reverse = mutate(step, step.index(tri.y), pool)
+    after = _middle_term.cache_info()
+    assert back == initial
+    assert (reverse.e, reverse.e_prime) == (tri.e_prime, tri.e)
+    assert after.hits == before.hits + 2
+    assert after.misses == before.misses
 
 
 def test_exchange_graph_closed_form_counts():

@@ -17,6 +17,7 @@ from clusterforge.zlinalg import (
     snf,
     solve,
     solve_matrix,
+    solve_with_rank,
     subquotient_structure,
 )
 
@@ -64,6 +65,12 @@ def test_solve_examples():
     m = IntMatrix.from_rows([[1, 2], [0, 0]])
     x = solve(m, (5, 0))
     assert m.mul_vec(x) == (5, 0)
+    # the rank comes with the answer, also when there is none
+    assert solve_with_rank(IntMatrix.from_rows([[2]]), (4,)) == (1, (2,))
+    assert solve_with_rank(IntMatrix.from_rows([[2]]), (3,)) == (1, None)
+    assert solve_with_rank(m, (5, 1)) == (1, None)
+    r, x = solve_with_rank(m, (5, 0))
+    assert r == 1 and m.mul_vec(x) == (5, 0)
 
 
 def test_group_string():
@@ -238,3 +245,9 @@ def test_lean_paths_match_full_snf(m, data):
                 solve_matrix(m, b)
         else:
             assert solve_matrix(m, b) == want
+        for j in range(b.cols):
+            try:
+                want = _snf_solve_matrix(m, IntMatrix.column(b.col(j))).col(0)
+            except NoSolution:
+                want = None
+            assert solve_with_rank(m, b.col(j)) == (r, want)
