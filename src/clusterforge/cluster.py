@@ -4,9 +4,12 @@ Objects are exceptional lattices at shift zero together with the
 suspended indecomposable projectives; those are exactly the candidates
 for summands of cluster-tilting objects, so nothing else enters the
 data model.  Morphism groups are computed by the orbit formula: sum
-the derived Homs against all translates of the target under the
-autoequivalence implemented by f_apply, which meets any fixed shift
-window only finitely often.
+the derived Homs against the translates of the target under the
+autoequivalence implemented by f_apply.  Only translates in the shift
+window where a derived Hom can be nonzero are computed; the walk
+stops before the first step that would leave it.  The rigid pool
+walks each translate orbit once and falls back to reflection
+transport only while some orbit stays open.
 
 Ext^1 in the cluster category is hom_c against the suspension.  It is
 deliberately not computed through the duality shortcut, which is only
@@ -135,17 +138,30 @@ def _derived_hom(a: ShiftedModule, b: ShiftedModule) -> FinAbGroup:
 
 
 def _orbit_hom(sx: ShiftedModule, sy: ShiftedModule) -> FinAbGroup:
+    """Sum of the derived Homs from sx to the translates of sy.
+
+    Only the offsets 0 (Hom) and 1 (Ext^1) can contribute, and Ext^1
+    out of a projective lattice vanishes, so each direction of the walk
+    stops before the first translate outside that window: f_shift says
+    where a step lands before its translate is computed.
+    """
+    low = sx.shift
+    high = low if serre.projective_index_of(sx.module) is not None else low + 1
     total = FinAbGroup(0)
     # translates in the lowering direction, starting with l = 0
     cur = sy
-    while cur.shift >= sx.shift:
+    if low <= cur.shift <= high:
         total = total.direct_sum(_derived_hom(sx, cur))
+    while cur.shift + serre.f_shift(cur.module, 1) >= low:
         cur = serre.f_apply(cur, 1)
+        if cur.shift <= high:
+            total = total.direct_sum(_derived_hom(sx, cur))
     # translates in the raising direction
-    cur = serre.f_apply(sy, -1)
-    while cur.shift <= sx.shift + 1:
-        total = total.direct_sum(_derived_hom(sx, cur))
+    cur = sy
+    while cur.shift + serre.f_shift(cur.module, -1) <= high:
         cur = serre.f_apply(cur, -1)
+        if cur.shift >= low:
+            total = total.direct_sum(_derived_hom(sx, cur))
     return total
 
 
@@ -213,9 +229,14 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
     """Shifted projectives plus the translate closure of the projective
     and injective lattices, enriched by reflection transport.
 
-    For Dynkin quivers the result is the complete list of rigid
-    indecomposables; otherwise the completeness flag stays off and the
-    pool can still grow through mutation cones.
+    Each orbit is walked once: backward from every injective lattice
+    first, and forward from a projective only when no backward walk
+    reached it.  Reflection transport runs only while some orbit stays
+    open; when every walk closes (the Dynkin case within the bound) the
+    orbits already hold every exceptional module.  For Dynkin quivers
+    the result is the complete list of rigid indecomposables; otherwise
+    the completeness flag stays off and the pool can still grow through
+    mutation cones.
     """
     validate(q)
     if dim_bound < 1:
@@ -231,22 +252,29 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
         m = rep.injective_lattice(q, i)
         if _within_bound(m, dim_bound):
             pool.add(ClusterObject.from_module(m), "tau-orbit")
-    # translate forward from injectives and backward from projectives
-    for seed in [rep.projective(q, i) for i in q.vertices]:
+    # translate backward from injectives; reaching a projective closes the orbit
+    closed = set()
+    for seed in [rep.injective_lattice(q, i) for i in q.vertices]:
         m = seed
+        while (i := serre.projective_index_of(m)) is None:
+            m = serre.tau(m)
+            if not _within_bound(m, dim_bound):
+                break
+            pool.add(ClusterObject.from_module(m), "tau-orbit")
+        else:
+            closed.add(i)
+    # translate forward from the projectives of the open orbits
+    for i in q.vertices:
+        if i in closed:
+            continue
+        m = rep.projective(q, i)
         while serre.injective_index_of(m) is None:
             m = serre.tau_inv(m)
             if not _within_bound(m, dim_bound):
                 break
             pool.add(ClusterObject.from_module(m), "tau-orbit")
-    for seed in [rep.injective_lattice(q, i) for i in q.vertices]:
-        m = seed
-        while serre.projective_index_of(m) is None:
-            m = serre.tau(m)
-            if not _within_bound(m, dim_bound):
-                break
-            pool.add(ClusterObject.from_module(m), "tau-orbit")
-    _close_under_reflection_transport(q, pool)
+    if len(closed) < q.n:
+        _close_under_reflection_transport(q, pool)
     return pool
 
 

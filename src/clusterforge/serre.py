@@ -10,7 +10,9 @@ tau_inv goes through the opposite quiver: dualize, translate, dualize
 back.  f_apply packages the suspension bookkeeping of the orbit
 category: one application lowers the shift by one on non-projectives
 and by two on projectives, so iterated application always leaves any
-fixed shift window.
+fixed shift window.  f_shift reports that change before the step is
+taken, so a caller can stop at the window's edge without computing
+the translate beyond it.
 """
 
 from __future__ import annotations
@@ -112,6 +114,17 @@ def tau_inv(m: ZRep) -> ZRep:
     return rep.dualize(tau(rep.dualize(m)))
 
 
+def f_shift(m: ZRep, power: int) -> int:
+    """Shift change of one f_apply step on m, known before the step is taken.
+
+    Forward a projective drops two and anything else one; backward an
+    injective lattice rises two and anything else one.
+    """
+    if power == 1:
+        return -2 if projective_index_of(m) is not None else -1
+    return 2 if injective_index_of(m) is not None else 1
+
+
 def f_apply(x: ShiftedModule, power: int) -> ShiftedModule:
     """One application of the orbit autoequivalence or its inverse.
 
@@ -122,15 +135,12 @@ def f_apply(x: ShiftedModule, power: int) -> ShiftedModule:
     if power not in (1, -1):
         raise PreconditionViolated("f_apply moves one step at a time")
     m, s = x.module, x.shift
-    if power == 1:
-        i = projective_index_of(m)
-        if i is not None:
-            return ShiftedModule(rep.injective_lattice(m.quiver, i), s - 2)
-        return ShiftedModule(tau(m), s - 1)
-    i = injective_index_of(m)
-    if i is not None:
-        return ShiftedModule(rep.projective(m.quiver, i), s + 2)
-    return ShiftedModule(tau_inv(m), s + 1)
+    step = f_shift(m, power)
+    if step == -2:
+        return ShiftedModule(rep.injective_lattice(m.quiver, projective_index_of(m)), s - 2)
+    if step == 2:
+        return ShiftedModule(rep.projective(m.quiver, injective_index_of(m)), s + 2)
+    return ShiftedModule(tau(m) if power == 1 else tau_inv(m), s + step)
 
 
 # ---------------------------------------------------------------------------

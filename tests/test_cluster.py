@@ -3,8 +3,12 @@ import pytest
 from clusterforge import clear_caches
 from clusterforge.errors import BalanceUnsolvable, NotFoundWithinBound, PreconditionViolated
 from clusterforge.quiver import Quiver
+from clusterforge import serre
 from clusterforge.rep import (
     dim_vector,
+    ext1_group,
+    hom_group,
+    injective_lattice,
     projective,
     simple,
     torsion_simple,
@@ -102,7 +106,6 @@ def test_g_functor_degree_zero_shadow():
     # the ordinary Hom against the module part sits inside the cluster
     # Hom; for a projective source the orbit correction vanishes and the
     # ranks agree exactly
-    from clusterforge.rep import hom_group
     pool = build_pool(A3, 6)
     for x in pool.modules():
         for y in pool.modules():
@@ -412,3 +415,48 @@ def test_exchange_graph_closed_form_counts():
         assert not g.truncated
         assert len(g.nodes) == expected
         assert len(g.edges) == expected * q.n
+
+
+A5_MIXED = Quiver(5, ((2, 1), (2, 3), (4, 3), (4, 5)))
+ORBIT_FORMULA_POOLS = ((A4, 12), (D4, 12), (A5_MIXED, 12), (KRONECKER, 6))
+
+
+@pytest.mark.parametrize("q, bound", ORBIT_FORMULA_POOLS,
+                         ids=["A4", "D4", "A5-mixed", "Kronecker"])
+def test_ext1_c_matches_the_orbit_formula_closed_forms(q, bound):
+    # the orbit formula collapsed by hand on the fundamental objects:
+    # only the offsets 0 and 1 of the suspended target contribute
+    def closed_form(x, y):
+        if not x.is_module:
+            if not y.is_module:
+                return FinAbGroup(0)
+            return hom_group(projective(q, x.shifted_projective), y.module).group
+        if not y.is_module:
+            return hom_group(x.module, injective_lattice(q, y.shifted_projective)).group
+        total = ext1_group(x.module, y.module)
+        if serre.projective_index_of(y.module) is None:
+            total = total.direct_sum(hom_group(x.module, serre.tau(y.module)).group)
+        return total
+
+    pool = build_pool(q, bound)
+    for x in pool.objects:
+        for y in pool.objects:
+            assert ext1_c(x, y) == closed_form(x, y), (x.describe(), y.describe())
+
+
+def test_orbit_walk_translates_each_module_once():
+    # building the pool walks every orbit once and Ext^1 reads only the
+    # first translate of its target, so tau runs once per non-projective
+    # module and tau_inv never runs on Dynkin quivers
+    clear_caches()
+    non_projective = 0
+    for q in (D4, A5_MIXED):
+        pool = build_pool(q, 12)
+        for x in pool.objects:
+            for y in pool.objects:
+                ext1_c(x, y)
+        non_projective += sum(1 for o in pool.modules()
+                              if serre.projective_index_of(o.module) is None)
+    assert non_projective == 8 + 10
+    assert serre.tau.cache_info().misses == non_projective
+    assert serre.tau_inv.cache_info().misses == 0

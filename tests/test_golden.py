@@ -3,9 +3,10 @@
 The stdout of `graph --format structured`, `pool` and `verify` is a
 contract: it must stay byte-identical across refactors of the algebra
 beneath it.  The graph and verify digests were recorded from the
-implementation before the lean Smith-form core, the pool digests from
-the one before cached hashes; a changed digest means the CLI output
-changed.
+implementation before the lean Smith-form core, the D4 and Kronecker
+pool digests from the one before cached hashes, and the E6 pool and
+mixed-orientation A5 graph digests from the one before each translate
+orbit was walked once; a changed digest means the CLI output changed.
 """
 
 import hashlib
@@ -18,6 +19,8 @@ QUIVERS = {
     "a4.quiver": "vertices 4\narrows [[1, 2], [2, 3], [3, 4]]\n",
     "d4.quiver": "vertices 4\narrows [[1, 4], [2, 4], [3, 4]]\n",
     "kronecker.quiver": "vertices 2\narrows [[1, 2], [1, 2]]\n",
+    "e6.quiver": "vertices 6\narrows [[1, 2], [2, 3], [3, 4], [4, 5], [3, 6]]\n",
+    "a5mix.quiver": "vertices 5\narrows [[2, 1], [2, 3], [4, 3], [4, 5]]\n",
 }
 
 GOLDEN = (
@@ -34,6 +37,10 @@ GOLDEN = (
      "08cb798a9b89d28f76709598ce21fb40180ef7a02377bee62bdd458aa935c0a6"),
     (("pool", "kronecker.quiver", "--dim-bound", "6"),
      "3ff879cad6657d628f282790d6d2d0ae3449e7069cda773922b351ab86d1addd"),
+    (("pool", "e6.quiver", "--dim-bound", "12"),
+     "8d2385ac617b0c378dc73dbd3fa1a4377173b597c03100f4acf48d62d0d71c5f"),
+    (("graph", "a5mix.quiver", "--dim-bound", "12", "--format", "structured"),
+     "6208e6d097aea88838de142ebf086e4a63d45e2483aae9e5c39905001f9b799b"),
 )
 
 
