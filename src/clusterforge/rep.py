@@ -11,11 +11,17 @@ along their direction this is the unique placement whose minimal
 projective resolution has the three-term shape P -> P + P' -> P''
 featuring a multiplication-by-2 entry next to an arrow entry; at the
 sink the resolution collapses to two terms.
+
+Between lattices Hom is the kernel and Ext^1 the cokernel of one
+intertwining matrix, so each ordered pair costs one Smith reduction with
+no transform tracked; a Hom basis is computed only when it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .errors import (
     DimensionMismatch,
@@ -23,17 +29,17 @@ from .errors import (
     NotASummand,
     PreconditionViolated,
 )
-from .memo import hash_once, memo
+from .memo import hash_once, memo, once
 from .quiver import Quiver, validate
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
     block_diag,
-    cokernel_structure,
     column_span_basis,
     free_cokernel,
     is_split_injective,
     kernel_basis,
+    kernel_rank_cokernel,
     rank,
     rank_mod,
     snf,
@@ -111,6 +117,7 @@ class ZRep:
                 raise DimensionMismatch(f"action for arrow {a} does not preserve relations")
 
     @property
+    @once
     def is_lattice(self) -> bool:
         return all(r.cols == 0 for r in self.relations)
 
@@ -235,17 +242,23 @@ def dualize(m: ZRep) -> ZRep:
 # ---------------------------------------------------------------------------
 # Hom
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hom:
     """Hom group together with explicit homomorphisms.
 
-    For lattices the basis is a genuine Z-basis in kernel_basis order;
-    in the presence of torsion it is a generating set of representative
-    maps.
+    `basis` is a tuple of per-vertex IntMatrix tuples, computed by
+    `make_basis` on first read and kept.  For lattices it is a genuine
+    Z-basis in kernel_basis order; in the presence of torsion it is a
+    generating set of representative maps.  Values compare by identity.
     """
 
     group: FinAbGroup
-    basis: tuple  # tuple of per-vertex IntMatrix tuples
+    make_basis: Callable[[], tuple] = field(repr=False)
+
+    @property
+    @once
+    def basis(self) -> tuple:
+        return self.make_basis()
 
     @property
     def free_rank(self) -> int:
@@ -294,25 +307,47 @@ def _intertwining_matrix(q: Quiver, m_gens, n_gens, m_actions, n_actions) -> Int
     return IntMatrix(len(rows), nvars, tuple(map(tuple, rows)))
 
 
+def _lattice_matrix(m: ZRep, n: ZRep) -> IntMatrix:
+    """The intertwining matrix of two ZReps, on their generator columns."""
+    return _intertwining_matrix(m.quiver, m.gens, n.gens,
+                                [x.entries for x in m.actions], [x.entries for x in n.actions])
+
+
+@memo
+def _lattice_hom_ext(m: ZRep, n: ZRep) -> tuple:
+    """(Hom, Ext^1) between lattices from one untracked reduction.
+
+    Hom is free of rank cols - rank of the intertwining matrix and Ext^1
+    is its cokernel.  The Hom basis is rebuilt from (m, n) when read, so
+    no matrix is kept alive.
+    """
+    nullity, ext = kernel_rank_cokernel(_lattice_matrix(m, n))
+    return Hom(FinAbGroup(nullity), partial(_lattice_hom_basis, m, n)), ext
+
+
+def _lattice_hom_basis(m: ZRep, n: ZRep) -> tuple:
+    kb = kernel_basis(_lattice_matrix(m, n))
+    return tuple(_unflatten_hom(m, n, kb.col(j)) for j in range(kb.cols))
+
+
 @memo
 def hom_group(m: ZRep, n: ZRep) -> Hom:
     """All homomorphisms of representations m -> n over the path algebra.
 
     Solves the intertwining system f_{t(a)} M_a = N_a f_{s(a)} on
     vertexwise matrices.  Between lattices Hom is the kernel of the
-    intertwining matrix (Ext^1 is its cokernel); otherwise the system is
-    solved modulo the target presentations.
+    intertwining matrix, read with Ext^1 from one reduction per ordered
+    pair, and the basis is computed on first read; otherwise the system
+    is solved modulo the target presentations.
     """
     q = m.quiver
     if n.quiver != q:
         raise DimensionMismatch("representations live over different quivers")
+    if m.is_lattice and n.is_lattice:
+        return _lattice_hom_ext(m, n)[0]
+
     m_actions = [x.entries for x in m.actions]
     n_actions = [x.entries for x in n.actions]
-    if m.is_lattice and n.is_lattice:
-        kb = kernel_basis(_intertwining_matrix(q, m.gens, n.gens, m_actions, n_actions))
-        basis = tuple(_unflatten_hom(m, n, kb.col(j)) for j in range(kb.cols))
-        return Hom(FinAbGroup(kb.cols), basis)
-
     offsets, _ = _hom_var_layout(m.gens, n.gens)
 
     def var(v, r, c):
@@ -360,7 +395,7 @@ def hom_group(m: ZRep, n: ZRep) -> Hom:
     zmat = IntMatrix(nvars, len(zgens), tuple(tuple(g[i] for g in zgens) for i in range(nvars)))
     group = subquotient_structure(span, zmat)
     basis = tuple(_unflatten_hom(m, n, span.col(j)) for j in range(span.cols))
-    return Hom(group, basis)
+    return Hom(group, lambda: basis)
 
 
 def _unflatten_hom(m: ZRep, n: ZRep, flat) -> tuple:
@@ -382,18 +417,18 @@ def _unflatten_hom(m: ZRep, n: ZRep, flat) -> tuple:
 def ext1_group(m: ZRep, n: ZRep) -> FinAbGroup:
     """Ext^1 over the integral path algebra.
 
-    For a lattice m this is the cokernel of the map sending a family of
-    vertexwise Z-linear maps (f_i) to (f_{t(a)} M_a - N_a f_{s(a)})_a;
-    in general it is computed as the degree-one homology of Hom applied
-    to a minimal projective resolution of m.  The two routes agree on
+    Between lattices this is the cokernel of the map sending a family of
+    vertexwise Z-linear maps (f_i) to (f_{t(a)} M_a - N_a f_{s(a)})_a,
+    read with the Hom rank from one reduction per ordered pair; in
+    general it is computed as the degree-one homology of Hom applied to
+    a minimal projective resolution of m.  The two routes agree on
     lattices and the test suite cross-checks them.
     """
     q = m.quiver
     if n.quiver != q:
         raise DimensionMismatch("representations live over different quivers")
     if m.is_lattice and n.is_lattice:
-        return cokernel_structure(_intertwining_matrix(
-            q, m.gens, n.gens, [x.entries for x in m.actions], [x.entries for x in n.actions]))
+        return _lattice_hom_ext(m, n)[1]
     res = projective_resolution(m)
     return _resolution_h1(res, n)
 

@@ -15,7 +15,8 @@ One elimination, `_eliminate`, serves every caller and updates only the
 transforms (of M = U S V) the caller reads:
 
 - `snf`: all four, U, u_inv, V and v_inv;
-- `rank`, `is_split_injective`, `cokernel_structure`: none;
+- `rank`, `is_split_injective`, `cokernel_structure`,
+  `kernel_rank_cokernel`: none;
 - `kernel_basis`: v_inv;
 - `solve` / `solve_matrix` / `solve_with_rank`: u_inv and v_inv;
 - `column_span_basis`: U;
@@ -520,8 +521,14 @@ def group_from_factors(free_rank: int, factors: Iterable[int]) -> FinAbGroup:
 
 def cokernel_structure(m: IntMatrix) -> FinAbGroup:
     """Structure of Z^rows / (column span of m)."""
+    return kernel_rank_cokernel(m)[1]
+
+
+def kernel_rank_cokernel(m: IntMatrix) -> tuple:
+    """(rank of the kernel lattice of m, cokernel_structure(m)), one reduction."""
     diagonal, _ = _eliminate(m)
-    return FinAbGroup(m.rows - _rank(diagonal), tuple(d for d in diagonal if d > 1))
+    r = _rank(diagonal)
+    return m.cols - r, FinAbGroup(m.rows - r, tuple(d for d in diagonal if d > 1))
 
 
 def subquotient_structure(span: IntMatrix, relations: IntMatrix) -> FinAbGroup:

@@ -63,6 +63,16 @@ def test_pickle_and_copy_drop_the_cached_hash(name):
         assert hash(b) == hash(a)
 
 
+def test_pickle_and_copy_drop_the_stored_lattice_flag():
+    a = _a3_rep()
+    assert a.is_lattice
+    assert "_once_is_lattice" in vars(a)
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert b == a
+        assert "_once_is_lattice" not in vars(b)
+        assert b.is_lattice
+
+
 def test_rebuilt_rep_hits_the_hom_table():
     clear_caches()
     target = projective(A3, 2)

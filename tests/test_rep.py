@@ -1,5 +1,7 @@
 import pytest
 
+from clusterforge import clear_caches, rep, zlinalg
+from clusterforge.cluster import build_pool
 from clusterforge.errors import NotASummand, PreconditionViolated
 from clusterforge.quiver import Quiver, euler_form
 from clusterforge.rep import (
@@ -30,6 +32,7 @@ from clusterforge.rep import (
 from clusterforge.zlinalg import (
     FinAbGroup,
     IntMatrix,
+    cokernel_structure,
     kernel_basis,
     solve_matrix,
     subquotient_structure,
@@ -304,3 +307,45 @@ def test_cokernel_rep_presented():
 def test_dualize_rejects_torsion():
     with pytest.raises(PreconditionViolated):
         dualize(torsion_simple(A2, 1, 2))
+
+
+D4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
+A5_MIXED = Quiver(5, ((2, 1), (2, 3), (4, 3), (4, 5)))
+
+
+@pytest.mark.parametrize("q", (D4, A5_MIXED, KRONECKER), ids=["D4", "A5-mixed", "Kronecker"])
+def test_lattice_hom_and_ext_match_the_eager_reductions(q):
+    # the eager route: a v_inv-tracked kernel basis and a separate
+    # cokernel, each on its own copy of the intertwining matrix
+    modules = [obj.module for obj in build_pool(q, 6).modules()]
+    for m in modules:
+        for n in modules:
+            mat = rep._intertwining_matrix(q, m.gens, n.gens, [x.entries for x in m.actions],
+                                           [x.entries for x in n.actions])
+            kb = kernel_basis(mat)
+            hom = hom_group(m, n)
+            assert hom.group == FinAbGroup(kb.cols)
+            assert hom.basis == tuple(rep._unflatten_hom(m, n, kb.col(j)) for j in range(kb.cols))
+            assert ext1_group(m, n) == cokernel_structure(mat)
+
+
+def test_one_untracked_reduction_per_lattice_pair(monkeypatch):
+    clear_caches()
+    m = projective(A3, 1)
+    tracked = []
+    inner = zlinalg._eliminate
+
+    def counted(mat, track=()):
+        tracked.append(tuple(track))
+        return inner(mat, track)
+
+    monkeypatch.setattr(zlinalg, "_eliminate", counted)
+    hom = hom_group(m, m)
+    assert ext1_group(m, m).is_trivial
+    assert is_exceptional(m)
+    assert tracked == [()]
+    basis = hom.basis
+    assert len(basis) == 1
+    assert tracked == [(), ("v_inv",)]
+    assert hom_group(m, m).basis is basis
+    assert tracked == [(), ("v_inv",)]
