@@ -367,8 +367,9 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
     suspension of one end is isomorphic to the other.  Otherwise the
     multiset is the unique non-negative solution of the dimension
     balance over the complement (the complement's classes are linearly
-    independent) and, for all-module triangles, is certified by an
-    explicit short exact sequence.
+    independent) and, for all-module triangles, is certified by a short
+    exact sequence whose first map is the one Hom-basis approximation of
+    the tail (see _ses_certified).
     """
     if ext1_c(x, y) != RANK_ONE:
         raise PreconditionViolated("exchange triangles need Ext1 free of rank one")
@@ -384,8 +385,9 @@ def _middle_term(tail: ClusterObject, head: ClusterObject, complement: tuple) ->
     """Middle multiset of the triangle tail -> E -> head -> sigma tail.
 
     E is read off the unique solution of dim E = dim head + dim tail
-    over the complement; the witness is "ses" when an explicit short
-    exact sequence certifies it and "balance" otherwise.  Memoized
+    over the complement; the witness is "ses" when the cokernel of the
+    Hom-basis approximation tail -> E is head, making a short exact
+    sequence, and "balance" otherwise.  Memoized
     because exchange_graph meets every undirected edge from both ends:
     the reverse mutation asks for the same two triangles with tail and
     head swapped over the same canonical complement.
@@ -426,43 +428,22 @@ def _balance_solution(target, complement) -> tuple | None:
 
 @memo
 def _ses_certified(tail: ClusterObject, head: ClusterObject, middle: tuple) -> bool:
-    """Look for 0 -> tail -> E -> head -> 0 with E the direct sum of middle."""
-    parts = [obj.module for obj in middle]
-    if not parts:
-        return False
-    total = rep.direct_sum_many(parts)
-    if tuple(a + b for a, b in zip(rep.dim_vector(tail.module), rep.dim_vector(head.module))) \
-            != rep.dim_vector(total):
-        return False
-    basis = rep.hom_group(tail.module, total).basis
-    if not basis or len(basis) > 4:
-        return False
-    box = range(-2, 3)
-    q = tail.quiver
+    """Whether 0 -> tail -> E -> head -> 0 is exact, E the direct sum of middle.
 
-    def candidates(idx, acc):
-        if idx == len(basis):
-            yield acc
-            return
-        for lam in box:
-            nxt = acc
-            if lam:
-                add = tuple(IntMatrix.from_rows(
-                    [[lam * e for e in row] for row in basis[idx][v].entries],
-                    cols=basis[idx][v].cols) for v in range(q.n))
-                nxt = tuple(a.add(b) for a, b in zip(acc, add))
-            yield from candidates(idx + 1, nxt)
-
-    zero = tuple(IntMatrix.zero(total.gens[v], tail.module.gens[v]) for v in range(q.n))
-    for maps in candidates(0, zero):
-        if not all(is_split_injective(maps[v]) for v in range(q.n)):
-            continue
-        coker = rep.cokernel_rep(tail.module, total, maps, saturate=True)
-        if rep.dim_vector(coker) != rep.dim_vector(head.module):
-            continue
-        if rep.is_exceptional(coker) and rep.are_isomorphic_exceptional(coker, head.module):
-            return True
-    return False
+    In such a sequence tail -> E is the left add(middle)-approximation
+    of tail (Buan-Marsh-Reineke-Reiten-Todorov 2006), so one map is
+    tested: each distinct summand c must occur rank Hom(tail, c) times,
+    and the map stacking the Hom bases must embed with a saturated image
+    whose cokernel is isomorphic to head.
+    """
+    counts = Counter(middle)
+    if any(rep.hom_group(tail.module, c.module).group != FinAbGroup(m)
+           for c, m in counts.items()):
+        return False
+    coker = _left_approximation_cokernel(tail.module, canonical_cluster(counts))
+    if coker is None or rep.dim_vector(coker) != rep.dim_vector(head.module):
+        return False
+    return rep.is_exceptional(coker) and rep.are_isomorphic_exceptional(coker, head.module)
 
 
 # ---------------------------------------------------------------------------

@@ -83,17 +83,17 @@ class IntMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        return _matrix(self.cols, self.rows,
+                      tuple(tuple(self.entries[i][j] for i in range(self.rows))
+                            for j in range(self.cols)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         other_t = other.transpose().entries
-        return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in other_t)
-                               for row in self.entries))
+        return _matrix(self.rows, other.cols,
+                      tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in other_t)
+                            for row in self.entries))
 
     def mul_vec(self, vector: Sequence[int]) -> tuple:
         if len(vector) != self.cols:
@@ -103,30 +103,38 @@ class IntMatrix:
     def add(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in add")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
+        return _matrix(self.rows, self.cols,
+                      tuple(tuple(a + b for a, b in zip(r1, r2))
+                            for r1, r2 in zip(self.entries, other.entries)))
 
     def neg(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(-a for a in row) for row in self.entries))
+        return _matrix(self.rows, self.cols,
+                      tuple(tuple(-a for a in row) for row in self.entries))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise DimensionMismatch("row mismatch in hstack")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
+        return _matrix(self.rows, self.cols + other.cols,
+                      tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise DimensionMismatch("column mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return _matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def submatrix(self, row_indices: Iterable[int], col_indices: Iterable[int]) -> "IntMatrix":
         ri = tuple(row_indices)
         ci = tuple(col_indices)
-        return IntMatrix(len(ri), len(ci),
-                         tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
+        return _matrix(len(ri), len(ci),
+                      tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
+
+
+def _matrix(rows: int, cols: int, entries: tuple) -> IntMatrix:
+    """An IntMatrix built inside this module, whose shape holds by
+    construction, without the shape check of the public constructor."""
+    m = object.__new__(IntMatrix)
+    m.__dict__.update(rows=rows, cols=cols, entries=entries)
+    return m
 
 
 def block_diag(matrices: Sequence[IntMatrix]) -> IntMatrix:
@@ -140,7 +148,7 @@ def block_diag(matrices: Sequence[IntMatrix]) -> IntMatrix:
                 data[r0 + i][c0 + j] = m.entries[i][j]
         r0 += m.rows
         c0 += m.cols
-    return IntMatrix.from_rows(data, cols=cols)
+    return _wrap(data, cols)
 
 
 @dataclass(frozen=True)
@@ -315,7 +323,7 @@ def _eye(n: int) -> list:
 
 def _wrap(rows: list, cols: int) -> IntMatrix:
     """Row lists of plain ints as an IntMatrix, without coercing again."""
-    return IntMatrix(len(rows), cols, tuple(map(tuple, rows)))
+    return _matrix(len(rows), cols, tuple(map(tuple, rows)))
 
 
 def _rank(diagonal: tuple) -> int:
@@ -368,9 +376,9 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     for j in range(r, m.cols):
         lead = next((row[j] for row in vi if row[j]), 0)
         signs.append(-1 if lead < 0 else 1)
-    return IntMatrix(m.cols, len(signs),
-                     tuple(tuple(x if sg > 0 else -x for x, sg in zip(row[r:], signs))
-                           for row in vi))
+    return _matrix(m.cols, len(signs),
+                  tuple(tuple(x if sg > 0 else -x for x, sg in zip(row[r:], signs))
+                        for row in vi))
 
 
 def solve(m: IntMatrix, b: Sequence[int]) -> tuple:
@@ -424,7 +432,7 @@ def _solve_reduced(m: IntMatrix, reduced: tuple, b: IntMatrix) -> IntMatrix:
             elif ci:
                 raise NoSolution(f"column {k} is inconsistent")
         ys.append(y)
-    x = IntMatrix(m.cols, b.cols, tuple(tuple(ys[k][i] for k in range(b.cols)) for i in range(m.cols)))
+    x = _matrix(m.cols, b.cols, tuple(tuple(ys[k][i] for k in range(b.cols)) for i in range(m.cols)))
     return _wrap(t["v_inv"], m.cols).mul(x)
 
 
@@ -436,7 +444,7 @@ def column_span_basis(m: IntMatrix) -> IntMatrix:
     diag, t = _eliminate(m, ("U",))
     u = t["U"]
     r = _rank(diag)
-    return IntMatrix(m.rows, r, tuple(tuple(d * x for d, x in zip(diag[:r], row)) for row in u))
+    return _matrix(m.rows, r, tuple(tuple(d * x for d, x in zip(diag[:r], row)) for row in u))
 
 
 def free_cokernel(m: IntMatrix) -> tuple:
@@ -450,8 +458,8 @@ def free_cokernel(m: IntMatrix) -> tuple:
     diag, t = _eliminate(m, ("U", "u_inv"))
     rows = m.rows
     r = _rank(diag)
-    proj = IntMatrix(rows - r, rows, tuple(map(tuple, t["u_inv"][r:])))
-    section = IntMatrix(rows, rows - r, tuple(tuple(row[r:]) for row in t["U"]))
+    proj = _matrix(rows - r, rows, tuple(map(tuple, t["u_inv"][r:])))
+    section = _matrix(rows, rows - r, tuple(tuple(row[r:]) for row in t["U"]))
     return proj, section
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterforge.errors import NoSolution
+from clusterforge.errors import DimensionMismatch, NoSolution
 from clusterforge.zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -95,6 +95,30 @@ def test_from_rows_coerces_to_plain_int():
     m = IntMatrix.from_rows([[True, 2]])
     assert m.entries == ((1, 2),)
     assert all(type(x) is int for x in m.entries[0])
+
+
+def test_public_constructors_check_shapes():
+    with pytest.raises(DimensionMismatch):
+        IntMatrix(-1, 0, ())
+    with pytest.raises(DimensionMismatch):
+        IntMatrix(2, 1, ((1,),))
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_rows([[1, 2]], cols=3)
+
+
+def test_built_matrices_equal_checked_ones():
+    # products, transposes, stacks and elimination results skip the
+    # shape check; they still compare and hash like checked values
+    m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    built = (m.transpose(), m.mul(m), m.add(m), m.neg(), m.hstack(m), m.vstack(m),
+             m.submatrix((0, 2), (1,)), kernel_basis(m), snf(m).S, column_span_basis(m),
+             *free_cokernel(m))
+    for b in built:
+        checked = IntMatrix(b.rows, b.cols, b.entries)  # raises on a wrong shape
+        assert b == checked and hash(b) == hash(checked)
+        assert repr(b) == repr(checked)
 
 
 # Shapes start at 0: hom_group builds 0-row and 0-column systems at
