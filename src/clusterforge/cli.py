@@ -70,15 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_rep_for(quiver, path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read rep file {path}: {exc}")
-    return formats.parse_rep(text, quiver)
-
-
 def _primes_or_default(primes):
     for p in primes:
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
@@ -100,8 +91,8 @@ def cmd_check(args) -> int:
 
 def cmd_ext(args, which: str) -> int:
     q = formats.load_quiver(args.quiver)
-    m = _load_rep_for(q, args.rep_m)
-    n = _load_rep_for(q, args.rep_n)
+    m = formats.load_rep(args.rep_m, q)[0]
+    n = formats.load_rep(args.rep_n, q)[0]
     primes = _primes_or_default(args.prime)
     if not primes:
         if which == "ext":
@@ -117,7 +108,7 @@ def cmd_ext(args, which: str) -> int:
 
 def cmd_tau(args) -> int:
     q = formats.load_quiver(args.quiver)
-    m = _load_rep_for(q, args.rep_m)
+    m = formats.load_rep(args.rep_m, q)[0]
     power = args.power
     for _ in range(abs(power)):
         m = serre.tau(m) if power > 0 else serre.tau_inv(m)
@@ -232,7 +223,7 @@ def cmd_verify(args) -> int:
     parse_failures = []
     for path in args.rep:
         try:
-            extra.append((path, _load_rep_for(q, path)))
+            extra.append((path, formats.load_rep(path, q)[0]))
         except FormatError as exc:
             parse_failures.append((path, str(exc)))
     report = verify.run_suite(q, args.dim_bound, primes, extra_reps=extra)

@@ -8,8 +8,8 @@ the derived Homs against the translates of the target under the
 autoequivalence implemented by f_apply.  Only translates in the shift
 window where a derived Hom can be nonzero are computed; the walk
 stops before the first step that would leave it.  The rigid pool
-walks each translate orbit once and falls back to reflection
-transport only while some orbit stays open.
+walks each translate orbit once, from the injective lattices and the
+projectives, and holds every translate within its dimension bound.
 
 Ext^1 in the cluster category is hom_c against the suspension.  It is
 deliberately not computed through the duality shortcut, which is only
@@ -29,7 +29,6 @@ from .errors import (
     NotASummand,
     NotFoundWithinBound,
     PreconditionViolated,
-    SimpleAtVertex,
 )
 from .memo import hash_once, memo, once
 from .quiver import Quiver, is_dynkin, validate
@@ -227,15 +226,16 @@ def _within_bound(m: ZRep, bound: int) -> bool:
 
 def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
     """Shifted projectives plus the translate closure of the projective
-    and injective lattices, enriched by reflection transport.
+    and injective lattices within the bound.
 
     Each orbit is walked once: backward from every injective lattice
     first, and forward from a projective only when no backward walk
-    reached it.  Reflection transport runs only while some orbit stays
-    open; when every walk closes (the Dynkin case within the bound) the
-    orbits already hold every exceptional module.  For Dynkin quivers
-    the result is the complete list of rigid indecomposables; otherwise
-    the completeness flag stays off and the pool can still grow through
+    reached it.  A walk ends at a projective or at its first translate
+    past the bound, so the pool is closed under tau within the bound;
+    tau is the composite of the sink reflections, so transporting pool
+    modules through them adds nothing.  For Dynkin quivers the result is
+    the complete list of rigid indecomposables; otherwise the
+    completeness flag stays off and the pool can still grow through
     mutation cones.
     """
     validate(q)
@@ -273,39 +273,7 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
             if not _within_bound(m, dim_bound):
                 break
             pool.add(ClusterObject.from_module(m), "tau-orbit")
-    if len(closed) < q.n:
-        _close_under_reflection_transport(q, pool)
     return pool
-
-
-def _close_under_reflection_transport(q: Quiver, pool: RigidPool) -> None:
-    """Transport every pool module through the full sink sequence.
-
-    Reflecting at each vertex of a topological order, last first, walks
-    through intermediate orientations and returns to q; whatever comes
-    back is inserted (deduplication makes repeat passes cheap).
-    """
-    order = validate(q)
-    changed = True
-    while changed:
-        changed = False
-        for obj in pool.modules():
-            m = obj.module
-            cur_q = q
-            ok = True
-            for v in reversed(order):
-                try:
-                    cur_q, m = serre.reflect(cur_q, m, v)
-                except SimpleAtVertex:
-                    ok = False
-                    break
-            if not ok or cur_q != q:
-                continue
-            if m.is_zero() or not _within_bound(m, pool.dim_bound):
-                continue
-            if rep.is_exceptional(m):
-                if pool.add(ClusterObject.from_module(m), "reflection"):
-                    changed = True
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +423,10 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
     Pool search first: the partner is the unique pool object with Ext^1
     against the leaving summand free of rank one and no extensions
     against the rest.  If the search fails on an all-module cluster the
-    partner is constructed by approximation and inserted into the pool.
-    Raises NotFoundWithinBound rather than returning anything unverified.
+    partner is constructed by approximation and, when it lies within the
+    pool's dimension bound, inserted into the pool.  Raises
+    NotFoundWithinBound rather than returning anything unverified or
+    past the bound.
     """
     summands = tuple(summands)
     if not 0 <= k < len(summands):
@@ -483,6 +453,10 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
                 f"no exchange partner for {x.describe()} in the pool "
                 f"(bound {pool.dim_bound}); constructive fallback needs all-module clusters")
         y = mutate_construct(summands, k)
+        if not _within_bound(y.module, pool.dim_bound):
+            raise NotFoundWithinBound(
+                f"exchange partner {y.describe()} of {x.describe()} lies past "
+                f"the bound {pool.dim_bound}")
         pool.add(y, "mutation-cone")
     new_summands = canonical_cluster(others + (y,))
     ok, cert = is_cluster_tilting(new_summands)

@@ -42,6 +42,7 @@ from .zlinalg import (
     kernel_rank_cokernel,
     rank,
     rank_mod,
+    rref_mod_p,
     snf,
     solve_matrix,
     subquotient_structure,
@@ -852,28 +853,6 @@ def proj_map_vertex_matrices(q: Quiver, row_slots, col_slots, entries) -> tuple:
     return tuple(mats)
 
 
-def inj_map_vertex_matrices(q: Quiver, row_slots, col_slots, entries) -> tuple:
-    """Vertexwise matrices of the Nakayama transport I(cols) -> I(rows).
-
-    The same path entry p acts on dual path bases by cancelling p off
-    the tail: a basis path t of the column injective maps to s when
-    t = s + p, and to zero otherwise.
-    """
-    mats = []
-    for j in q.vertices:
-        row_basis = [(r, p) for r, v in enumerate(row_slots) for p in paths_into(q, v)[j]]
-        col_basis = [(c, p) for c, v in enumerate(col_slots) for p in paths_into(q, v)[j]]
-        index = {key: i for i, key in enumerate(row_basis)}
-        out = [[0] * len(col_basis) for _ in row_basis]
-        for ci, (c, t) in enumerate(col_basis):
-            for r in range(len(row_slots)):
-                for p, coeff in entries[r][c]:
-                    if len(p) <= len(t) and (p == () or t[len(t) - len(p):] == p):
-                        out[index[(r, t[:len(t) - len(p)])]][ci] += coeff
-        mats.append(IntMatrix.from_rows(out, cols=len(col_basis)))
-    return tuple(mats)
-
-
 # ---------------------------------------------------------------------------
 # kernels, cokernels, summands
 
@@ -1027,9 +1006,7 @@ def base_change(m: ZRep, p: int) -> FieldRep:
         return FieldRep(q, 0, free.gens, tuple(a.entries for a in free.actions))
     bases = []   # per vertex: (pivot coords, reduced relation rows, free coords)
     for v in range(q.n):
-        rel = m.relations[v]
-        rows = [[x % p for x in rel.col(j)] for j in range(rel.cols)]
-        reduced, pivots = _rref_mod_p(rows, m.gens[v], p)
+        reduced, pivots = rref_mod_p(m.relations[v].transpose().entries, p)
         free = [c for c in range(m.gens[v]) if c not in pivots]
         bases.append((pivots, reduced, free))
     dims = tuple(len(b[2]) for b in bases)
@@ -1045,27 +1022,6 @@ def base_change(m: ZRep, p: int) -> FieldRep:
         actions.append(tuple(tuple(cols[c][r] for c in range(dims[su]))
                              for r in range(dims[tv])))
     return FieldRep(q, p, dims, tuple(actions))
-
-
-def _rref_mod_p(rows, width, p):
-    """Row echelon of the given vectors mod p; returns (rows, pivot map)."""
-    work = [list(r) for r in rows]
-    pivots = {}
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(work)) if work[i][c] % p), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [(x * inv) % p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        pivots[c] = r
-        r += 1
-    return work, pivots
 
 
 def _reduce_mod_basis(vec, pivots, reduced, p):

@@ -1,10 +1,13 @@
 """Nakayama and Serre functor machinery on lattices.
 
-tau is computed as the kernel of the Nakayama transport of the minimal
-projective resolution: for 0 -> P1 -f-> P0 -> M -> 0 the translate is
-ker(nu f: I(P1) -> I(P0)), which is again a lattice.  The transport is
-only guaranteed surjective for rigid inputs, so non-rigid modules are
-rejected rather than silently truncated.
+tau is the BGP Coxeter functor C+: over a PID the cluster category is an
+orbit category whose rigid indecomposables do not depend on the ground
+ring, so on a non-projective exceptional lattice the composite of the
+sink reflections at every vertex, over Z, is the translate (Bernstein-
+Gelfand-Ponomarev 1973; Auslander-Platzeck-Reiten 1979).  Each
+reflection takes a saturated kernel, so the result is again a lattice,
+and acts on dimension vectors by a simple reflection, so dim tau M is
+the Coxeter transform of dim M.
 
 tau_inv goes through the opposite quiver: dualize, translate, dualize
 back.  f_apply packages the suspension bookkeeping of the orbit
@@ -28,7 +31,7 @@ from .errors import (
     VertexNotSinkOrSource,
 )
 from .memo import memo
-from .quiver import Quiver
+from .quiver import Quiver, validate
 from .zlinalg import IntMatrix, cokernel_structure, free_cokernel, kernel_basis
 from . import rep
 from .rep import ZRep
@@ -73,35 +76,25 @@ def nakayama(q: Quiver, slots) -> ZRep:
     return rep.inj_sum_rep(q, tuple(slots))
 
 
-def nakayama_map(q: Quiver, row_slots, col_slots, entries) -> tuple:
-    """nu on a path-coefficient map between formal sums of projectives.
-
-    Returns the vertexwise matrices of the transported map
-    I(col_slots) -> I(row_slots) in the dual path bases.
-    """
-    return rep.inj_map_vertex_matrices(q, tuple(row_slots), tuple(col_slots), entries)
-
-
 # ---------------------------------------------------------------------------
 # AR translation
 
 @memo
 def tau(m: ZRep) -> ZRep:
-    """The translate of a non-projective exceptional lattice."""
+    """The translate of a non-projective exceptional lattice.
+
+    tau is the Coxeter functor C+: the sink reflections at every vertex
+    of a topological order, last first, which walk through intermediate
+    orientations back to the quiver of m.
+    """
     if not m.is_lattice or not rep.is_exceptional(m):
         raise NotExceptional("tau is only defined on exceptional lattices")
     if projective_index_of(m) is not None:
         raise IsProjective("tau is undefined on projectives")
-    res = rep.projective_resolution(m)
-    assert not res.p2, "exceptional lattice with resolution length 2"
-    maps = nakayama_map(m.quiver, res.p0, res.p1, res.d1)
-    for mat in maps:
-        if not cokernel_structure(mat).is_trivial:
-            raise NotExceptional("Nakayama transport is not surjective")
-    source = rep.inj_sum_rep(m.quiver, res.p1)
-    target = rep.inj_sum_rep(m.quiver, res.p0)
-    kernel, _ = rep.kernel_subrep(source, target, maps)
-    return kernel
+    q = m.quiver
+    for v in reversed(validate(q)):
+        q, m = reflect(q, m, v)
+    return m
 
 
 @memo

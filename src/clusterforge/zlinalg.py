@@ -557,20 +557,31 @@ def rank_mod(m: IntMatrix, p: int) -> int:
     """Rank of m over F_p for prime p, or over Q when p == 0."""
     if p == 0:
         return rank(m)
-    a = [[x % p for x in row] for row in m.entries]
+    return len(rref_mod_p(m.entries, p)[1])
+
+
+def rref_mod_p(rows, p: int) -> tuple:
+    """Reduced row echelon form of integer rows over F_p, p prime.
+
+    Returns (rows, pivots): the reduced rows, entries in 0..p-1, and a
+    map from each pivot column to the row holding its leading one.
+    """
+    work = [[x % p for x in row] for row in rows]
+    pivots = {}
     r = 0
-    for j in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if a[i][j] % p), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = pow(a[r][j], -1, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][j]:
-                f = a[i][j]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m.rows:
+    for c in range(len(work[0]) if work else 0):
+        if r == len(work):
             break
-    return r
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = pow(work[r][c], -1, p)
+        work[r] = [(x * inv) % p for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
+        pivots[c] = r
+        r += 1
+    return work, pivots

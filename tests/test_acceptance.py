@@ -40,6 +40,8 @@ A3 = Quiver(3, ((1, 2), (2, 3)))
 A4 = Quiver(4, ((1, 2), (2, 3), (3, 4)))
 D4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
+A_TILDE_2_1 = Quiver(3, ((1, 2), (2, 3), (1, 3)))
+WILD = Quiver(3, ((1, 2), (1, 2), (2, 3)))
 
 RANK_ONE = FinAbGroup(1)
 
@@ -213,7 +215,8 @@ def test_criterion_7_bijection_mod_p(dynkin_data):
 
 def test_criterion_8_serre_tau_consistency(dynkin_data):
     pools = [build_pool(A2, 5), dynkin_data["A3"]["pool"], dynkin_data["A4"]["pool"],
-             dynkin_data["D4"]["pool"], build_pool(KRONECKER, 6)]
+             dynkin_data["D4"]["pool"], build_pool(KRONECKER, 6),
+             build_pool(A_TILDE_2_1, 6), build_pool(WILD, 6)]
     for pool in pools:
         q = pool.quiver
         mods = [o.module for o in pool.modules()]

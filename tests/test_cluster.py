@@ -13,7 +13,7 @@ from clusterforge.rep import (
     simple,
     torsion_simple,
 )
-from clusterforge.serre import ShiftedModule, f_apply
+from clusterforge.serre import ShiftedModule, f_apply, tau_inv
 from clusterforge.cluster import (
     ClusterObject,
     _balance_solution,
@@ -234,20 +234,23 @@ def test_exchange_graph_matches_oracle_a3():
 
 
 def test_exchange_graph_kronecker_truncates():
+    # the partner (4, 5) of (2, 3) next to (3, 4) is constructed past the
+    # bound 4; it is reported as a truncation, not emitted
     g = exchange_graph(KRONECKER, 4, 8)
     assert g.truncated
     assert len(g.nodes) <= 8
-    assert g.truncations == (("node-limit", 2),)
-    assert g.truncation_reason == "node limit 8 reached"
+    assert max(x for node in g.nodes for s in node for x in s.dim_c()) <= 4
+    assert g.truncations == (("node-limit", 1), ("not-found-within-bound", 1))
+    assert g.truncation_reason == "exchange partner M[4, 5] of M[2, 3] lies past the bound 4"
 
 
 def test_exchange_graph_counts_every_truncation_cause():
     # at bound 1 the pool misses partners of clusters with a shifted
     # projective; the last such miss names the reason, both causes count
-    g = exchange_graph(KRONECKER, 1, 8)
+    g = exchange_graph(KRONECKER, 1, 3)
     assert g.truncated
     assert g.truncations == (("node-limit", 1), ("not-found-within-bound", 2))
-    assert g.truncation_reason.startswith("no exchange partner for SP2")
+    assert g.truncation_reason.startswith("no exchange partner for SP1")
 
 
 def test_exchange_graph_closing_has_no_truncations():
@@ -258,17 +261,20 @@ def test_exchange_graph_closing_has_no_truncations():
 
 
 def test_all_module_fallback_extends_pool():
-    # the partner of (2,3) next to (1,2) is (3,4), outside the bound;
-    # the constructive route finds it and feeds it back into the pool
-    from clusterforge.serre import tau_inv
+    # the partner of (1,2) next to (2,3) is (3,4), missing from a pool
+    # built at bound 3; past the bound it is refused, and once the bound
+    # admits it the constructive route finds it and feeds it to the pool
     m1 = projective(KRONECKER, 1)           # (1, 2)
     m2 = tau_inv(projective(KRONECKER, 2))  # (2, 3)
     pool = build_pool(KRONECKER, 3)
     cluster = canonical_cluster([co(m1), co(m2)])
     k = next(i for i, s in enumerate(cluster) if s.key() == ("M", (1, 2)))
+    with pytest.raises(NotFoundWithinBound, match="past the bound 3"):
+        mutate(cluster, k, pool)
+    assert ("M", (3, 4)) not in pool.provenance
+    pool.dim_bound = 4
     step, _ = mutate(cluster, k, pool)
     assert {s.key() for s in step} == {("M", (2, 3)), ("M", (3, 4))}
-    assert ("M", (3, 4)) in pool.provenance
     assert pool.provenance[("M", (3, 4))] == "mutation-cone"
 
 
@@ -460,6 +466,27 @@ def test_orbit_walk_translates_each_module_once():
     assert non_projective == 8 + 10
     assert serre.tau.cache_info().misses == non_projective
     assert serre.tau_inv.cache_info().misses == 0
+
+
+E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+A_TILDE_2_1 = Quiver(3, ((1, 2), (2, 3), (1, 3)))
+WILD = Quiver(3, ((1, 2), (1, 2), (2, 3)))
+TAU_CLOSED_POOLS = ((A4, 1), (D4, 1), (E6, 2), (KRONECKER, 6), (A_TILDE_2_1, 6), (WILD, 6))
+
+
+@pytest.mark.parametrize("q, bound", TAU_CLOSED_POOLS,
+                         ids=["A4", "D4", "E6", "Kronecker", "A~(2,1)", "wild"])
+def test_pool_is_closed_under_tau_within_the_bound(q, bound):
+    # each orbit walk ends at a projective or at its first translate past
+    # the bound, so no sink-reflection pass could add a module
+    pool = build_pool(q, bound)
+    for obj in pool.modules():
+        m = obj.module
+        if serre.projective_index_of(m) is not None:
+            continue
+        t = serre.tau(m)
+        assert co(t).key() in pool.provenance or max(dim_vector(t)) > bound, obj.describe()
+    assert "reflection" not in pool.provenance.values()
 
 
 # witness counts over both sides of every directed edge: balance,

@@ -1,12 +1,16 @@
 """Golden CLI output.
 
-The stdout of `graph --format structured`, `pool` and `verify` is a
+The stdout of `graph --format structured`, `pool`, `verify` and `tau` is a
 contract: it must stay byte-identical across refactors of the algebra
 beneath it.  The graph and verify digests were recorded from the
 implementation before the lean Smith-form core, the D4 and Kronecker
 pool digests from the one before cached hashes, and the E6 pool and
 mixed-orientation A5 graph digests from the one before each translate
 orbit was walked once; a changed digest means the CLI output changed.
+The `tau` digest was recorded once tau became the Coxeter functor: the
+Nakayama transport before it printed an isomorphic lattice in another
+basis (actions [[1], [0]], [[1], [1]], [[0], [1]] for this input), so
+those bytes differ by design.
 """
 
 import hashlib
@@ -21,6 +25,11 @@ QUIVERS = {
     "kronecker.quiver": "vertices 2\narrows [[1, 2], [1, 2]]\n",
     "e6.quiver": "vertices 6\narrows [[1, 2], [2, 3], [3, 4], [4, 5], [3, 6]]\n",
     "a5mix.quiver": "vertices 5\narrows [[2, 1], [2, 3], [4, 3], [4, 5]]\n",
+}
+
+REPS = {
+    "d4thin.rep": "quiver d4.quiver\ngenerators [1, 1, 1, 1]\n"
+                  "action 1 [[1]]\naction 2 [[1]]\naction 3 [[1]]\n",
 }
 
 GOLDEN = (
@@ -41,6 +50,8 @@ GOLDEN = (
      "8d2385ac617b0c378dc73dbd3fa1a4377173b597c03100f4acf48d62d0d71c5f"),
     (("graph", "a5mix.quiver", "--dim-bound", "12", "--format", "structured"),
      "6208e6d097aea88838de142ebf086e4a63d45e2483aae9e5c39905001f9b799b"),
+    (("tau", "d4.quiver", "d4thin.rep"),
+     "be7cfbc9c71dd944b434926b56db500871f652cc076ef7fce7610f9a825a6d2b"),
 )
 
 
@@ -48,6 +59,8 @@ GOLDEN = (
 def test_cli_stdout_digest(tmp_path, monkeypatch, capsys, argv, digest):
     for name, body in QUIVERS.items():
         (tmp_path / name).write_text("clusterforge/1 quiver\n" + body)
+    for name, body in REPS.items():
+        (tmp_path / name).write_text("clusterforge/1 rep\n" + body)
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 0
     out = capsys.readouterr().out

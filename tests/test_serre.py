@@ -1,5 +1,6 @@
 import pytest
 
+from clusterforge import clear_caches, rep
 from clusterforge.errors import (
     IsInjective,
     IsProjective,
@@ -23,7 +24,6 @@ from clusterforge.serre import (
     f_apply,
     injective_index_of,
     nakayama,
-    nakayama_map,
     projective_index_of,
     reflect,
     tau,
@@ -39,16 +39,6 @@ def test_nakayama_objects():
     assert dim_vector(nakayama(A2, (2,))) == (1, 1)
     assert are_isomorphic_exceptional(nakayama(A2, (2,)), projective(A2, 1))
     assert dim_vector(nakayama(A2, (1,))) == (1, 0)
-
-
-def test_nakayama_on_identity_map():
-    entry = (((), 1),)          # the trivial path with coefficient 1
-    ident = ((entry,),)         # as a 1x1 path matrix
-    mats = nakayama_map(A2, (1,), (1,), ident)
-    for mat in mats:
-        assert mat.rows == mat.cols
-        assert all(mat.entries[i][j] == (1 if i == j else 0)
-                   for i in range(mat.rows) for j in range(mat.cols))
 
 
 def test_tau_examples():
@@ -78,6 +68,22 @@ def test_tau_round_trip():
                 continue
             back = tau_inv(tau(m))
             assert are_isomorphic_exceptional(back, m)
+
+
+def test_tau_is_the_composite_of_sink_reflections(monkeypatch):
+    # C+ reflects at 3, 2, 1 on 1 -> 2 -> 3 and builds no resolution
+    def no_resolution(m):
+        raise AssertionError("tau built a projective resolution")
+
+    monkeypatch.setattr(rep, "projective_resolution", no_resolution)
+    clear_caches()
+    m = injective_lattice(A3, 2)   # (1, 1, 0)
+    q, r = A3, m
+    for v in (3, 2, 1):
+        q, r = reflect(q, r, v)
+    assert q == A3
+    assert tau(m) == r
+    assert dim_vector(r) == coxeter_apply(A3, dim_vector(m), 1) == (0, 1, 1)
 
 
 def test_tau_dimension_is_coxeter():
