@@ -48,7 +48,7 @@ from .rep import (
     torsion_simple,
     are_isomorphic_exceptional,
 )
-from .serre import ShiftedModule, f_apply, nakayama, reflect, tau, tau_inv
+from .serre import ShiftedModule, f_apply, reflect, tau, tau_inv
 from .cluster import (
     ClusterObject,
     ExchangeGraph,
@@ -62,7 +62,7 @@ from .cluster import (
     is_cluster_tilting,
     mutate,
     mutate_construct,
-    normalize,
+    suspension,
     verify_bijection_mod_p,
 )
 

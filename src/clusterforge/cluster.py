@@ -3,17 +3,17 @@
 Objects are exceptional lattices at shift zero together with the
 suspended indecomposable projectives; those are exactly the candidates
 for summands of cluster-tilting objects, so nothing else enters the
-data model.  Morphism groups are computed by the orbit formula: sum
-the derived Homs against the translates of the target under the
-autoequivalence implemented by f_apply.  Only translates in the shift
-window where a derived Hom can be nonzero are computed; the walk
-stops before the first step that would leave it.  The rigid pool
-walks each translate orbit once, from the injective lattices and the
-projectives, and holds every translate within its dimension bound.
+data model.  On this fundamental domain the orbit sum of derived Homs
+has at most two nonzero terms (Buan-Marsh-Reineke-Reiten-Todorov,
+Tilting theory and cluster combinatorics, 2006, section 1), so hom_c,
+ext1_c and the suspension are closed forms in Hom, Ext^1, tau and
+tau_inv of lattices; no orbit is walked.  The rigid pool walks each
+translate orbit once, from the injective lattices and the projectives,
+and holds every translate within its dimension bound.
 
-Ext^1 in the cluster category is hom_c against the suspension.  It is
-deliberately not computed through the duality shortcut, which is only
-rank-faithful; the duality statement is kept as a test invariant.
+ext1_c keeps the Hom(M, tau N) term instead of the duality shortcut
+D Ext^1(N, M), which is only rank-faithful; the duality statement is
+kept as a test invariant.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .zlinalg import (
 )
 from . import rep, serre
 from .rep import ZRep
-from .serre import ShiftedModule
 
 
 # ---------------------------------------------------------------------------
@@ -93,91 +92,83 @@ class ClusterObject:
         p = rep.projective(self.quiver, self.shifted_projective)
         return tuple(-d for d in rep.dim_vector(p))
 
-    def to_shifted(self) -> ShiftedModule:
-        if self.is_module:
-            return ShiftedModule(self.module, 0)
-        return ShiftedModule(rep.projective(self.quiver, self.shifted_projective), 1)
-
     def describe(self) -> str:
         if self.is_module:
             return "M" + str(list(rep.dim_vector(self.module)))
         return f"SP{self.shifted_projective}"
 
 
-def normalize(x: ShiftedModule) -> ClusterObject:
-    """Move a shifted lattice into the fundamental set of objects.
-
-    Applies the orbit autoequivalence until the representative sits at
-    shift zero, or is a projective at shift one.
-    """
-    while True:
-        if x.shift == 0:
-            return ClusterObject.from_module(x.module)
-        if x.shift == 1:
-            i = serre.projective_index_of(x.module)
-            if i is not None:
-                return ClusterObject.sigma_projective(x.module.quiver, i)
-            x = serre.f_apply(x, 1)
-        elif x.shift > 1:
-            x = serre.f_apply(x, 1)
-        else:
-            x = serre.f_apply(x, -1)
-
-
 # ---------------------------------------------------------------------------
-# morphisms via the orbit formula
-
-def _derived_hom(a: ShiftedModule, b: ShiftedModule) -> FinAbGroup:
-    offset = b.shift - a.shift
-    if offset == 0:
-        return rep.hom_group(a.module, b.module).group
-    if offset == 1:
-        return rep.ext1_group(a.module, b.module)
-    return FinAbGroup(0)
-
-
-def _orbit_hom(sx: ShiftedModule, sy: ShiftedModule) -> FinAbGroup:
-    """Sum of the derived Homs from sx to the translates of sy.
-
-    Only the offsets 0 (Hom) and 1 (Ext^1) can contribute, and Ext^1
-    out of a projective lattice vanishes, so each direction of the walk
-    stops before the first translate outside that window: f_shift says
-    where a step lands before its translate is computed.
-    """
-    low = sx.shift
-    high = low if serre.projective_index_of(sx.module) is not None else low + 1
-    total = FinAbGroup(0)
-    # translates in the lowering direction, starting with l = 0
-    cur = sy
-    if low <= cur.shift <= high:
-        total = total.direct_sum(_derived_hom(sx, cur))
-    while cur.shift + serre.f_shift(cur.module, 1) >= low:
-        cur = serre.f_apply(cur, 1)
-        if cur.shift <= high:
-            total = total.direct_sum(_derived_hom(sx, cur))
-    # translates in the raising direction
-    cur = sy
-    while cur.shift + serre.f_shift(cur.module, -1) <= high:
-        cur = serre.f_apply(cur, -1)
-        if cur.shift >= low:
-            total = total.direct_sum(_derived_hom(sx, cur))
-    return total
-
+# morphisms on the fundamental domain
 
 def hom_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
-    """Morphism group in the cluster category."""
+    """Morphism group in the cluster category.
+
+    Hom(M, N) + Ext^1(M, tau^- N) between modules, the second term only
+    for M not projective and N not injective; Hom(P_i, tau^- N) out of
+    sigma P_i (0 for injective N), Ext^1(M, P_j) into sigma P_j (0 for
+    projective M), and Hom(P_i, P_j) between sigma P_i and sigma P_j.
+    """
     if x.quiver != y.quiver:
         raise DimensionMismatch("objects live over different quivers")
-    return _orbit_hom(x.to_shifted(), y.to_shifted())
+    q = x.quiver
+    if not x.is_module:
+        p = rep.projective(q, x.shifted_projective)
+        if not y.is_module:
+            return rep.hom_group(p, rep.projective(q, y.shifted_projective)).group
+        if serre.injective_index_of(y.module) is not None:
+            return FinAbGroup(0)
+        return rep.hom_group(p, serre.tau_inv(y.module)).group
+    m = x.module
+    if not y.is_module:
+        if serre.projective_index_of(m) is not None:
+            return FinAbGroup(0)
+        return rep.ext1_group(m, rep.projective(q, y.shifted_projective))
+    total = rep.hom_group(m, y.module).group
+    if serre.projective_index_of(m) is None and serre.injective_index_of(y.module) is None:
+        total = total.direct_sum(rep.ext1_group(m, serre.tau_inv(y.module)))
+    return total
 
 
 @memo
 def ext1_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
-    """Ext^1 in the cluster category: hom_c against the suspension."""
+    """Ext^1 in the cluster category: hom_c against the suspension.
+
+    Ext^1(M, N) + Hom(M, tau N) between modules, the first term only for
+    M not projective and the second only for N not projective;
+    Hom(P_i, N) out of sigma P_i, Hom(M, I_j) into sigma P_j, and 0
+    between two suspended projectives.
+    """
     if x.quiver != y.quiver:
         raise DimensionMismatch("objects live over different quivers")
-    sy = y.to_shifted()
-    return _orbit_hom(x.to_shifted(), ShiftedModule(sy.module, sy.shift + 1))
+    q = x.quiver
+    if not x.is_module:
+        if not y.is_module:
+            return FinAbGroup(0)
+        return rep.hom_group(rep.projective(q, x.shifted_projective), y.module).group
+    m = x.module
+    if not y.is_module:
+        return rep.hom_group(m, rep.injective_lattice(q, y.shifted_projective)).group
+    n = y.module
+    total = FinAbGroup(0) if serre.projective_index_of(m) is not None else rep.ext1_group(m, n)
+    if serre.projective_index_of(n) is None:
+        total = total.direct_sum(rep.hom_group(m, serre.tau(n)).group)
+    return total
+
+
+def suspension(x: ClusterObject) -> ClusterObject:
+    """The suspension on the fundamental domain.
+
+    P_i goes to sigma P_i, any other module M to tau M, and sigma P_i
+    to the injective lattice I_i.
+    """
+    q = x.quiver
+    if not x.is_module:
+        return ClusterObject.from_module(rep.injective_lattice(q, x.shifted_projective))
+    i = serre.projective_index_of(x.module)
+    if i is not None:
+        return ClusterObject.sigma_projective(q, i)
+    return ClusterObject.from_module(serre.tau(x.module))
 
 
 def g_functor(x: ClusterObject) -> ZRep:
@@ -360,8 +351,7 @@ def _middle_term(tail: ClusterObject, head: ClusterObject, complement: tuple) ->
     the reverse mutation asks for the same two triangles with tail and
     head swapped over the same canonical complement.
     """
-    st = tail.to_shifted()
-    if normalize(ShiftedModule(st.module, st.shift + 1)).key() == head.key():
+    if suspension(tail).key() == head.key():
         return (), "connecting-iso"
     target = tuple(a + b for a, b in zip(head.dim_c(), tail.dim_c()))
     sol = _balance_solution(target, complement)

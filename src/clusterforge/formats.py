@@ -120,11 +120,6 @@ def parse_quiver(text: str) -> Quiver:
         raise FormatError(str(exc), line=header_line)
 
 
-def serialize_quiver(q: Quiver) -> str:
-    arrows = "[" + ", ".join(f"[{s}, {t}]" for s, t in q.arrows) + "]"
-    return f"{HEADER} quiver\nvertices {q.n}\narrows {arrows}\n"
-
-
 def load_quiver(path: str) -> Quiver:
     try:
         with open(path, "r", encoding="utf-8") as fh:

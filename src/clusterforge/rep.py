@@ -823,14 +823,7 @@ def _minimize_step(m, rows_slots, cols_slots, d, aug=None, down=None, up=None):
 
 
 # ---------------------------------------------------------------------------
-# realizing formal sums (used by tests and by the Serre functor machinery)
-
-def inj_sum_rep(q: Quiver, slots) -> ZRep:
-    slots = tuple(slots)
-    if not slots:
-        return zero_rep(q)
-    return direct_sum_many([injective_lattice(q, v) for v in slots])
-
+# realizing path-coefficient maps between sums of projectives (used by tests)
 
 def proj_map_vertex_matrices(q: Quiver, row_slots, col_slots, entries) -> tuple:
     """Vertexwise matrices of a path-coefficient map P(cols) -> P(rows).

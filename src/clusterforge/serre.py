@@ -1,4 +1,4 @@
-"""Nakayama and Serre functor machinery on lattices.
+"""Translates, recognition of projectives and BGP reflections on lattices.
 
 tau is the BGP Coxeter functor C+: over a PID the cluster category is an
 orbit category whose rigid indecomposables do not depend on the ground
@@ -9,13 +9,18 @@ reflection takes a saturated kernel, so the result is again a lattice,
 and acts on dimension vectors by a simple reflection, so dim tau M is
 the Coxeter transform of dim M.
 
+Exceptional lattices are determined by their dimension vectors, so an
+exceptional lattice is P_i (or I_i) exactly when its generator counts
+are those of P_i (or I_i); projective_index_of and injective_index_of
+compare them and build no isomorphism.
+
 tau_inv goes through the opposite quiver: dualize, translate, dualize
-back.  f_apply packages the suspension bookkeeping of the orbit
-category: one application lowers the shift by one on non-projectives
-and by two on projectives, so iterated application always leaves any
-fixed shift window.  f_shift reports that change before the step is
-taken, so a caller can stop at the window's edge without computing
-the translate beyond it.
+back.  f_apply is one step of the orbit autoequivalence on shifted
+lattices: it lowers the shift by one on non-projectives and by two on
+projectives, so iterated application leaves any fixed shift window.
+The cluster category computes on its fundamental domain and never walks
+an orbit; f_apply is the reference that its closed forms are checked
+against.
 """
 
 from __future__ import annotations
@@ -48,32 +53,24 @@ class ShiftedModule:
 # ---------------------------------------------------------------------------
 # recognizing projectives and injective lattices
 
-@memo
+def _index_by_gens(m: ZRep, lattice_at) -> int | None:
+    q = m.quiver
+    for i in q.vertices:
+        if m.gens == lattice_at(q, i).gens:
+            if not rep.is_exceptional(m):
+                raise PreconditionViolated("recognition requires an exceptional lattice")
+            return i
+    return None
+
+
 def projective_index_of(m: ZRep) -> int | None:
-    q = m.quiver
-    for i in q.vertices:
-        p = rep.projective(q, i)
-        if m.gens == p.gens and rep.are_isomorphic_exceptional(m, p):
-            return i
-    return None
+    """The i with m isomorphic to P_i, for an exceptional lattice m."""
+    return _index_by_gens(m, rep.projective)
 
 
-@memo
 def injective_index_of(m: ZRep) -> int | None:
-    q = m.quiver
-    for i in q.vertices:
-        inj = rep.injective_lattice(q, i)
-        if m.gens == inj.gens and rep.are_isomorphic_exceptional(m, inj):
-            return i
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Nakayama functor
-
-def nakayama(q: Quiver, slots) -> ZRep:
-    """nu of a formal sum of projectives: P_i goes to I_i."""
-    return rep.inj_sum_rep(q, tuple(slots))
+    """The i with m isomorphic to I_i, for an exceptional lattice m."""
+    return _index_by_gens(m, rep.injective_lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +104,6 @@ def tau_inv(m: ZRep) -> ZRep:
     return rep.dualize(tau(rep.dualize(m)))
 
 
-def f_shift(m: ZRep, power: int) -> int:
-    """Shift change of one f_apply step on m, known before the step is taken.
-
-    Forward a projective drops two and anything else one; backward an
-    injective lattice rises two and anything else one.
-    """
-    if power == 1:
-        return -2 if projective_index_of(m) is not None else -1
-    return 2 if injective_index_of(m) is not None else 1
-
-
 def f_apply(x: ShiftedModule, power: int) -> ShiftedModule:
     """One application of the orbit autoequivalence or its inverse.
 
@@ -128,12 +114,15 @@ def f_apply(x: ShiftedModule, power: int) -> ShiftedModule:
     if power not in (1, -1):
         raise PreconditionViolated("f_apply moves one step at a time")
     m, s = x.module, x.shift
-    step = f_shift(m, power)
-    if step == -2:
-        return ShiftedModule(rep.injective_lattice(m.quiver, projective_index_of(m)), s - 2)
-    if step == 2:
-        return ShiftedModule(rep.projective(m.quiver, injective_index_of(m)), s + 2)
-    return ShiftedModule(tau(m) if power == 1 else tau_inv(m), s + step)
+    if power == 1:
+        i = projective_index_of(m)
+        if i is not None:
+            return ShiftedModule(rep.injective_lattice(m.quiver, i), s - 2)
+        return ShiftedModule(tau(m), s - 1)
+    i = injective_index_of(m)
+    if i is not None:
+        return ShiftedModule(rep.projective(m.quiver, i), s + 2)
+    return ShiftedModule(tau_inv(m), s + 1)
 
 
 # ---------------------------------------------------------------------------

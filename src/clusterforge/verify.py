@@ -109,10 +109,9 @@ def _tau_coxeter(q, modules) -> CheckResult:
 
 def _ar_duality(q, modules) -> CheckResult:
     bad = []
+    translated = [n for n in modules if serre.projective_index_of(n) is None]
     for m in modules:
-        for n in modules:
-            if serre.projective_index_of(n) is not None:
-                continue
+        for n in translated:
             lhs = rep.hom_group(m, serre.tau(n)).free_rank
             rhs = rep.ext1_group(n, m).free_rank
             if lhs != rhs:

@@ -174,10 +174,6 @@ class SnfDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
-    @property
-    def invariant_factors(self) -> tuple:
-        return tuple(d for d in self.diagonal if d != 0)
-
 
 def _pivot(s, t, rows, cols):
     """Position of the smallest nonzero |entry| in the trailing block."""

@@ -4,12 +4,23 @@ Nothing here touches the mutation engine or the exchange-graph search:
 positive roots come from reflection closure on the underlying graph,
 and cluster counts from exhaustive enumeration of maximal pairwise
 compatible subsets of a pool, or from the closed-form finite-type
-counts of Fomin-Zelevinsky (Cluster algebras II, 2003).
+counts of Fomin-Zelevinsky (Cluster algebras II, 2003).  Morphisms in
+the cluster category come from the orbit formula itself, summed over
+the f_apply translates of the target, and projectives and injective
+lattices are recognized by an explicit isomorphism.
 """
 
 from itertools import combinations
 
-from clusterforge.cluster import ext1_c
+from clusterforge.cluster import ClusterObject, ext1_c
+from clusterforge.rep import (
+    are_isomorphic_exceptional,
+    ext1_group,
+    hom_group,
+    projective,
+)
+from clusterforge.serre import ShiftedModule, f_apply
+from clusterforge.zlinalg import FinAbGroup
 
 
 def positive_roots(quiver):
@@ -89,3 +100,85 @@ def cluster_count_a(n):
 def cluster_count_d(n):
     """Clusters of type D_n, n >= 4: (3n-2)/n * C(2n-2, n-1)."""
     return (3 * n - 2) * _binomial(2 * n - 2, n - 1) // n
+
+
+def index_by_isomorphism(m, lattice_at):
+    """The i with m isomorphic to lattice_at(quiver, i), found through a
+    unimodular Hom basis element, or None."""
+    q = m.quiver
+    for i in q.vertices:
+        other = lattice_at(q, i)
+        if m.gens == other.gens and are_isomorphic_exceptional(m, other):
+            return i
+    return None
+
+
+def shifted(obj):
+    """A fundamental object as a lattice in one degree: M at 0, sigma P_i as P_i at 1."""
+    if obj.is_module:
+        return ShiftedModule(obj.module, 0)
+    return ShiftedModule(projective(obj.quiver, obj.shifted_projective), 1)
+
+
+def _derived_hom(a, b):
+    offset = b.shift - a.shift
+    if offset == 0:
+        return hom_group(a.module, b.module).group
+    if offset == 1:
+        return ext1_group(a.module, b.module)
+    return FinAbGroup(0)
+
+
+def orbit_hom(x, y):
+    """The orbit sum of Hom_D(x, F^l y) over all l.
+
+    Between lattices only the offsets 0 (Hom) and 1 (Ext^1) can be
+    nonzero, and every f_apply step moves the shift the same way, so
+    each direction of the walk stops once it has left [x.shift,
+    x.shift + 1]; every term inside is summed, Ext^1 out of a
+    projective included.
+    """
+    total = _derived_hom(x, y)
+    cur = y
+    while cur.shift >= x.shift:
+        cur = f_apply(cur, 1)
+        total = total.direct_sum(_derived_hom(x, cur))
+    cur = y
+    while cur.shift <= x.shift + 1:
+        cur = f_apply(cur, -1)
+        total = total.direct_sum(_derived_hom(x, cur))
+    return total
+
+
+def orbit_hom_c(x, y):
+    return orbit_hom(shifted(x), shifted(y))
+
+
+def orbit_ext1_c(x, y):
+    sy = shifted(y)
+    return orbit_hom(shifted(x), ShiftedModule(sy.module, sy.shift + 1))
+
+
+def normalize(x):
+    """The fundamental object in the orbit of the shifted lattice x.
+
+    Applies f_apply until the representative sits at shift zero, or is
+    a projective at shift one.
+    """
+    while True:
+        if x.shift == 0:
+            return ClusterObject.from_module(x.module)
+        if x.shift == 1:
+            i = index_by_isomorphism(x.module, projective)
+            if i is not None:
+                return ClusterObject.sigma_projective(x.module.quiver, i)
+            x = f_apply(x, 1)
+        elif x.shift > 1:
+            x = f_apply(x, 1)
+        else:
+            x = f_apply(x, -1)
+
+
+def orbit_suspension(obj):
+    s = shifted(obj)
+    return normalize(ShiftedModule(s.module, s.shift + 1))

@@ -10,7 +10,11 @@ orbit was walked once; a changed digest means the CLI output changed.
 The `tau` digest was recorded once tau became the Coxeter functor: the
 Nakayama transport before it printed an isomorphic lattice in another
 basis (actions [[1], [0]], [[1], [1]], [[0], [1]] for this input), so
-those bytes differ by design.
+those bytes differ by design.  The affine A~(2,1) graph (120 edges, with
+mutation-cone partners and empty middle terms) and the wild 1=>2->3
+graph were recorded before Hom, Ext^1 and the suspension in the cluster
+category became fundamental-domain formulas; they pin the suspension and
+the non-Dynkin ext1_c path.
 """
 
 import hashlib
@@ -25,6 +29,8 @@ QUIVERS = {
     "kronecker.quiver": "vertices 2\narrows [[1, 2], [1, 2]]\n",
     "e6.quiver": "vertices 6\narrows [[1, 2], [2, 3], [3, 4], [4, 5], [3, 6]]\n",
     "a5mix.quiver": "vertices 5\narrows [[2, 1], [2, 3], [4, 3], [4, 5]]\n",
+    "at21.quiver": "vertices 3\narrows [[1, 2], [2, 3], [1, 3]]\n",
+    "wild.quiver": "vertices 3\narrows [[1, 2], [1, 2], [2, 3]]\n",
 }
 
 REPS = {
@@ -52,6 +58,11 @@ GOLDEN = (
      "6208e6d097aea88838de142ebf086e4a63d45e2483aae9e5c39905001f9b799b"),
     (("tau", "d4.quiver", "d4thin.rep"),
      "be7cfbc9c71dd944b434926b56db500871f652cc076ef7fce7610f9a825a6d2b"),
+    (("graph", "at21.quiver", "--dim-bound", "5", "--format", "structured"),
+     "e734d8b94ba8a46c38abe0e703cd291a0ac2742eebdeb6eadff25472f490a3ce"),
+    (("graph", "wild.quiver", "--dim-bound", "6", "--max-nodes", "20",
+      "--format", "structured"),
+     "28ecc8713b4788f2399fe8114aebafe407a6f370ca16c107a0e207054444a73d"),
 )
 
 

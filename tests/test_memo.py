@@ -18,7 +18,7 @@ def test_every_table_is_registered():
         "cluster._middle_term", "cluster._ses_certified", "cluster.ext1_c",
         "quiver.coxeter_matrix", "rep._lattice_hom_ext", "rep.ext1_group", "rep.hom_group", "rep.injective_lattice",
         "rep.is_exceptional", "rep.paths_from", "rep.paths_into", "rep.projective",
-        "serre.injective_index_of", "serre.projective_index_of", "serre.tau", "serre.tau_inv"]
+        "serre.tau", "serre.tau_inv"]
 
 
 def test_clear_caches_empties_every_table():

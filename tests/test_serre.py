@@ -1,10 +1,12 @@
 import pytest
 
 from clusterforge import clear_caches, rep
+from clusterforge.cluster import build_pool
 from clusterforge.errors import (
     IsInjective,
     IsProjective,
     NotExceptional,
+    PreconditionViolated,
     SimpleAtVertex,
     VertexNotSinkOrSource,
 )
@@ -15,6 +17,7 @@ from clusterforge.rep import (
     dim_vector,
     field_hom_ext_dims,
     injective_lattice,
+    make_lattice,
     projective,
     simple,
     torsion_simple,
@@ -23,22 +26,19 @@ from clusterforge.serre import (
     ShiftedModule,
     f_apply,
     injective_index_of,
-    nakayama,
     projective_index_of,
     reflect,
     tau,
     tau_inv,
 )
+from clusterforge.zlinalg import IntMatrix
+
+import oracles
+from test_cluster import TAU_CLOSED_POOLS
 
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
-
-
-def test_nakayama_objects():
-    assert dim_vector(nakayama(A2, (2,))) == (1, 1)
-    assert are_isomorphic_exceptional(nakayama(A2, (2,)), projective(A2, 1))
-    assert dim_vector(nakayama(A2, (1,))) == (1, 0)
 
 
 def test_tau_examples():
@@ -171,3 +171,26 @@ def test_index_detection():
     assert injective_index_of(projective(A3, 2)) is None
     # on A2 the overlap P_1 = I_2 is recognized from both sides
     assert projective_index_of(injective_lattice(A2, 2)) == 1
+
+
+@pytest.mark.parametrize("q, bound", TAU_CLOSED_POOLS,
+                         ids=["A4", "D4", "E6", "Kronecker", "A~(2,1)", "wild"])
+def test_recognition_by_dimension_vector_matches_isomorphism(q, bound):
+    # every pool module and every translate of one is recognized as P_i
+    # or I_i exactly when a unimodular Hom basis element says so
+    modules = [o.module for o in build_pool(q, bound).modules()]
+    modules += [tau(m) for m in modules if projective_index_of(m) is None]
+    for m in modules:
+        assert projective_index_of(m) == oracles.index_by_isomorphism(m, projective), \
+            dim_vector(m)
+        assert injective_index_of(m) == \
+            oracles.index_by_isomorphism(m, injective_lattice), dim_vector(m)
+
+
+def test_recognition_rejects_non_exceptional_lattices():
+    # Z --0--> Z has the generator counts of P_1 = I_2 but splits
+    split = make_lattice(A2, (1, 1), (IntMatrix.from_rows([[0]]),))
+    with pytest.raises(PreconditionViolated):
+        projective_index_of(split)
+    with pytest.raises(PreconditionViolated):
+        injective_index_of(split)

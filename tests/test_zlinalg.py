@@ -152,7 +152,7 @@ def test_kernel_saturated_property(m):
     k = kernel_basis(m)
     assert m.mul(k).is_zero()
     if k.cols:
-        assert all(d == 1 for d in snf(k).invariant_factors)
+        assert all(d == 1 for d in snf(k).diagonal)
         assert snf(k).rank == k.cols
 
 
@@ -234,8 +234,8 @@ def test_lean_paths_match_full_snf(m, data):
     assert rank(m) == r
     assert rank_mod(m, 0) == r
     assert cokernel_structure(m) == FinAbGroup(
-        m.rows - r, tuple(d for d in dec.invariant_factors if d > 1))
-    assert is_split_injective(m) == (r == m.cols and all(d == 1 for d in dec.invariant_factors))
+        m.rows - r, tuple(d for d in dec.diagonal if d > 1))
+    assert is_split_injective(m) == (r == m.cols and all(d == 1 for d in dec.diagonal))
 
     kernel_cols = []
     for j in range(r, m.cols):
