@@ -5,11 +5,12 @@ suspended indecomposable projectives; those are exactly the candidates
 for summands of cluster-tilting objects, so nothing else enters the
 data model.  On this fundamental domain the orbit sum of derived Homs
 has at most two nonzero terms (Buan-Marsh-Reineke-Reiten-Todorov,
-Tilting theory and cluster combinatorics, 2006, section 1), so hom_c,
-ext1_c and the suspension are closed forms in Hom, Ext^1, tau and
-tau_inv of lattices; no orbit is walked.  The rigid pool walks each
-translate orbit once, from the injective lattices and the projectives,
-and holds every translate within its dimension bound.
+Tilting theory and cluster combinatorics, 2006, section 1), so ext1_c
+and the suspension are closed forms in Hom, Ext^1, tau and tau_inv of
+lattices, and hom_c is ext1_c against the desuspension; no orbit is
+walked.  The rigid pool walks each translate orbit once, from the
+injective lattices and the projectives, and holds every translate
+within its dimension bound.
 
 ext1_c keeps the Hom(M, tau N) term instead of the duality shortcut
 D Ext^1(N, M), which is only rank-faithful; the duality statement is
@@ -102,37 +103,18 @@ class ClusterObject:
 # morphisms on the fundamental domain
 
 def hom_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
-    """Morphism group in the cluster category.
+    """Morphism group in the cluster category: Ext^1_C against the
+    desuspension of the target.
 
-    Hom(M, N) + Ext^1(M, tau^- N) between modules, the second term only
-    for M not projective and N not injective; Hom(P_i, tau^- N) out of
-    sigma P_i (0 for injective N), Ext^1(M, P_j) into sigma P_j (0 for
-    projective M), and Hom(P_i, P_j) between sigma P_i and sigma P_j.
+    Between modules this is Hom(M, N) + Ext^1(M, tau^- N), the second
+    term only for M not projective and N not injective.
     """
-    if x.quiver != y.quiver:
-        raise DimensionMismatch("objects live over different quivers")
-    q = x.quiver
-    if not x.is_module:
-        p = rep.projective(q, x.shifted_projective)
-        if not y.is_module:
-            return rep.hom_group(p, rep.projective(q, y.shifted_projective)).group
-        if serre.injective_index_of(y.module) is not None:
-            return FinAbGroup(0)
-        return rep.hom_group(p, serre.tau_inv(y.module)).group
-    m = x.module
-    if not y.is_module:
-        if serre.projective_index_of(m) is not None:
-            return FinAbGroup(0)
-        return rep.ext1_group(m, rep.projective(q, y.shifted_projective))
-    total = rep.hom_group(m, y.module).group
-    if serre.projective_index_of(m) is None and serre.injective_index_of(y.module) is None:
-        total = total.direct_sum(rep.ext1_group(m, serre.tau_inv(y.module)))
-    return total
+    return ext1_c(x, _desuspension(y))
 
 
 @memo
 def ext1_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
-    """Ext^1 in the cluster category: hom_c against the suspension.
+    """Ext^1 in the cluster category.
 
     Ext^1(M, N) + Hom(M, tau N) between modules, the first term only for
     M not projective and the second only for N not projective;
@@ -169,6 +151,18 @@ def suspension(x: ClusterObject) -> ClusterObject:
     if i is not None:
         return ClusterObject.sigma_projective(q, i)
     return ClusterObject.from_module(serre.tau(x.module))
+
+
+def _desuspension(x: ClusterObject) -> ClusterObject:
+    """The inverse of the suspension: I_i goes to sigma P_i, any other
+    module N to tau^- N, and sigma P_i to P_i."""
+    q = x.quiver
+    if not x.is_module:
+        return ClusterObject.from_module(rep.projective(q, x.shifted_projective))
+    i = serre.injective_index_of(x.module)
+    if i is not None:
+        return ClusterObject.sigma_projective(q, i)
+    return ClusterObject.from_module(serre.tau_inv(x.module))
 
 
 def g_functor(x: ClusterObject) -> ZRep:

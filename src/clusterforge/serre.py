@@ -9,10 +9,12 @@ reflection takes a saturated kernel, so the result is again a lattice,
 and acts on dimension vectors by a simple reflection, so dim tau M is
 the Coxeter transform of dim M.
 
-Exceptional lattices are determined by their dimension vectors, so an
-exceptional lattice is P_i (or I_i) exactly when its generator counts
-are those of P_i (or I_i); projective_index_of and injective_index_of
-compare them and build no isomorphism.
+Exceptional modules are determined by their dimension vectors, so an
+exceptional module is P_i (or I_i) exactly when its dimension vector is
+that of P_i (or I_i); projective_index_of and injective_index_of
+compare them and build no isomorphism.  The dimension vector of a
+lattice is its generator counts; a module given by a presentation with
+relations has its rank per vertex instead.
 
 tau_inv goes through the opposite quiver: dualize, translate, dualize
 back.  f_apply is one step of the orbit autoequivalence on shifted
@@ -53,24 +55,25 @@ class ShiftedModule:
 # ---------------------------------------------------------------------------
 # recognizing projectives and injective lattices
 
-def _index_by_gens(m: ZRep, lattice_at) -> int | None:
+def _index_by_dim(m: ZRep, lattice_at) -> int | None:
     q = m.quiver
+    dim = rep.dim_vector(m)
     for i in q.vertices:
-        if m.gens == lattice_at(q, i).gens:
+        if dim == lattice_at(q, i).gens:
             if not rep.is_exceptional(m):
-                raise PreconditionViolated("recognition requires an exceptional lattice")
+                raise PreconditionViolated("recognition requires an exceptional module")
             return i
     return None
 
 
 def projective_index_of(m: ZRep) -> int | None:
-    """The i with m isomorphic to P_i, for an exceptional lattice m."""
-    return _index_by_gens(m, rep.projective)
+    """The i with m isomorphic to P_i, for an exceptional module m."""
+    return _index_by_dim(m, rep.projective)
 
 
 def injective_index_of(m: ZRep) -> int | None:
-    """The i with m isomorphic to I_i, for an exceptional lattice m."""
-    return _index_by_gens(m, rep.injective_lattice)
+    """The i with m isomorphic to I_i, for an exceptional module m."""
+    return _index_by_dim(m, rep.injective_lattice)
 
 
 # ---------------------------------------------------------------------------

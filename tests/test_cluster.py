@@ -1,10 +1,16 @@
 import pytest
 
 from clusterforge import clear_caches
-from clusterforge.errors import BalanceUnsolvable, NotFoundWithinBound, PreconditionViolated
+from clusterforge.errors import (
+    BalanceUnsolvable,
+    NotExceptional,
+    NotFoundWithinBound,
+    PreconditionViolated,
+)
 from clusterforge.quiver import Quiver
 from clusterforge import serre
 from clusterforge.rep import (
+    ZRep,
     dim_vector,
     ext1_group,
     hom_group,
@@ -31,7 +37,7 @@ from clusterforge.cluster import (
     suspension,
     verify_bijection_mod_p,
 )
-from clusterforge.zlinalg import FinAbGroup
+from clusterforge.zlinalg import FinAbGroup, IntMatrix
 
 import oracles
 
@@ -149,6 +155,21 @@ def test_is_cluster_tilting_examples():
     assert is_cluster_tilting([s1, sp(A2, 2)])[0]
     assert not is_cluster_tilting([p1])[0]
     assert not is_cluster_tilting([p1, p1])[0]
+
+
+def test_presented_simple_is_not_taken_for_a_projective():
+    # S_1 on A2 presented with the generator counts of P_1: Z --1--> Z
+    # with the generator at vertex 2 killed by a relation, dim (1, 0)
+    s1 = co(ZRep(A2, (1, 1), (IntMatrix.zero(1, 0), IntMatrix.from_rows([[1]])),
+                 (IntMatrix.from_rows([[1]]),)))
+    p2 = co(projective(A2, 2))
+    assert ext1_c(s1, p2) == FinAbGroup(1)
+    # tau is computed on lattices only, so the pair is refused rather
+    # than certified
+    with pytest.raises(NotExceptional):
+        is_cluster_tilting([s1, p2])
+    with pytest.raises(NotExceptional):
+        suspension(s1)
 
 
 def test_mutate_pentagon():

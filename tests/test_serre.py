@@ -12,6 +12,7 @@ from clusterforge.errors import (
 )
 from clusterforge.quiver import Quiver, coxeter_apply
 from clusterforge.rep import (
+    ZRep,
     are_isomorphic_exceptional,
     base_change,
     dim_vector,
@@ -171,6 +172,13 @@ def test_index_detection():
     assert injective_index_of(projective(A3, 2)) is None
     # on A2 the overlap P_1 = I_2 is recognized from both sides
     assert projective_index_of(injective_lattice(A2, 2)) == 1
+    # S_1 = I_1 on A2 presented as Z --1--> Z with the generator at
+    # vertex 2 killed by a relation: the generator counts are those of
+    # P_1, the dimension vector (1, 0) is not
+    s1 = ZRep(A2, (1, 1), (IntMatrix.zero(1, 0), IntMatrix.from_rows([[1]])),
+              (IntMatrix.from_rows([[1]]),))
+    assert projective_index_of(s1) is None
+    assert injective_index_of(s1) == 1
 
 
 @pytest.mark.parametrize("q, bound", TAU_CLOSED_POOLS,
