@@ -15,6 +15,34 @@ within its dimension bound.
 ext1_c keeps the Hom(M, tau N) term instead of the duality shortcut
 D Ext^1(N, M), which is only rank-faithful; the duality statement is
 kept as a test invariant.
+
+Orbit coordinates.  Each lattice a pool walk produces carries where the
+walk met it: ("P", i, a) for tau^-a P_i, ("I", j, b) for tau^b I_j.
+Between two such lattices ext1_c reads its rank off dimension vectors,
+which the Coxeter matrix moves along the orbit, and reduces no matrix:
+
+- tau is the Coxeter functor C+ and tau^- is C-, composites of BGP
+  reflections.  A sink reflection takes a kernel, which is saturated; a
+  source reflection takes a cokernel and saturates it, and saturation
+  does not change Hom into a lattice, since a map into a lattice kills
+  torsion.  So C- is left adjoint to C+ on lattices, as over a field.
+- Hence rank Hom(tau^-a P_i, Y) = rank Hom(P_i, tau^a Y) = (dim tau^a Y)_i
+  by Yoneda, which is 0 when Y = tau^-c P_j with c < a, because C+ kills
+  P_j.  Dually rank Hom(X, tau^c I_j) = (dim tau^-c X)_j, which is 0 when
+  X = tau^b I_i with b < c.  Preinjective into preprojective is 0: on a
+  connected non-Dynkin quiver tau^b I_i = C-^(c+1) tau^(b+c+1) I_i, and
+  C+^(c+1) tau^-c P_j = 0.  Hom between lattices is free.
+- rank Hom(M, N) - rank Ext^1(M, N) = <dim M, dim N> between lattices,
+  from the intertwining matrix whose kernel is Hom and cokernel Ext^1.
+- Ext^1(M, N) is free.  From 0 -> N -> N -> N/p -> 0 its p-torsion has
+  F_p-dimension dim Hom(M/p, N/p) - rank Hom(M, N), and the argument
+  above runs unchanged over F_p, where M/p and N/p are the same orbit
+  modules (the rigid indecomposables do not depend on the ground ring),
+  so Hom dimensions do not depend on the field and the difference is 0.
+
+Presented modules, lattices read from files and mutation-cone partners
+carry no coordinate, nor does an orbit the bound cuts on a Dynkin or
+disconnected quiver; their pairs are computed by elimination.
 """
 
 from __future__ import annotations
@@ -32,7 +60,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .memo import hash_once, memo, once
-from .quiver import Quiver, is_dynkin, validate
+from .quiver import Quiver, coxeter_apply, euler_form, is_connected, is_dynkin, validate
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -55,6 +83,10 @@ class ClusterObject:
     quiver: Quiver
     module: ZRep | None = None
     shifted_projective: int | None = None
+    # Orbit coordinate of a lattice a pool walk produced: ("P", i, a) is
+    # tau^-a P_i and ("I", j, b) is tau^b I_j.  Not a field, so ==, hash
+    # and repr ignore it; from_module sets it on the instance.
+    coord = None
 
     def __post_init__(self):
         if (self.module is None) == (self.shifted_projective is None):
@@ -66,8 +98,15 @@ class ClusterObject:
                 raise PreconditionViolated("module objects must be exceptional")
 
     @staticmethod
-    def from_module(m: ZRep) -> "ClusterObject":
-        return ClusterObject(m.quiver, module=m)
+    def from_module(m: ZRep, coord: tuple | None = None) -> "ClusterObject":
+        """The object of m, carrying coord when given; coord must name a
+        translate with the dimension vector of the lattice m."""
+        obj = ClusterObject(m.quiver, module=m)
+        if coord is not None:
+            if not m.is_lattice or _orbit_dim(m.quiver, coord) != m.gens:
+                raise PreconditionViolated(f"{coord} is not the orbit coordinate of {m.gens}")
+            object.__setattr__(obj, "coord", coord)
+        return obj
 
     @staticmethod
     def sigma_projective(q: Quiver, i: int) -> "ClusterObject":
@@ -100,6 +139,62 @@ class ClusterObject:
 
 
 # ---------------------------------------------------------------------------
+# orbit coordinates
+
+@memo
+def _orbit_dim(q: Quiver, coord: tuple) -> tuple:
+    """The dimension vector at an orbit coordinate, by the Coxeter transform."""
+    side, v, power = coord
+    if side == "P":
+        return coxeter_apply(q, rep.projective(q, v).gens, -power)
+    return coxeter_apply(q, rep.injective_lattice(q, v).gens, power)
+
+
+def _is_projective_coord(coord: tuple) -> bool:
+    return coord[0] == "P" and coord[2] == 0
+
+
+def _translate_coord(coord: tuple | None, k: int) -> tuple | None:
+    """The coordinate of tau^k of the lattice at coord, None staying None."""
+    if coord is None:
+        return None
+    side, v, power = coord
+    return (side, v, power - k if side == "P" else power + k)
+
+
+def _hom_rank(q: Quiver, cx: tuple, cy: tuple) -> int:
+    """rank Hom(X, Y) between the lattices at orbit coordinates cx and cy."""
+    (sx, i, a), (sy, j, c) = cx, cy
+    if sx == "P":
+        # Hom(tau^-a P_i, Y) = Hom(P_i, tau^a Y) = (tau^a Y)_i, and
+        # tau^a Y = 0 once the walk down Y's orbit passes P_j
+        if sy == "P":
+            return _orbit_dim(q, ("P", j, c - a))[i - 1] if c >= a else 0
+        return _orbit_dim(q, ("I", j, c + a))[i - 1]
+    if sy == "I":
+        # Hom(X, tau^c I_j) = Hom(tau^-c X, I_j) = (tau^-c X)_j
+        return _orbit_dim(q, ("I", i, a - c))[j - 1] if a >= c else 0
+    return 0  # preinjective into preprojective
+
+
+def _ext1_rank(x: ClusterObject, y: ClusterObject) -> int:
+    """rank Ext^1_C between two lattices with orbit coordinates.
+
+    The Ext^1(M, N) term is rank Hom(M, N) - <dim M, dim N>, from the
+    exact sequence 0 -> Hom -> (+)_v Hom(M_v, N_v) -> (+)_a
+    Hom(M_s(a), N_t(a)) -> Ext^1 -> 0 of lattices, and the second term
+    is rank Hom(M, tau N); AR duality is not used.
+    """
+    q, cx, cy = x.quiver, x.coord, y.coord
+    r = 0
+    if not _is_projective_coord(cx):
+        r += _hom_rank(q, cx, cy) - euler_form(q, x.module.gens, y.module.gens)
+    if not _is_projective_coord(cy):
+        r += _hom_rank(q, cx, _translate_coord(cy, 1))
+    return r
+
+
+# ---------------------------------------------------------------------------
 # morphisms on the fundamental domain
 
 def hom_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
@@ -119,7 +214,11 @@ def ext1_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
     Ext^1(M, N) + Hom(M, tau N) between modules, the first term only for
     M not projective and the second only for N not projective;
     Hom(P_i, N) out of sigma P_i, Hom(M, I_j) into sigma P_j, and 0
-    between two suspended projectives.
+    between two suspended projectives.  Between two lattices with orbit
+    coordinates the group is free of the rank _ext1_rank reads off
+    dimension vectors; against sigma P_i a lattice L gives free of rank
+    (dim L)_i (Yoneda, and Hom(L, I_i) = Hom_Z(L_i, Z)).  Every other
+    pair is computed by elimination.
     """
     if x.quiver != y.quiver:
         raise DimensionMismatch("objects live over different quivers")
@@ -127,10 +226,18 @@ def ext1_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
     if not x.is_module:
         if not y.is_module:
             return FinAbGroup(0)
-        return rep.hom_group(rep.projective(q, x.shifted_projective), y.module).group
+        i, n = x.shifted_projective, y.module
+        if n.is_lattice:
+            return FinAbGroup(n.gens[i - 1])
+        return rep.hom_group(rep.projective(q, i), n).group
     m = x.module
     if not y.is_module:
-        return rep.hom_group(m, rep.injective_lattice(q, y.shifted_projective)).group
+        i = y.shifted_projective
+        if m.is_lattice:
+            return FinAbGroup(m.gens[i - 1])
+        return rep.hom_group(m, rep.injective_lattice(q, i)).group
+    if x.coord is not None and y.coord is not None:
+        return FinAbGroup(_ext1_rank(x, y))
     n = y.module
     total = FinAbGroup(0) if serre.projective_index_of(m) is not None else rep.ext1_group(m, n)
     if serre.projective_index_of(n) is None:
@@ -142,7 +249,8 @@ def suspension(x: ClusterObject) -> ClusterObject:
     """The suspension on the fundamental domain.
 
     P_i goes to sigma P_i, any other module M to tau M, and sigma P_i
-    to the injective lattice I_i.
+    to the injective lattice I_i.  A coordinate moves one step down its
+    orbit; I_i is built without one.
     """
     q = x.quiver
     if not x.is_module:
@@ -150,19 +258,20 @@ def suspension(x: ClusterObject) -> ClusterObject:
     i = serre.projective_index_of(x.module)
     if i is not None:
         return ClusterObject.sigma_projective(q, i)
-    return ClusterObject.from_module(serre.tau(x.module))
+    return ClusterObject.from_module(serre.tau(x.module), _translate_coord(x.coord, 1))
 
 
 def _desuspension(x: ClusterObject) -> ClusterObject:
     """The inverse of the suspension: I_i goes to sigma P_i, any other
-    module N to tau^- N, and sigma P_i to P_i."""
+    module N to tau^- N, and sigma P_i to P_i, each with its coordinate."""
     q = x.quiver
     if not x.is_module:
-        return ClusterObject.from_module(rep.projective(q, x.shifted_projective))
+        i = x.shifted_projective
+        return ClusterObject.from_module(rep.projective(q, i), ("P", i, 0))
     i = serre.injective_index_of(x.module)
     if i is not None:
         return ClusterObject.sigma_projective(q, i)
-    return ClusterObject.from_module(serre.tau_inv(x.module))
+    return ClusterObject.from_module(serre.tau_inv(x.module), _translate_coord(x.coord, -1))
 
 
 def g_functor(x: ClusterObject) -> ZRep:
@@ -222,42 +331,55 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
     the complete list of rigid indecomposables; otherwise the
     completeness flag stays off and the pool can still grow through
     mutation cones.
+
+    Every lattice gets the orbit coordinate its walk reached it at: from
+    P_i on a forward walk or on a backward walk that closed at P_i, and
+    from I_j on a backward walk that stayed open.  An open orbit is
+    infinite only on a connected non-Dynkin quiver, where preinjectives
+    never meet preprojectives; elsewhere (a Dynkin orbit cut by the
+    bound, a disconnected quiver) its backward walk leaves no coordinate.
     """
     validate(q)
     if dim_bound < 1:
         raise PreconditionViolated("dim_bound must be at least 1")
     pool = RigidPool(q, dim_bound, complete=is_dynkin(q))
+    open_is_infinite = not pool.complete and is_connected(q)
     for i in q.vertices:
         pool.add(ClusterObject.sigma_projective(q, i), "projective")
     for i in q.vertices:
         m = rep.projective(q, i)
         if _within_bound(m, dim_bound):
-            pool.add(ClusterObject.from_module(m), "projective")
-    for i in q.vertices:
-        m = rep.injective_lattice(q, i)
-        if _within_bound(m, dim_bound):
-            pool.add(ClusterObject.from_module(m), "tau-orbit")
+            pool.add(ClusterObject.from_module(m, ("P", i, 0)), "projective")
     # translate backward from injectives; reaching a projective closes the orbit
     closed = set()
-    for seed in [rep.injective_lattice(q, i) for i in q.vertices]:
-        m = seed
-        while (i := serre.projective_index_of(m)) is None:
-            m = serre.tau(m)
+    for j in q.vertices:
+        walk = [rep.injective_lattice(q, j)]
+        while (i := serre.projective_index_of(walk[-1])) is None:
+            m = serre.tau(walk[-1])
             if not _within_bound(m, dim_bound):
                 break
-            pool.add(ClusterObject.from_module(m), "tau-orbit")
+            walk.append(m)
         else:
             closed.add(i)
+        for b, m in enumerate(walk):
+            if i is not None:
+                coord = ("P", i, len(walk) - 1 - b)
+            else:
+                coord = ("I", j, b) if open_is_infinite else None
+            if b or _within_bound(m, dim_bound):
+                pool.add(ClusterObject.from_module(m, coord), "tau-orbit")
     # translate forward from the projectives of the open orbits
     for i in q.vertices:
         if i in closed:
             continue
         m = rep.projective(q, i)
+        a = 0
         while serre.injective_index_of(m) is None:
             m = serre.tau_inv(m)
+            a += 1
             if not _within_bound(m, dim_bound):
                 break
-            pool.add(ClusterObject.from_module(m), "tau-orbit")
+            pool.add(ClusterObject.from_module(m, ("P", i, a)), "tau-orbit")
     return pool
 
 
@@ -386,7 +508,10 @@ def _ses_certified(tail: ClusterObject, head: ClusterObject, middle: tuple) -> b
     of tail (Buan-Marsh-Reineke-Reiten-Todorov 2006), so one map is
     tested: each distinct summand c must occur rank Hom(tail, c) times,
     and the map stacking the Hom bases must embed with a saturated image
-    whose cokernel is isomorphic to head.
+    whose cokernel is isomorphic to head.  An exceptional lattice is
+    identified by its dimension vector everywhere (ClusterObject.key), so
+    an exceptional cokernel with the dimension vector of head is head and
+    no isomorphism is searched for.
     """
     counts = Counter(middle)
     if any(rep.hom_group(tail.module, c.module).group != FinAbGroup(m)
@@ -395,7 +520,7 @@ def _ses_certified(tail: ClusterObject, head: ClusterObject, middle: tuple) -> b
     coker = _left_approximation_cokernel(tail.module, canonical_cluster(counts))
     if coker is None or rep.dim_vector(coker) != rep.dim_vector(head.module):
         return False
-    return rep.is_exceptional(coker) and rep.are_isomorphic_exceptional(coker, head.module)
+    return rep.is_exceptional(coker)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +681,7 @@ def exchange_graph(q: Quiver, dim_bound: int = 12, max_nodes: int = 10000) -> Ex
     """Breadth-first mutation closure of the initial projective cluster."""
     pool = build_pool(q, dim_bound)
     initial = canonical_cluster(
-        ClusterObject.from_module(rep.projective(q, i)) for i in q.vertices)
+        ClusterObject.from_module(rep.projective(q, i), ("P", i, 0)) for i in q.vertices)
     ok, cert = is_cluster_tilting(initial)
     if not ok:
         raise ConstructionFailed(f"initial projective cluster is not tilting: {cert}")

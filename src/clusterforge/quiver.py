@@ -156,6 +156,22 @@ def coxeter_apply(q: Quiver, d, power: int) -> tuple:
     return vec
 
 
+def is_connected(q: Quiver) -> bool:
+    """Whether the underlying graph of q is connected."""
+    adjacency = {v: set() for v in q.vertices}
+    for s, t in q.arrows:
+        adjacency[s].add(t)
+        adjacency[t].add(s)
+    seen = {1}
+    stack = [1]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == q.n
+
+
 NOT_DYNKIN = "NotDynkin"
 
 
@@ -175,17 +191,8 @@ def dynkin_type(q: Quiver) -> str:
         edges.add(key)
         adjacency[s].append(t)
         adjacency[t].append(s)
-    if len(edges) != n - 1:
-        return NOT_DYNKIN
-    # connectivity: a tree on n vertices has exactly n-1 edges
-    seen = {1}
-    stack = [1]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
+    # a tree: connected with exactly n-1 edges
+    if len(edges) != n - 1 or not is_connected(q):
         return NOT_DYNKIN
     degrees = sorted((len(adjacency[v]), v) for v in q.vertices)
     max_degree = degrees[-1][0] if n > 1 else 0

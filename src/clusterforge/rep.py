@@ -823,30 +823,6 @@ def _minimize_step(m, rows_slots, cols_slots, d, aug=None, down=None, up=None):
 
 
 # ---------------------------------------------------------------------------
-# realizing path-coefficient maps between sums of projectives (used by tests)
-
-def proj_map_vertex_matrices(q: Quiver, row_slots, col_slots, entries) -> tuple:
-    """Vertexwise matrices of a path-coefficient map P(cols) -> P(rows).
-
-    The entry at (r, c) is a sum of paths p from the row vertex to the
-    column vertex; such a p sends a basis path t of the column
-    projective to the concatenation p+t in the row projective.
-    """
-    mats = []
-    for j in q.vertices:
-        row_basis = [(r, p) for r, v in enumerate(row_slots) for p in paths_from(q, v)[j]]
-        col_basis = [(c, p) for c, v in enumerate(col_slots) for p in paths_from(q, v)[j]]
-        index = {key: i for i, key in enumerate(row_basis)}
-        out = [[0] * len(col_basis) for _ in row_basis]
-        for ci, (c, t) in enumerate(col_basis):
-            for r in range(len(row_slots)):
-                for p, coeff in entries[r][c]:
-                    out[index[(r, p + t)]][ci] += coeff
-        mats.append(IntMatrix.from_rows(out, cols=len(col_basis)))
-    return tuple(mats)
-
-
-# ---------------------------------------------------------------------------
 # kernels, cokernels, summands
 
 def kernel_subrep(m: ZRep, n: ZRep, maps) -> tuple:

@@ -133,18 +133,18 @@ def orbit_hom(x, y):
     """The orbit sum of Hom_D(x, F^l y) over all l.
 
     Between lattices only the offsets 0 (Hom) and 1 (Ext^1) can be
-    nonzero, and every f_apply step moves the shift the same way, so
-    each direction of the walk stops once it has left [x.shift,
-    x.shift + 1]; every term inside is summed, Ext^1 out of a
-    projective included.
+    nonzero, and every f_apply step moves the shift the same way, by at
+    least one, so each direction of the walk stops before a step that
+    must leave [x.shift, x.shift + 1]; every term inside is summed,
+    Ext^1 out of a projective included.
     """
     total = _derived_hom(x, y)
     cur = y
-    while cur.shift >= x.shift:
+    while cur.shift > x.shift:
         cur = f_apply(cur, 1)
         total = total.direct_sum(_derived_hom(x, cur))
     cur = y
-    while cur.shift <= x.shift + 1:
+    while cur.shift <= x.shift:
         cur = f_apply(cur, -1)
         total = total.direct_sum(_derived_hom(x, cur))
     return total

@@ -8,7 +8,7 @@ from clusterforge.errors import (
     PreconditionViolated,
 )
 from clusterforge.quiver import Quiver
-from clusterforge import serre
+from clusterforge import rep, serre
 from clusterforge.rep import (
     ZRep,
     dim_vector,
@@ -446,9 +446,16 @@ def test_exchange_graph_closed_form_counts():
 
 A5_MIXED = Quiver(5, ((2, 1), (2, 3), (4, 3), (4, 5)))
 A_TILDE_2_1 = Quiver(3, ((1, 2), (2, 3), (1, 3)))
-# (quiver, bound, graph node limit or None for the bare pool)
+E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+WILD = Quiver(3, ((1, 2), (1, 2), (2, 3)))
+THREE_KRONECKER = Quiver(2, ((1, 2), (1, 2), (1, 2)))
+D4_AND_KRONECKER = Quiver(6, ((1, 4), (2, 4), (3, 4), (5, 6), (5, 6)))
+# (quiver, bound, graph node limit or None for the bare pool); at the
+# small bounds the bound cuts Dynkin orbits, whose walks stay open
 ORBIT_WALK_POOLS = ((A4, 12, None), (D4, 12, None), (A5_MIXED, 12, None),
-                    (KRONECKER, 12, 30), (A_TILDE_2_1, 5, 10000))
+                    (KRONECKER, 12, 30), (A_TILDE_2_1, 5, 10000), (E6, 12, None),
+                    (WILD, 6, 20), (THREE_KRONECKER, 12, None), (E6, 2, None),
+                    (D4_AND_KRONECKER, 1, None))
 
 
 def _graph_pool(q, bound, max_nodes):
@@ -463,10 +470,12 @@ def _graph_pool(q, bound, max_nodes):
 
 
 @pytest.mark.parametrize("q, bound, max_nodes", ORBIT_WALK_POOLS,
-                         ids=["A4", "D4", "A5-mixed", "Kronecker", "A~(2,1)"])
+                         ids=["A4", "D4", "A5-mixed", "Kronecker", "A~(2,1)", "E6", "wild",
+                              "3-Kronecker", "E6-cut", "D4+Kronecker-cut"])
 def test_ext1_c_matches_the_orbit_formula_closed_forms(q, bound, max_nodes):
-    # the closed forms of hom_c, ext1_c and suspension against the orbit
-    # sum over f_apply translates, which the library no longer walks
+    # the closed forms of hom_c, ext1_c and suspension, read off orbit
+    # coordinates on pool lattices, against the orbit sum over f_apply
+    # translates, which reduces one intertwining matrix per term
     objects = _graph_pool(q, bound, max_nodes)
     for x in objects:
         assert suspension(x).key() == oracles.orbit_suspension(x).key(), x.describe()
@@ -494,8 +503,42 @@ def test_orbit_walk_translates_each_module_once():
     assert serre.tau_inv.cache_info().misses == 0
 
 
-E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
-WILD = Quiver(3, ((1, 2), (1, 2), (2, 3)))
+def test_dynkin_pool_ext1_c_reduces_no_matrix():
+    # every lattice of a Dynkin pool whose walks close carries an orbit
+    # coordinate, so ext1_c reads each pair off dimension vectors
+    clear_caches()
+    for q in (D4, E6):
+        pool = build_pool(q, 12)
+        assert all(o.coord is not None for o in pool.modules())
+        before = rep._lattice_hom_ext.cache_info().misses
+        for x in pool.objects:
+            for y in pool.objects:
+                ext1_c(x, y)
+        assert rep._lattice_hom_ext.cache_info().misses == before
+
+
+def test_presented_module_never_takes_the_coordinate_path():
+    # the presented S_1 of A2 has the dimension vector, and so the key, of
+    # the pool lattice I_1, but no orbit coordinate: each of its pairs is
+    # reduced, while I_1 reads its pairs off the coordinates
+    presented = ZRep(A2, (1, 1), (IntMatrix.zero(1, 0), IntMatrix.from_rows([[1]])),
+                     (IntMatrix.from_rows([[1]]),))
+    pool = build_pool(A2, 6)
+    s1 = co(presented)
+    i1 = pool.by_key()[s1.key()]
+    assert s1 != i1 and s1.coord is None and i1.coord is not None
+    with pytest.raises(PreconditionViolated):
+        ClusterObject.from_module(presented, i1.coord)
+    clear_caches()
+    for y in pool.modules():
+        ext1_c(i1, y)
+    assert ext1_group.cache_info().misses == hom_group.cache_info().misses == 0
+    for y in pool.modules():
+        misses = ext1_group.cache_info().misses
+        ext1_c(s1, y)
+        assert ext1_group.cache_info().misses > misses, y.describe()
+
+
 TAU_CLOSED_POOLS = ((A4, 1), (D4, 1), (E6, 2), (KRONECKER, 6), (A_TILDE_2_1, 6), (WILD, 6))
 
 

@@ -9,6 +9,7 @@ from clusterforge.quiver import (
     dynkin_type,
     euler_form,
     euler_matrix,
+    is_connected,
     validate,
 )
 
@@ -126,3 +127,9 @@ def test_euler_row_of_projective_reads_ranks():
             for i in q.vertices:
                 assert euler_form(q, dim_vector(projective(q, i)), dim_vector(m)) \
                     == dim_vector(m)[i - 1]
+
+
+def test_is_connected():
+    assert is_connected(Quiver(1, ())) and is_connected(Quiver(3, ((1, 2), (3, 2))))
+    assert not is_connected(Quiver(3, ((2, 3),)))
+    assert not is_connected(Quiver(4, ((1, 2), (3, 4), (3, 4))))

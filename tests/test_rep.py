@@ -23,7 +23,6 @@ from clusterforge.rep import (
     paths_from,
     projective,
     projective_resolution,
-    proj_map_vertex_matrices,
     simple,
     strip_summand,
     torsion_simple,
@@ -136,6 +135,27 @@ def test_projective_resolution_is_identity():
     red = make_lattice(A2, (1, 1), (IntMatrix.from_rows([[1]]),))
     res2 = projective_resolution(red)
     assert res2.p1 == () and res2.p2 == ()
+
+
+def proj_map_vertex_matrices(q: Quiver, row_slots, col_slots, entries) -> tuple:
+    """Vertexwise matrices of a path-coefficient map P(cols) -> P(rows).
+
+    The entry at (r, c) is a sum of paths p from the row vertex to the
+    column vertex; such a p sends a basis path t of the column
+    projective to the concatenation p+t in the row projective.
+    """
+    mats = []
+    for j in q.vertices:
+        row_basis = [(r, p) for r, v in enumerate(row_slots) for p in paths_from(q, v)[j]]
+        col_basis = [(c, p) for c, v in enumerate(col_slots) for p in paths_from(q, v)[j]]
+        index = {key: i for i, key in enumerate(row_basis)}
+        out = [[0] * len(col_basis) for _ in row_basis]
+        for ci, (c, t) in enumerate(col_basis):
+            for r in range(len(row_slots)):
+                for p, coeff in entries[r][c]:
+                    out[index[(r, p + t)]][ci] += coeff
+        mats.append(IntMatrix.from_rows(out, cols=len(col_basis)))
+    return tuple(mats)
 
 
 def _realized(res):
