@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CyclicQuiver, DimensionMismatch
 from .memo import hash_once, memo
-from .zlinalg import IntMatrix, snf
+from .zlinalg import IntMatrix
 
 
 @hash_once
@@ -124,10 +124,17 @@ def euler_form(q: Quiver, d, e) -> int:
 
 
 def _euler_inverse(q: Quiver) -> IntMatrix:
-    # B is unimodular (triangular with unit diagonal in topological order)
-    dec = snf(euler_matrix(q))
-    assert all(d == 1 for d in dec.diagonal)
-    return dec.v_inv.mul(dec.u_inv)
+    """B^{-1} = sum_k A^k for the arrow count matrix A, i.e. entry (i, j)
+    counts the paths i -> j; row i is e_i plus the rows of the arrow
+    targets of i, filled in reverse topological order."""
+    counts = {}
+    for v in reversed(validate(q)):
+        row = [1 if u == v else 0 for u in q.vertices]
+        for s, t in q.arrows:
+            if s == v:
+                row = [x + y for x, y in zip(row, counts[t])]
+        counts[v] = row
+    return IntMatrix.from_rows([counts[v] for v in q.vertices], cols=q.n)
 
 
 @memo

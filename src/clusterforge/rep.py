@@ -15,6 +15,9 @@ sink the resolution collapses to two terms.
 Between lattices Hom is the kernel and Ext^1 the cokernel of one
 intertwining matrix, so each ordered pair costs one Smith reduction with
 no transform tracked; a Hom basis is computed only when it is read.
+Ext^1 out of a presented module is read off its minimal projective
+resolution, whose every stage is a projective cover of a top, minimal
+as built: nothing is split off afterwards.
 """
 
 from __future__ import annotations
@@ -77,16 +80,6 @@ def paths_into(q: Quiver, i: int) -> dict:
     return {j: paths_from(q, j)[i] for j in q.vertices}
 
 
-def path_target(q: Quiver, start: int, path: tuple) -> int:
-    at = start
-    for a in path:
-        s, t = q.arrows[a]
-        if s != at:
-            raise DimensionMismatch("path does not compose")
-        at = t
-    return at
-
-
 # ---------------------------------------------------------------------------
 # representations
 
@@ -121,9 +114,6 @@ class ZRep:
     @once
     def is_lattice(self) -> bool:
         return all(r.cols == 0 for r in self.relations)
-
-    def relation(self, v: int) -> IntMatrix:
-        return self.relations[v - 1]
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in dim_vector(self))
@@ -501,325 +491,109 @@ class ProjResolution:
     d2: tuple
     augmentation: tuple
 
-    @property
-    def length(self) -> int:
-        if self.p2:
-            return 2
-        if self.p1:
-            return 1
-        return 0
-
-
-def _ps_add(a: dict, b: dict, scale: int = 1) -> None:
-    for p, c in b.items():
-        nc = a.get(p, 0) + scale * c
-        if nc:
-            a[p] = nc
-        else:
-            a.pop(p, None)
-
-
-def _ps_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for p, c in a.items():
-        for p2, c2 in b.items():
-            key = p + p2
-            nc = out.get(key, 0) + c * c2
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _ps_freeze(a: dict) -> tuple:
-    return tuple(sorted(a.items()))
-
-
-def _apply_path_sum(m: ZRep, ps: dict, start: int, target: int, vec) -> tuple:
-    """Transport a generator-lift vector along a path sum."""
-    acc = [0] * m.gens[target - 1]
-    for p, c in ps.items():
-        if path_target(m.quiver, start, p) != target:
-            raise DimensionMismatch("path sum does not land at the expected vertex")
-        img = action_along_path(m, start, p).mul_vec(vec)
-        acc = [y + c * x for y, x in zip(acc, img)]
-    return tuple(acc)
-
 
 def projective_resolution(m: ZRep) -> ProjResolution:
-    """A minimal projective resolution, length <= 1 for lattices, <= 2 in general.
+    """The minimal projective resolution, length <= 1 for lattices, <= 2 in general.
 
-    Built by covering the generators, computing the honest kernel
-    lattice of the augmentation, resolving that lattice by the standard
-    two-term sequence, and then splitting off every unit summand.
+    Each stage is a projective cover, minimal as built.  The arrow ideal
+    J of ZQ is nilpotent on an acyclic Q, so by the graded Nakayama
+    lemma lifts of any generating set of top(N) = N / JN generate N; a
+    projective ZQ-module is a sum of P(v)s and has free top.  P0 lifts a
+    minimal generating set of top(M), P1 one of top(K) for the lattice
+    K = ker(P0 -> M), and P2 a basis of top(L) for L = ker(P1 -> P0),
+    which is projective because lattices have projective dimension <= 1
+    over ZQ; so P2 -> L is an isomorphism.
+
+    A kernel element's trivial-path coefficients at v are the
+    coefficients of a relation among the chosen generators of the top at
+    v, so each lies in d Z for d the least invariant factor other than 1
+    there, which divides the others.  Hence no same-vertex trivial-path
+    block of d1 or d2 has a unit invariant factor: nothing splits off.
     """
     q = m.quiver
-
-    p0 = [v for v in q.vertices for _ in range(m.gens[v - 1])]
-    aug = []
-    for v in q.vertices:
-        g = m.gens[v - 1]
-        for k in range(g):
-            aug.append(tuple(1 if r == k else 0 for r in range(g)))
-
-    # ambient basis of P(p0) at each vertex: (slot, path) pairs in slot order
-    gen_index = []
-    seen = {}
-    for slot, v in enumerate(p0):
-        gen_index.append(seen.get(v, 0))
-        seen[v] = seen.get(v, 0) + 1
-    ambient = {}
-    for j in q.vertices:
-        ambient[j] = [(slot, p) for slot, v in enumerate(p0) for p in paths_from(q, v)[j]]
-
-    # honest kernel of the augmentation at each vertex
-    k_basis = {}
-    for j in q.vertices:
-        basis = ambient[j]
-        cols = [action_along_path(m, p0[slot], p).col(gen_index[slot]) for slot, p in basis]
-        eps = IntMatrix(m.gens[j - 1], len(cols),
-                        tuple(tuple(c[r] for c in cols) for r in range(m.gens[j - 1])))
-        system = eps.hstack(m.relations[j - 1].neg())
-        kb = kernel_basis(system)
-        proj = kb.submatrix(range(len(cols)), range(kb.cols))
-        k_basis[j] = column_span_basis(proj)
-
-    k_gens = {j: k_basis[j].cols for j in q.vertices}
-    k_actions = {}
-    for a, (s, t) in enumerate(q.arrows):
-        amb_src, amb_dst = ambient[s], ambient[t]
-        index = {key: i for i, key in enumerate(amb_dst)}
-        rows = [[0] * len(amb_src) for _ in amb_dst]
-        for c, (slot, p) in enumerate(amb_src):
-            rows[index[(slot, p + (a,))]][c] = 1
-        amb_a = IntMatrix.from_rows(rows, cols=len(amb_src))
-        k_actions[a] = solve_matrix(k_basis[t], amb_a.mul(k_basis[s]))
-
-    # d1: K-generators included into P(p0) via their ambient coordinates
-    p1 = [v for v in q.vertices for _ in range(k_gens[v])]
-    d1 = [[{} for _ in p1] for _ in p0]
-    col = 0
-    for v in q.vertices:
-        for tcol in range(k_gens[v]):
-            vec = k_basis[v].col(tcol)
-            for coord, (slot, p) in enumerate(ambient[v]):
-                if vec[coord]:
-                    d1[slot][col][p] = vec[coord]
-            col += 1
-
-    # d2: standard two-term resolution of the kernel lattice
-    p1_offsets = {}
-    at = 0
-    for v in q.vertices:
-        p1_offsets[v] = at
-        at += k_gens[v]
-    p2 = []
-    d2_cols = []
-    for a, (s, t) in enumerate(q.arrows):
-        ka = k_actions[a]
-        for tcol in range(k_gens[s]):
-            p2.append(t)
-            centry = [{} for _ in p1]
-            centry[p1_offsets[s] + tcol][(a,)] = 1
-            for r in range(k_gens[t]):
-                coeff = ka.entries[r][tcol]
-                if coeff:
-                    _ps_add(centry[p1_offsets[t] + r], {(): -coeff})
-            d2_cols.append(centry)
-    d2 = [[d2_cols[c][r] for c in range(len(p2))] for r in range(len(p1))]
-
-    p0, p1, p2, d1, d2, aug = _minimize_resolution(m, p0, p1, p2, d1, d2, aug)
-
+    p0, aug = _cover(m)
+    k, k_basis = _kernel(m, p0, aug)
+    p1, k_lifts = _cover(k)
+    l, l_basis = _kernel(k, p1, k_lifts)
+    p2, l_lifts = _cover(l, free_top=True)
     return ProjResolution(
         module=m,
-        p0=tuple(p0),
-        p1=tuple(p1),
-        p2=tuple(p2),
-        d1=tuple(tuple(_ps_freeze(e) for e in row) for row in d1),
-        d2=tuple(tuple(_ps_freeze(e) for e in row) for row in d2),
-        augmentation=tuple(aug),
+        p0=p0,
+        p1=p1,
+        p2=p2,
+        d1=_path_entries(q, p0, p1, [k_basis[v - 1].mul_vec(u) for v, u in zip(p1, k_lifts)]),
+        d2=_path_entries(q, p1, p2, [l_basis[v - 1].mul_vec(u) for v, u in zip(p2, l_lifts)]),
+        augmentation=aug,
     )
 
 
-def _minimize_resolution(m, p0, p1, p2, d1, d2, aug):
-    """Alternately split unit summands out of d1 and d2 until stable.
+def _cover(n: ZRep, free_top: bool = False) -> tuple:
+    """(slots, lifts) of a minimal generating set of top(n), vertex by vertex.
 
-    Per vertex the coefficients of trivial paths between same-vertex
-    slots form an integer block; SNF of that block exposes every unit
-    that can be split, including units hidden by a change of basis.
+    top(n)_v is Z^{g_v} modulo the relations and the images of the
+    arrows into v.  With that span = U S V, the columns of U at the
+    invariant factors other than 1 lift generators of its cyclic
+    factors.  free_top asserts there is no torsion factor, as for a
+    projective n.
     """
-    changed = True
-    while changed:
-        changed = False
-        res = _minimize_step(m, p0, p1, d1, aug=aug, down=(p2, d2))
-        if res is not None:
-            p0, p1, d1, aug, (p2, d2) = res
-            changed = True
-        res = _minimize_step(m, p1, p2, d2, aug=None, up=(p0, d1))
-        if res is not None:
-            p1, p2, d2, _, (p0, d1) = res
-            changed = True
-    return p0, p1, p2, d1, d2, aug
+    slots, lifts = [], []
+    for v in n.quiver.vertices:
+        span = n.relations[v - 1]
+        for a in n.quiver.arrows_into(v):
+            span = span.hstack(n.actions[a])
+        dec = snf(span)
+        factors = dec.diagonal + (0,) * (n.gens[v - 1] - len(dec.diagonal))
+        for i, d in enumerate(factors):
+            if d != 1:
+                assert not (free_top and d), "the top of a projective has torsion"
+                slots.append(v)
+                lifts.append(dec.U.col(i))
+    return tuple(slots), tuple(lifts)
 
 
-def _minimize_step(m, rows_slots, cols_slots, d, aug=None, down=None, up=None):
-    """One sweep of unit splitting over d; returns updated data or None.
+def _ambient(q: Quiver, slots, j: int) -> list:
+    """The basis of P(slots) at vertex j: (slot, path) pairs in slot order."""
+    return [(k, p) for k, v in enumerate(slots) for p in paths_from(q, v)[j]]
 
-    `down` is the next differential (its rows are indexed by our
-    columns); `up` is the previous one (its columns are indexed by our
-    rows).  Whichever is present receives the compensating change of
-    basis so that consecutive compositions stay zero.
+
+def _kernel(n: ZRep, slots, lifts) -> tuple:
+    """The kernel of P(slots) -> n sending slot k's trivial path to lifts[k].
+
+    Returns the kernel as a lattice and, per vertex, its basis as
+    columns in the (slot, path) basis of P(slots).
     """
-    q = m.quiver
-    rows_slots = list(rows_slots)
-    cols_slots = list(cols_slots)
-    d = [[dict(e) for e in row] for row in d]
-    aug = list(aug) if aug is not None else None
-    down_slots = down_d = up_slots = up_d = None
-    if down is not None:
-        down_slots, down_d = list(down[0]), [[dict(e) for e in row] for row in down[1]]
-    if up is not None:
-        up_slots, up_d = list(up[0]), [[dict(e) for e in row] for row in up[1]]
+    q = n.quiver
+    basis = []
+    for j in q.vertices:
+        amb = _ambient(q, slots, j)
+        cols = [action_along_path(n, slots[k], p).mul_vec(lifts[k]) for k, p in amb]
+        g = n.gens[j - 1]
+        eps = IntMatrix(g, len(cols), tuple(tuple(c[r] for c in cols) for r in range(g)))
+        kb = kernel_basis(eps.hstack(n.relations[j - 1].neg()))
+        basis.append(column_span_basis(kb.submatrix(range(len(amb)), range(kb.cols))))
+    actions = []
+    for a, (s, t) in enumerate(q.arrows):
+        src = basis[s - 1]
+        index = {key: i for i, key in enumerate(_ambient(q, slots, t))}
+        image = [(0,) * src.cols] * len(index)
+        # the arrow sends the basis path (k, p) to (k, p + a)
+        for r, (k, p) in enumerate(_ambient(q, slots, s)):
+            image[index[(k, p + (a,))]] = src.entries[r]
+        actions.append(solve_matrix(basis[t - 1], IntMatrix(len(image), src.cols, tuple(image))))
+    return make_lattice(q, tuple(b.cols for b in basis), actions), tuple(basis)
 
-    dead_rows: set = set()
-    dead_cols: set = set()
-    split_any = False
 
-    for u in q.vertices:
-        rows_u = [i for i, v in enumerate(rows_slots) if v == u and i not in dead_rows]
-        cols_u = [j for j, v in enumerate(cols_slots) if v == u and j not in dead_cols]
-        if not rows_u or not cols_u:
-            continue
-        scalar = IntMatrix.from_rows(
-            [[d[i][j].get((), 0) for j in cols_u] for i in rows_u], cols=len(cols_u))
-        dec = snf(scalar)
-        units = [t for t in range(min(scalar.rows, scalar.cols))
-                 if abs(dec.S.entries[t][t]) == 1]
-        if not units:
-            continue
-        split_any = True
-
-        # row basis change: d[rows_u] <- u_inv . d[rows_u]
-        old_rows = {i: d[i] for i in rows_u}
-        new_rows = {}
-        for li, i in enumerate(rows_u):
-            new_row = [dict() for _ in cols_slots]
-            for lk, k in enumerate(rows_u):
-                coeff = dec.u_inv.entries[li][lk]
-                if coeff:
-                    for j in range(len(cols_slots)):
-                        _ps_add(new_row[j], old_rows[k][j], coeff)
-            new_rows[i] = new_row
-        for i in rows_u:
-            d[i] = new_rows[i]
-        if aug is not None:
-            old_aug = {i: aug[i] for i in rows_u}
-            for li, i in enumerate(rows_u):
-                vec = [0] * m.gens[u - 1]
-                for lk, k in enumerate(rows_u):
-                    coeff = dec.U.entries[lk][li]
-                    if coeff:
-                        vec = [x + coeff * y for x, y in zip(vec, old_aug[k])]
-                aug[i] = tuple(vec)
-        if up_d is not None:
-            # our rows index up_d's columns
-            old_cols = {i: [up_d[r][i] for r in range(len(up_slots))] for i in rows_u}
-            for li, i in enumerate(rows_u):
-                for r in range(len(up_slots)):
-                    acc: dict = {}
-                    for lk, k in enumerate(rows_u):
-                        coeff = dec.U.entries[lk][li]
-                        if coeff:
-                            _ps_add(acc, old_cols[k][r], coeff)
-                    up_d[r][i] = acc
-
-        # column basis change: d[:, cols_u] <- d[:, cols_u] . v_inv
-        old_cols = {j: [d[r][j] for r in range(len(rows_slots))] for j in cols_u}
-        new_cols = {}
-        for lj, j in enumerate(cols_u):
-            col_data = [dict() for _ in rows_slots]
-            for lk, k in enumerate(cols_u):
-                coeff = dec.v_inv.entries[lk][lj]
-                if coeff:
-                    for r in range(len(rows_slots)):
-                        _ps_add(col_data[r], old_cols[k][r], coeff)
-            new_cols[j] = col_data
-        for j in cols_u:
-            for r in range(len(rows_slots)):
-                d[r][j] = new_cols[j][r]
-        if down_d is not None:
-            # our columns index down_d's rows
-            old_down = {j: down_d[j] for j in cols_u}
-            new_down = {}
-            for lj, j in enumerate(cols_u):
-                row_data = [dict() for _ in range(len(down_slots))]
-                for lk, k in enumerate(cols_u):
-                    coeff = dec.V.entries[lj][lk]
-                    if coeff:
-                        for cix in range(len(down_slots)):
-                            _ps_add(row_data[cix], old_down[k][cix], coeff)
-                new_down[j] = row_data
-            for j in cols_u:
-                down_d[j] = new_down[j]
-
-        for t in units:
-            r, c = rows_u[t], cols_u[t]
-            sign = dec.S.entries[t][t]
-            # clear the pivot column with row operations
-            for r2 in range(len(rows_slots)):
-                if r2 == r or r2 in dead_rows or not d[r2][c]:
-                    continue
-                w = {p: sign * cc for p, cc in d[r2][c].items()}
-                for j2 in range(len(cols_slots)):
-                    if j2 in dead_cols or not d[r][j2]:
-                        continue
-                    _ps_add(d[r2][j2], _ps_mul(w, d[r][j2]), -1)
-                if aug is not None:
-                    addend = _apply_path_sum(m, w, rows_slots[r2], u, aug[r2])
-                    aug[r] = tuple(x + y for x, y in zip(aug[r], addend))
-                if up_d is not None:
-                    for rr in range(len(up_slots)):
-                        if up_d[rr][r2]:
-                            _ps_add(up_d[rr][r], _ps_mul(up_d[rr][r2], w))
-            # clear the pivot row with column operations
-            for j2 in range(len(cols_slots)):
-                if j2 == c or j2 in dead_cols or not d[r][j2]:
-                    continue
-                w = {p: sign * cc for p, cc in d[r][j2].items()}
-                for r2 in range(len(rows_slots)):
-                    if r2 in dead_rows or not d[r2][c]:
-                        continue
-                    _ps_add(d[r2][j2], _ps_mul(d[r2][c], w), -1)
-                if down_d is not None:
-                    for cc2 in range(len(down_slots)):
-                        if down_d[j2][cc2]:
-                            _ps_add(down_d[c][cc2], _ps_mul(w, down_d[j2][cc2]))
-            dead_rows.add(r)
-            dead_cols.add(c)
-
-    if not split_any:
-        return None
-
-    keep_rows = [i for i in range(len(rows_slots)) if i not in dead_rows]
-    keep_cols = [j for j in range(len(cols_slots)) if j not in dead_cols]
-    for i in dead_rows:
-        if up_d is not None:
-            assert all(not up_d[r][i] for r in range(len(up_slots))), "nonzero column dropped"
-    for j in dead_cols:
-        if down_d is not None:
-            assert all(not e for e in down_d[j]), "nonzero row dropped"
-
-    new_rows_slots = [rows_slots[i] for i in keep_rows]
-    new_cols_slots = [cols_slots[j] for j in keep_cols]
-    new_d = [[d[i][j] for j in keep_cols] for i in keep_rows]
-    new_aug = [aug[i] for i in keep_rows] if aug is not None else None
-    if down_d is not None:
-        extra = (down_slots, [[down_d[j][cix] for cix in range(len(down_slots))]
-                              for j in keep_cols])
-    else:
-        extra = (up_slots, [[up_d[r][i] for i in keep_rows] for r in range(len(up_slots))])
-    return new_rows_slots, new_cols_slots, new_d, new_aug, extra
+def _path_entries(q: Quiver, row_slots, col_slots, columns) -> tuple:
+    """Entries of the map P(col_slots) -> P(row_slots) sending column c's
+    trivial path to columns[c], given in the (slot, path) basis of
+    P(row_slots) at that column's vertex.  That basis lists each slot's
+    paths sorted, so every entry comes out as a sorted path sum."""
+    out = [[[] for _ in col_slots] for _ in row_slots]
+    for c, (v, vec) in enumerate(zip(col_slots, columns)):
+        for x, (r, p) in zip(vec, _ambient(q, row_slots, v)):
+            if x:
+                out[r][c].append((p, x))
+    return tuple(tuple(tuple(e) for e in row) for row in out)
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,6 @@ class IntMatrix:
     def column(vector: Sequence[int]) -> "IntMatrix":
         return IntMatrix.from_rows([[int(x)] for x in vector], cols=1)
 
-    def __getitem__(self, pos):
-        i, j = pos
-        return self.entries[i][j]
-
     def row(self, i: int) -> tuple:
         return self.entries[i]
 

@@ -211,6 +211,38 @@ def test_cli_verify(workdir, capsys):
     assert "FAIL rep-wellformed" in out
 
 
+def test_cli_verify_lattice_rep(workdir, capsys):
+    quiver, p1 = str(workdir / "a2.quiver"), str(workdir / "p1.rep")
+    assert main(["verify", quiver, "--dim-bound", "5", "--prime", "2", "--rep", p1]) == 0
+    out = capsys.readouterr().out
+    for check in ("rep-wellformed", "rep-euler", "rep-rigid"):
+        assert f"PASS {check}({p1})\n" in out
+    assert "FAIL" not in out
+
+
+def test_cli_verify_rep_over_another_quiver(workdir, capsys):
+    (workdir / "a3.quiver").write_text(
+        "clusterforge/1 quiver\nvertices 3\narrows [[1, 2], [2, 3]]\n")
+    other = workdir / "a3.rep"
+    other.write_text("clusterforge/1 rep\nquiver a3.quiver\ngenerators [1, 0, 0]\n")
+    assert main(["verify", str(workdir / "a2.quiver"), "--dim-bound", "5", "--prime", "2",
+                 "--rep", str(other)]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL rep-wellformed({other}): " in out
+    assert "quiver has 2" in out
+    assert "PASS euler-pairing" in out
+
+
+def test_cli_verify_unparsable_rep(workdir, capsys):
+    junk = workdir / "junk.rep"
+    junk.write_text("this is not a rep file\n")
+    assert main(["verify", str(workdir / "a2.quiver"), "--dim-bound", "5", "--prime", "2",
+                 "--rep", str(junk)]) == 1
+    out = capsys.readouterr().out
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith(f"FAIL rep-wellformed({junk}): ")
+
+
 def test_cli_pool(workdir, capsys):
     assert main(["pool", str(workdir / "a2.quiver"), "--dim-bound", "5"]) == 0
     out = capsys.readouterr().out

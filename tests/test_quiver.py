@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 from clusterforge.errors import CyclicQuiver, DimensionMismatch
 from clusterforge.quiver import (
     Quiver,
+    _euler_inverse,
     coxeter_apply,
+    coxeter_inverse,
     coxeter_matrix,
     dynkin_type,
     euler_form,
@@ -12,6 +14,7 @@ from clusterforge.quiver import (
     is_connected,
     validate,
 )
+from clusterforge.zlinalg import IntMatrix
 
 A2 = Quiver(2, ((1, 2),))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -116,6 +119,18 @@ def test_coxeter_matrix_unimodular():
         b = euler_matrix(q)
         # Phi = -B^{-1} B^T pinned by the translate convention
         assert b.mul(phi).entries == b.transpose().neg().entries
+
+
+@settings(max_examples=30, deadline=None)
+@given(acyclic_quivers())
+def test_euler_inverse_counts_paths(q):
+    from clusterforge.rep import paths_from
+    for quiver in (q, q.opposite()):
+        inv = _euler_inverse(quiver)
+        assert euler_matrix(quiver).mul(inv) == IntMatrix.identity(quiver.n)
+        assert inv.entries == tuple(tuple(len(paths_from(quiver, i)[j]) for j in quiver.vertices)
+                                    for i in quiver.vertices)
+        assert coxeter_matrix(quiver).mul(coxeter_inverse(quiver)) == IntMatrix.identity(quiver.n)
 
 
 def test_euler_row_of_projective_reads_ranks():

@@ -1,9 +1,12 @@
+import math
+import random
+
 import pytest
 
 from clusterforge import clear_caches, rep, zlinalg
 from clusterforge.cluster import build_pool
 from clusterforge.errors import NotASummand, PreconditionViolated
-from clusterforge.quiver import Quiver, euler_form
+from clusterforge.quiver import Quiver, euler_form, validate
 from clusterforge.rep import (
     ZRep,
     _resolution_h1,
@@ -40,6 +43,8 @@ from clusterforge.zlinalg import (
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
+D4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
+A_TILDE_2_1 = Quiver(3, ((1, 2), (2, 3), (1, 3)))
 
 
 def test_projective_ranks():
@@ -207,6 +212,63 @@ def test_resolution_exactness():
         assert_resolution_exact(m)
 
 
+def assert_resolution_minimal(res):
+    """No same-vertex trivial-path block of d1 or d2 has a unit invariant factor.
+
+    The first invariant factor of an integer block is the gcd of its
+    entries, so a unit one is exactly an entry gcd of 1.
+    """
+    for rows, cols, d in ((res.p0, res.p1, res.d1), (res.p1, res.p2, res.d2)):
+        for u in res.module.quiver.vertices:
+            block = [dict(d[r][c]).get((), 0) for r, v in enumerate(rows) if v == u
+                     for c, w in enumerate(cols) if w == u]
+            assert math.gcd(*block) != 1, (u, rows, cols, d)
+
+
+def test_resolution_minimality():
+    for m in (simple(A2, 1), torsion_simple(A2, 1, 2), torsion_simple(A2, 2, 6),
+              projective(A3, 1), simple(A3, 2), injective_lattice(A3, 1),
+              projective(KRONECKER, 1), torsion_simple(A3, 2, 4)):
+        assert_resolution_minimal(projective_resolution(m))
+
+
+def random_presented(q: Quiver, rng: random.Random, lattice: bool = False) -> ZRep:
+    """Random actions and, unless lattice, random relations closed under the arrows."""
+    gens = [rng.randint(0, 2) for _ in q.vertices]
+    actions = [IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(gens[s - 1])]
+                                    for _ in range(gens[t - 1])], cols=gens[s - 1])
+               for s, t in q.arrows]
+    relations = {}
+    for v in validate(q):
+        g = gens[v - 1]
+        cols = [] if lattice else \
+            [[rng.choice((0, 0, 1, 2, 3, -4)) for _ in range(g)] for _ in range(rng.randint(0, 2))]
+        for a in q.arrows_into(v):
+            image = actions[a].mul(relations[q.arrows[a][0]])
+            cols += [image.col(j) for j in range(image.cols)]
+        relations[v] = IntMatrix.from_rows([[c[r] for c in cols] for r in range(g)], cols=len(cols))
+    return ZRep(q, tuple(gens), tuple(relations[v] for v in q.vertices), tuple(actions))
+
+
+@pytest.mark.parametrize("q", (A3, KRONECKER, D4, A_TILDE_2_1),
+                         ids=["A3", "Kronecker", "D4", "A~(2,1)"])
+def test_random_presented_resolutions(q):
+    # exact and minimal on 50 random presented modules per quiver; on
+    # lattice pairs, where ext1_group takes the intertwining route, the
+    # resolution's H^1 must agree with it
+    rng = random.Random(13)
+    targets = [projective(q, i) for i in q.vertices] + [injective_lattice(q, i) for i in q.vertices]
+    targets += [random_presented(q, rng, lattice=True) for _ in range(2)]
+    for k in range(50):
+        m = random_presented(q, rng, lattice=k % 5 == 0)
+        assert_resolution_exact(m)
+        res = projective_resolution(m)
+        assert_resolution_minimal(res)
+        if m.is_lattice:
+            for n in targets:
+                assert _resolution_h1(res, n) == ext1_group(m, n), (m, n)
+
+
 def test_ext_dual_route_agreement():
     mods = [projective(A3, i) for i in A3.vertices]
     mods += [injective_lattice(A3, i) for i in A3.vertices]
@@ -329,7 +391,6 @@ def test_dualize_rejects_torsion():
         dualize(torsion_simple(A2, 1, 2))
 
 
-D4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
 A5_MIXED = Quiver(5, ((2, 1), (2, 3), (4, 3), (4, 5)))
 
 
