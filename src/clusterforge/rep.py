@@ -13,8 +13,9 @@ featuring a multiplication-by-2 entry next to an arrow entry; at the
 sink the resolution collapses to two terms.
 
 Between lattices Hom is the kernel and Ext^1 the cokernel of one
-intertwining matrix, so each ordered pair costs one Smith reduction with
-no transform tracked; a Hom basis is computed only when it is read.
+intertwining matrix, built as sparse rows, so each ordered pair costs one
+`smith_invariants` reduction with no transform tracked; a Hom basis is
+computed, on the rows made dense, only when it is read.
 Ext^1 out of a presented module is read off its minimal projective
 resolution, whose every stage is a projective cover of a top, minimal
 as built: nothing is split off afterwards.
@@ -37,6 +38,7 @@ from .quiver import Quiver, validate
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
+    _matrix,
     block_diag,
     column_span_basis,
     free_cokernel,
@@ -44,8 +46,8 @@ from .zlinalg import (
     kernel_basis,
     kernel_rank_cokernel,
     rank,
-    rank_mod,
     rref_mod_p,
+    smith_invariants,
     snf,
     solve_matrix,
     subquotient_structure,
@@ -131,6 +133,15 @@ def make_lattice(q: Quiver, ranks, actions) -> ZRep:
     ranks = tuple(int(r) for r in ranks)
     empty = tuple(IntMatrix.zero(r, 0) for r in ranks)
     return ZRep(q, ranks, empty, tuple(actions))
+
+
+def _lattice(q: Quiver, ranks: tuple, actions: tuple) -> ZRep:
+    """A lattice built where its shapes hold by construction, such as each
+    step of a reflection, without the checks of the public constructor."""
+    m = object.__new__(ZRep)
+    m.__dict__.update(quiver=q, gens=ranks, actions=actions,
+                      relations=tuple(_matrix(r, 0, ((),) * r) for r in ranks))
+    return m
 
 
 def zero_rep(q: Quiver) -> ZRep:
@@ -271,7 +282,9 @@ def _intertwining_rows(q: Quiver, m_gens, n_gens, m_actions, n_actions) -> tuple
 
     Actions are per-arrow row tuples (IntMatrix entries, or FieldRep
     actions); the variables follow _hom_var_layout.  There is one row per
-    entry (r, c) of each arrow component, in arrow, row, column order.
+    entry (r, c) of each arrow component, in arrow, row, column order,
+    as a {variable: coefficient} dict without zeros.  The two terms sit
+    in the blocks of t(a) and s(a), which differ on an acyclic quiver.
     """
     offsets, nvars = _hom_var_layout(m_gens, n_gens)
     rows = []
@@ -283,25 +296,32 @@ def _intertwining_rows(q: Quiver, m_gens, n_gens, m_actions, n_actions) -> tuple
             at_t = offsets[tv] + r * g_mt
             na_r = na[r]
             for c in range(g_ms):
-                row = [0] * nvars
-                for k in range(g_mt):
-                    row[at_t + k] += ma[k][c]
+                row = {at_t + k: ma[k][c] for k in range(g_mt) if ma[k][c]}
                 at_s = offsets[su] + c
                 for k in range(g_ns):
-                    row[at_s + k * g_ms] -= na_r[k]
+                    if na_r[k]:
+                        row[at_s + k * g_ms] = -na_r[k]
                 rows.append(row)
     return rows, nvars
 
 
-def _intertwining_matrix(q: Quiver, m_gens, n_gens, m_actions, n_actions) -> IntMatrix:
-    rows, nvars = _intertwining_rows(q, m_gens, n_gens, m_actions, n_actions)
-    return IntMatrix(len(rows), nvars, tuple(map(tuple, rows)))
+def _dense(row: dict, width: int) -> list:
+    out = [0] * width
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+def _lattice_rows(m: ZRep, n: ZRep) -> tuple:
+    """The sparse intertwining rows of two ZReps, on their generator columns."""
+    return _intertwining_rows(m.quiver, m.gens, n.gens,
+                              [x.entries for x in m.actions], [x.entries for x in n.actions])
 
 
 def _lattice_matrix(m: ZRep, n: ZRep) -> IntMatrix:
-    """The intertwining matrix of two ZReps, on their generator columns."""
-    return _intertwining_matrix(m.quiver, m.gens, n.gens,
-                                [x.entries for x in m.actions], [x.entries for x in n.actions])
+    """The intertwining matrix of two ZReps, made dense."""
+    rows, nvars = _lattice_rows(m, n)
+    return IntMatrix(len(rows), nvars, tuple(tuple(_dense(row, nvars)) for row in rows))
 
 
 @memo
@@ -309,10 +329,10 @@ def _lattice_hom_ext(m: ZRep, n: ZRep) -> tuple:
     """(Hom, Ext^1) between lattices from one untracked reduction.
 
     Hom is free of rank cols - rank of the intertwining matrix and Ext^1
-    is its cokernel.  The Hom basis is rebuilt from (m, n) when read, so
-    no matrix is kept alive.
+    is its cokernel, both read off its sparse rows.  The Hom basis is
+    rebuilt from (m, n) when read, so no matrix is kept alive.
     """
-    nullity, ext = kernel_rank_cokernel(_lattice_matrix(m, n))
+    nullity, ext = kernel_rank_cokernel(*_lattice_rows(m, n))
     return Hom(FinAbGroup(nullity), partial(_lattice_hom_basis, m, n)), ext
 
 
@@ -345,6 +365,7 @@ def hom_group(m: ZRep, n: ZRep) -> Hom:
         return offsets[v] + r * m.gens[v] + c
 
     rows, nvars = _intertwining_rows(q, m.gens, n.gens, m_actions, n_actions)
+    rows = [_dense(row, nvars) for row in rows]
     # each equation holds modulo one row of the target relations: row r at t(a)
     rels = [n.relations[t - 1].entries[r] for s, t in q.arrows
             for r in range(n.gens[t - 1]) for _ in range(m.gens[s - 1])]
@@ -785,6 +806,6 @@ def field_hom_ext_dims(m: FieldRep, n: FieldRep) -> tuple:
     """
     if m.quiver != n.quiver or m.p != n.p:
         raise DimensionMismatch("field representations are not comparable")
-    mat = _intertwining_matrix(m.quiver, m.dims, n.dims, m.actions, n.actions)
-    rk = rank_mod(mat, n.p)
-    return mat.cols - rk, mat.rows - rk
+    rows, nvars = _intertwining_rows(m.quiver, m.dims, n.dims, m.actions, n.actions)
+    rk = smith_invariants(rows, n.p)[0]
+    return nvars - rk, len(rows) - rk

@@ -175,7 +175,7 @@ def _reflect_sink(q: Quiver, m: ZRep, k: int) -> tuple:
             actions.append(block)
         else:
             actions.append(m.actions[a])
-    return new_q, rep.make_lattice(new_q, gens, actions)
+    return new_q, rep._lattice(new_q, gens, tuple(actions))
 
 
 def _reflect_source(q: Quiver, m: ZRep, k: int) -> tuple:
@@ -198,4 +198,4 @@ def _reflect_source(q: Quiver, m: ZRep, k: int) -> tuple:
             actions.append(block)
         else:
             actions.append(m.actions[a])
-    return new_q, rep.make_lattice(new_q, gens, actions)
+    return new_q, rep._lattice(new_q, gens, tuple(actions))

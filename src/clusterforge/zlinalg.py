@@ -11,16 +11,22 @@ Matrices are immutable and row-major.  Pivoting is deterministic
 (smallest nonzero absolute value, first occurrence in row-major scan),
 so the transforms U and V are reproducible between runs.
 
-One elimination, `_eliminate`, serves every caller and updates only the
-transforms (of M = U S V) the caller reads:
+Callers that print a basis share one dense elimination, `_eliminate`,
+which updates only the transforms (of M = U S V) the caller reads:
 
 - `snf`: all four, U, u_inv, V and v_inv;
-- `rank`, `is_split_injective`, `cokernel_structure`,
-  `kernel_rank_cokernel`: none;
 - `kernel_basis`: v_inv;
 - `solve` / `solve_matrix` / `solve_with_rank`: u_inv and v_inv;
 - `column_span_basis`: U;
 - `free_cokernel`: U and u_inv.
+
+Callers that read only the rank and the invariant factors (`rank`,
+`is_split_injective`, `cokernel_structure`, `kernel_rank_cokernel` and
+`rank_mod`) share the sparse kernel `smith_invariants` instead.  It
+eliminates on unit pivots, each of which splits off an invariant factor
+1, and hands only the residual without a unit to an untracked
+`_eliminate`; over F_p every nonzero entry is a unit, so nothing is
+left.  Smith invariants are unique, so the two routes agree exactly.
 """
 
 from __future__ import annotations
@@ -339,8 +345,75 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     )
 
 
+def smith_invariants(rows: list, p: int = 0) -> tuple:
+    """(rank, invariant factors other than 1) of a sparse matrix.
+
+    Each row is a {column: entry} dict without zero entries; the dicts
+    are reduced in place.  Over Z (p == 0) the factors form the chain
+    d_1 | d_2 | ... of the Smith form; over F_p, p prime, there are none.
+
+    While some entry is a unit (+-1 over Z, any nonzero over F_p), one in
+    the shortest such row clears its column by row operations; its row
+    and column then carry nothing else of the Smith form, so they are
+    dropped, adding 1 to the rank.  The residual, with no unit left, is
+    reduced densely by `_eliminate`.
+    """
+    if p:
+        rows = [{c: x % p for c, x in row.items() if x % p} for row in rows]
+    live = [row for row in rows if row]
+    r = 0
+    while live:
+        pivot_row = col = None
+        for row in live:
+            if pivot_row is not None and len(row) >= len(pivot_row):
+                continue
+            for c, x in row.items():
+                if p or x == 1 or x == -1:
+                    pivot_row, col = row, c
+                    break
+            if pivot_row is not None and len(pivot_row) == 1:
+                break
+        if pivot_row is None:
+            break
+        x = pivot_row.pop(col)
+        # scale the pivot to 1, so row -= a * pivot_row clears a
+        inv = pow(x, -1, p) if p else x
+        if inv != 1:
+            for c in pivot_row:
+                pivot_row[c] = pivot_row[c] * inv % p if p else -pivot_row[c]
+        rest = []
+        for row in live:
+            if row is pivot_row:
+                continue
+            a = row.pop(col, 0)
+            if a:
+                for c, y in pivot_row.items():
+                    v = row.get(c, 0) - a * y
+                    if p:
+                        v %= p
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+            if row:
+                rest.append(row)
+        live = rest
+        r += 1
+    if not live:
+        return r, ()
+    cols = sorted({c for row in live for c in row})
+    residual = _matrix(len(live), len(cols),
+                       tuple(tuple(row.get(c, 0) for c in cols) for row in live))
+    diagonal, _ = _eliminate(residual)
+    return r + _rank(diagonal), tuple(d for d in diagonal if d > 1)
+
+
+def _sparse(m: IntMatrix) -> list:
+    return [{c: x for c, x in enumerate(row) if x} for row in m.entries]
+
+
 def rank(m: IntMatrix) -> int:
-    return _rank(_eliminate(m)[0])
+    return smith_invariants(_sparse(m))[0]
 
 
 def is_split_injective(m: IntMatrix) -> bool:
@@ -349,8 +422,8 @@ def is_split_injective(m: IntMatrix) -> bool:
     Exactly when every Smith invariant factor is 1 and the rank is the
     column count; a square m is then unimodular.
     """
-    diagonal, _ = _eliminate(m)
-    return len(diagonal) == m.cols and all(d == 1 for d in diagonal)
+    r, torsion = smith_invariants(_sparse(m))
+    return r == m.cols and not torsion
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -521,14 +594,15 @@ def group_from_factors(free_rank: int, factors: Iterable[int]) -> FinAbGroup:
 
 def cokernel_structure(m: IntMatrix) -> FinAbGroup:
     """Structure of Z^rows / (column span of m)."""
-    return kernel_rank_cokernel(m)[1]
+    return kernel_rank_cokernel(_sparse(m), m.cols)[1]
 
 
-def kernel_rank_cokernel(m: IntMatrix) -> tuple:
-    """(rank of the kernel lattice of m, cokernel_structure(m)), one reduction."""
-    diagonal, _ = _eliminate(m)
-    r = _rank(diagonal)
-    return m.cols - r, FinAbGroup(m.rows - r, tuple(d for d in diagonal if d > 1))
+def kernel_rank_cokernel(rows: list, cols: int) -> tuple:
+    """(rank of the kernel lattice, structure of the cokernel), one reduction,
+    of the matrix with `cols` columns and the sparse `rows` of
+    `smith_invariants`, which are reduced in place."""
+    r, torsion = smith_invariants(rows)
+    return cols - r, FinAbGroup(len(rows) - r, torsion)
 
 
 def subquotient_structure(span: IntMatrix, relations: IntMatrix) -> FinAbGroup:
@@ -547,9 +621,7 @@ def subquotient_structure(span: IntMatrix, relations: IntMatrix) -> FinAbGroup:
 
 def rank_mod(m: IntMatrix, p: int) -> int:
     """Rank of m over F_p for prime p, or over Q when p == 0."""
-    if p == 0:
-        return rank(m)
-    return len(rref_mod_p(m.entries, p)[1])
+    return smith_invariants(_sparse(m), p)[0]
 
 
 def rref_mod_p(rows, p: int) -> tuple:

@@ -485,6 +485,28 @@ def test_ext1_c_matches_the_orbit_formula_closed_forms(q, bound, max_nodes):
             assert hom_c(x, y) == oracles.orbit_hom_c(x, y), pair
 
 
+A_TILDE_3_1 = Quiver(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
+A_TILDE_2_2 = Quiver(4, ((1, 2), (2, 4), (1, 3), (3, 4)))
+
+
+@pytest.mark.parametrize("q, bound, clusters",
+                         ((A_TILDE_2_1, 3, 26), (A_TILDE_3_1, 2, 65), (A_TILDE_2_2, 2, 72)),
+                         ids=["A~(2,1)", "A~(3,1)", "A~(2,2)"])
+def test_exchange_graph_is_transitive_on_affine_quivers(q, bound, clusters):
+    # within the bound, mutation reaches every maximal compatible set of
+    # the pool and of the tube modules mutation constructs; those carry
+    # no orbit coordinate, so their pairs are eliminated
+    g = exchange_graph(q, bound)
+    pool = build_pool(q, bound)
+    for node in g.nodes:
+        for o in node:
+            pool.add(o, "graph")
+    assert any(o.is_module and o.coord is None for o in pool.objects)
+    oracle_nodes = {tuple(s.key() for s in c) for c in oracles.maximal_compatible_sets(pool)}
+    assert {tuple(s.key() for s in node) for node in g.nodes} == oracle_nodes
+    assert len(oracle_nodes) == clusters
+
+
 def test_orbit_walk_translates_each_module_once():
     # building the pool walks every orbit once and Ext^1 reads only the
     # first translate of its target, so tau runs once per non-projective

@@ -34,8 +34,8 @@ from clusterforge.rep import (
 from clusterforge.zlinalg import (
     FinAbGroup,
     IntMatrix,
-    cokernel_structure,
     kernel_basis,
+    snf,
     solve_matrix,
     subquotient_structure,
 )
@@ -396,37 +396,46 @@ A5_MIXED = Quiver(5, ((2, 1), (2, 3), (4, 3), (4, 5)))
 
 @pytest.mark.parametrize("q", (D4, A5_MIXED, KRONECKER), ids=["D4", "A5-mixed", "Kronecker"])
 def test_lattice_hom_and_ext_match_the_eager_reductions(q):
-    # the eager route: a v_inv-tracked kernel basis and a separate
-    # cokernel, each on its own copy of the intertwining matrix
+    # the eager route: a v_inv-tracked kernel basis and the full Smith
+    # form, each on its own dense copy of the intertwining matrix
     modules = [obj.module for obj in build_pool(q, 6).modules()]
     for m in modules:
         for n in modules:
-            mat = rep._intertwining_matrix(q, m.gens, n.gens, [x.entries for x in m.actions],
-                                           [x.entries for x in n.actions])
+            mat = rep._lattice_matrix(m, n)
             kb = kernel_basis(mat)
             hom = hom_group(m, n)
             assert hom.group == FinAbGroup(kb.cols)
             assert hom.basis == tuple(rep._unflatten_hom(m, n, kb.col(j)) for j in range(kb.cols))
-            assert ext1_group(m, n) == cokernel_structure(mat)
+            diagonal = snf(mat).diagonal
+            rank = sum(1 for d in diagonal if d)
+            assert ext1_group(m, n) == FinAbGroup(mat.rows - rank,
+                                                  tuple(d for d in diagonal if d > 1))
 
 
 def test_one_untracked_reduction_per_lattice_pair(monkeypatch):
+    # one sparse reduction per pair, then one v_inv-tracked dense one on
+    # the first basis read
     clear_caches()
     m = projective(A3, 1)
-    tracked = []
-    inner = zlinalg._eliminate
+    calls = []
+    sparse, dense = zlinalg.smith_invariants, zlinalg._eliminate
 
-    def counted(mat, track=()):
-        tracked.append(tuple(track))
-        return inner(mat, track)
+    def counted_sparse(rows, p=0):
+        calls.append("invariants")
+        return sparse(rows, p)
 
-    monkeypatch.setattr(zlinalg, "_eliminate", counted)
+    def counted_dense(mat, track=()):
+        calls.append(tuple(track))
+        return dense(mat, track)
+
+    monkeypatch.setattr(zlinalg, "smith_invariants", counted_sparse)
+    monkeypatch.setattr(zlinalg, "_eliminate", counted_dense)
     hom = hom_group(m, m)
     assert ext1_group(m, m).is_trivial
     assert is_exceptional(m)
-    assert tracked == [()]
+    assert calls == ["invariants"]
     basis = hom.basis
     assert len(basis) == 1
-    assert tracked == [(), ("v_inv",)]
+    assert calls == ["invariants", ("v_inv",)]
     assert hom_group(m, m).basis is basis
-    assert tracked == [(), ("v_inv",)]
+    assert calls == ["invariants", ("v_inv",)]

@@ -1,11 +1,14 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
+from clusterforge import clear_caches, cluster, verify, zlinalg
 from clusterforge.errors import DimensionMismatch, NoSolution
+from clusterforge.quiver import Quiver
 from clusterforge.zlinalg import (
     FinAbGroup,
     IntMatrix,
     _eliminate,
+    _sparse,
     cokernel_structure,
     column_span_basis,
     free_cokernel,
@@ -14,6 +17,8 @@ from clusterforge.zlinalg import (
     kernel_basis,
     rank,
     rank_mod,
+    rref_mod_p,
+    smith_invariants,
     snf,
     solve,
     solve_matrix,
@@ -192,6 +197,70 @@ def test_column_span_basis_spans(m):
         solve_matrix(m, basis)
 
 
+# Sparse matrices with small entries, like the intertwining systems:
+# eliminating on a unit pivot fills in other rows, and what is left
+# without a unit needs the dense step.
+sparse_matrices = st.integers(min_value=0, max_value=6).flatmap(
+    lambda r: st.integers(min_value=0, max_value=6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3)), min_size=c, max_size=c),
+            min_size=r, max_size=r).map(lambda rows: IntMatrix.from_rows(rows, cols=c))))
+
+
+def _dense_calls(m):
+    """The shapes smith_invariants hands to the dense _eliminate for m."""
+    shapes = []
+    inner = zlinalg._eliminate
+
+    def counted(mat, track=()):
+        shapes.append((mat.rows, mat.cols))
+        return inner(mat, track)
+
+    zlinalg._eliminate = counted
+    try:
+        smith_invariants(_sparse(m))
+    finally:
+        zlinalg._eliminate = inner
+    return shapes
+
+
+def test_unit_pivots_fill_in_and_leave_a_dense_residual():
+    # pivoting on (0, 0) fills in (1, 1); the unit pivots then finish
+    fill_in = IntMatrix.from_rows([[1, 1, 0], [1, 0, 1]])
+    assert _dense_calls(fill_in) == []
+    assert smith_invariants(_sparse(fill_in)) == (2, ())
+    # one unit pivot, then a 2 x 2 residual with no unit left
+    residual = IntMatrix.from_rows([[1, 2, 0], [2, 6, 4], [0, 6, 8]])
+    assert _dense_calls(residual) == [(2, 2)]
+    assert smith_invariants(_sparse(residual)) == (3, (2, 4)) == (3, snf(residual).diagonal[1:])
+    # over F_p every nonzero entry is a unit, so nothing is left
+    assert smith_invariants(_sparse(residual), 2) == (1, ())
+
+
+def test_sparse_strategy_reaches_the_dense_residual():
+    m = find(sparse_matrices, lambda m: _dense_calls(m) != [], settings=settings(database=None))
+    assert smith_invariants(_sparse(m)) == (snf(m).rank, tuple(d for d in snf(m).diagonal if d > 1))
+
+
+def test_euler_pairing_on_e6_makes_no_dense_untracked_reduction(monkeypatch):
+    # every intertwining matrix of the E6 pool is eliminated on unit
+    # pivots alone, so a silent fallback to the dense path shows here
+    e6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+    pool = cluster.build_pool(e6, 12)
+    clear_caches()
+    untracked = []
+    inner = zlinalg._eliminate
+
+    def counted(mat, track=()):
+        if not track:
+            untracked.append((mat.rows, mat.cols))
+        return inner(mat, track)
+
+    monkeypatch.setattr(zlinalg, "_eliminate", counted)
+    assert verify._euler_pairing(e6, pool.modules()).passed
+    assert untracked == []
+
+
 TRANSFORMS = ("U", "u_inv", "V", "v_inv")
 
 
@@ -226,13 +295,15 @@ def _snf_solve_matrix(m, b):
     return dec.v_inv.mul(IntMatrix.from_rows(y, cols=b.cols))
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrices, st.data())
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(matrices, sparse_matrices), st.data())
 def test_lean_paths_match_full_snf(m, data):
     dec = snf(m)
     r = dec.rank
     assert rank(m) == r
     assert rank_mod(m, 0) == r
+    for p in (2, 3, 5):
+        assert rank_mod(m, p) == len(rref_mod_p(m.entries, p)[1])
     assert cokernel_structure(m) == FinAbGroup(
         m.rows - r, tuple(d for d in dec.diagonal if d > 1))
     assert is_split_injective(m) == (r == m.cols and all(d == 1 for d in dec.diagonal))
