@@ -60,7 +60,16 @@ from .errors import (
     PreconditionViolated,
 )
 from .memo import hash_once, memo, once
-from .quiver import Quiver, coxeter_apply, euler_form, is_connected, is_dynkin, validate
+from .quiver import (
+    Quiver,
+    coxeter_apply,
+    coxeter_inverse,
+    coxeter_matrix,
+    euler_form,
+    is_connected,
+    is_dynkin,
+    validate,
+)
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -324,8 +333,10 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
 
     Each orbit is walked once: backward from every injective lattice
     first, and forward from a projective only when no backward walk
-    reached it.  A walk ends at a projective or at its first translate
-    past the bound, so the pool is closed under tau within the bound;
+    reached it.  A walk ends at a projective or before its first
+    translate past the bound, which the Coxeter transform of the last
+    dimension vector predicts, so no translate past the bound is built
+    and the pool is closed under tau within the bound;
     tau is the composite of the sink reflections, so transporting pool
     modules through them adds nothing.  For Dynkin quivers the result is
     the complete list of rigid indecomposables; otherwise the
@@ -350,15 +361,15 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
         m = rep.projective(q, i)
         if _within_bound(m, dim_bound):
             pool.add(ClusterObject.from_module(m, ("P", i, 0)), "projective")
+    phi, phi_inv = coxeter_matrix(q), coxeter_inverse(q)
     # translate backward from injectives; reaching a projective closes the orbit
     closed = set()
     for j in q.vertices:
         walk = [rep.injective_lattice(q, j)]
         while (i := serre.projective_index_of(walk[-1])) is None:
-            m = serre.tau(walk[-1])
-            if not _within_bound(m, dim_bound):
+            if max(phi.mul_vec(walk[-1].gens)) > dim_bound:
                 break
-            walk.append(m)
+            walk.append(serre.tau(walk[-1]))
         else:
             closed.add(i)
         for b, m in enumerate(walk):
@@ -375,10 +386,10 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
         m = rep.projective(q, i)
         a = 0
         while serre.injective_index_of(m) is None:
+            if max(phi_inv.mul_vec(m.gens)) > dim_bound:
+                break
             m = serre.tau_inv(m)
             a += 1
-            if not _within_bound(m, dim_bound):
-                break
             pool.add(ClusterObject.from_module(m, ("P", i, a)), "tau-orbit")
     return pool
 

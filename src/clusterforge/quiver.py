@@ -144,6 +144,7 @@ def coxeter_matrix(q: Quiver) -> IntMatrix:
     return _euler_inverse(q).mul(b.transpose()).neg()
 
 
+@memo
 def coxeter_inverse(q: Quiver) -> IntMatrix:
     """Phi^{-1} = -B^{-T} B."""
     b = euler_matrix(q)

@@ -15,7 +15,8 @@ sink the resolution collapses to two terms.
 Between lattices Hom is the kernel and Ext^1 the cokernel of one
 intertwining matrix, built as sparse rows, so each ordered pair costs one
 `smith_invariants` reduction with no transform tracked; a Hom basis is
-computed, on the rows made dense, only when it is read.
+computed, on the rows made dense, only when it is read, and never for a
+Hom of rank 0.
 Ext^1 out of a presented module is read off its minimal projective
 resolution, whose every stage is a projective cover of a top, minimal
 as built: nothing is split off afterwards.
@@ -330,10 +331,12 @@ def _lattice_hom_ext(m: ZRep, n: ZRep) -> tuple:
 
     Hom is free of rank cols - rank of the intertwining matrix and Ext^1
     is its cokernel, both read off its sparse rows.  The Hom basis is
-    rebuilt from (m, n) when read, so no matrix is kept alive.
+    rebuilt from (m, n) when read, so no matrix is kept alive; a Hom of
+    rank 0 has the empty basis and is never reduced again.
     """
     nullity, ext = kernel_rank_cokernel(*_lattice_rows(m, n))
-    return Hom(FinAbGroup(nullity), partial(_lattice_hom_basis, m, n)), ext
+    make_basis = partial(_lattice_hom_basis, m, n) if nullity else tuple
+    return Hom(FinAbGroup(nullity), make_basis), ext
 
 
 def _lattice_hom_basis(m: ZRep, n: ZRep) -> tuple:
@@ -662,14 +665,15 @@ def strip_summand(m: ZRep, s: ZRep) -> ZRep:
     Searches for a split pair r . incl = id_s through the composition
     pairing of Hom bases; the Smith form of the pairing matrix attains
     its gcd, so a unit first invariant factor yields explicit witnesses.
-    Raises NotASummand when no split pair exists.
+    Raises NotASummand when no split pair exists, before either basis
+    is read when one of the two Hom groups is trivial.
     """
     if not is_exceptional(s):
         raise PreconditionViolated("strip_summand needs an exceptional summand")
-    maps_in = hom_group(s, m).basis
-    maps_out = hom_group(m, s).basis
-    if not maps_in or not maps_out:
+    hom_in, hom_out = hom_group(s, m), hom_group(m, s)
+    if hom_in.group.is_trivial or hom_out.group.is_trivial:
         raise NotASummand("no homomorphisms in one direction")
+    maps_in, maps_out = hom_in.basis, hom_out.basis
     probe = next((v for v in range(m.quiver.n) if s.gens[v] > 0), None)
     pairing = []
     for rb in maps_out:

@@ -21,16 +21,21 @@ which updates only the transforms (of M = U S V) the caller reads:
 - `free_cokernel`: U and u_inv.
 
 Callers that read only the rank and the invariant factors (`rank`,
-`is_split_injective`, `cokernel_structure`, `kernel_rank_cokernel` and
-`rank_mod`) share the sparse kernel `smith_invariants` instead.  It
-eliminates on unit pivots, each of which splits off an invariant factor
-1, and hands only the residual without a unit to an untracked
-`_eliminate`; over F_p every nonzero entry is a unit, so nothing is
-left.  Smith invariants are unique, so the two routes agree exactly.
+`is_split_injective`, `cokernel_structure` and `kernel_rank_cokernel`,
+and over F_p the field Hom dimensions) share the sparse kernel
+`smith_invariants` instead.  It eliminates on unit pivots, each of
+which splits off an invariant factor 1, and hands only the residual
+without a unit to an untracked `_eliminate`; over F_p every nonzero
+entry is a unit, so nothing is left.  A pivot is a row reduced to a
+single unit entry when there is one, which fills nothing in, and
+otherwise the first shortest row with a unit; a column index sends
+each pivot only to the rows holding its column.  Smith invariants are
+unique, so the two routes agree exactly.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -352,52 +357,67 @@ def smith_invariants(rows: list, p: int = 0) -> tuple:
     are reduced in place.  Over Z (p == 0) the factors form the chain
     d_1 | d_2 | ... of the Smith form; over F_p, p prime, there are none.
 
-    While some entry is a unit (+-1 over Z, any nonzero over F_p), one in
-    the shortest such row clears its column by row operations; its row
-    and column then carry nothing else of the Smith form, so they are
-    dropped, adding 1 to the rank.  The residual, with no unit left, is
-    reduced densely by `_eliminate`.
+    While some entry is a unit (+-1 over Z, any nonzero over F_p), it
+    clears its column by row operations; its row and column then carry
+    nothing else of the Smith form, so they are dropped, adding 1 to the
+    rank.  A column -> rows index, extended on fill-in, sends each pivot
+    only to the rows that hold its column.  Pivots come from a stack of
+    rows that are, or have shrunk to, a single unit entry, which fill
+    nothing in; only when it is empty does `_shortest_unit_row` scan the
+    live rows for the first shortest one with a unit.  The residual, with no unit
+    left, is reduced densely by `_eliminate`.
     """
     if p:
         rows = [{c: x % p for c, x in row.items() if x % p} for row in rows]
-    live = [row for row in rows if row]
+    # column -> the rows that held it when they were listed; a row that
+    # has lost the entry since is passed over when the column is cleared
+    holders = defaultdict(list)
+    singles = []  # rows that were a single unit entry when pushed
+    for row in rows:
+        for c in row:
+            holders[c].append(row)
+        if len(row) == 1 and (p or abs(*row.values()) == 1):
+            singles.append(row)
+    live = rows
     r = 0
-    while live:
-        pivot_row = col = None
-        for row in live:
-            if pivot_row is not None and len(row) >= len(pivot_row):
-                continue
-            for c, x in row.items():
-                if p or x == 1 or x == -1:
-                    pivot_row, col = row, c
-                    break
-            if pivot_row is not None and len(pivot_row) == 1:
-                break
-        if pivot_row is None:
+    while True:
+        while singles:
+            row = singles.pop()
+            if len(row) == 1 and (p or abs(*row.values()) == 1):
+                # a single unit clears its column and fills nothing in
+                col, _ = row.popitem()
+                for other in holders.pop(col):
+                    if other.pop(col, 0) and len(other) == 1 and (p or abs(*other.values()) == 1):
+                        singles.append(other)
+                r += 1
+        live = [row for row in live if row]
+        found = _shortest_unit_row(live, p)
+        if found is None:
             break
+        pivot_row, col = found
         x = pivot_row.pop(col)
         # scale the pivot to 1, so row -= a * pivot_row clears a
         inv = pow(x, -1, p) if p else x
         if inv != 1:
             for c in pivot_row:
                 pivot_row[c] = pivot_row[c] * inv % p if p else -pivot_row[c]
-        rest = []
-        for row in live:
-            if row is pivot_row:
-                continue
+        for row in holders.pop(col):
             a = row.pop(col, 0)
-            if a:
-                for c, y in pivot_row.items():
-                    v = row.get(c, 0) - a * y
-                    if p:
-                        v %= p
-                    if v:
-                        row[c] = v
-                    else:
-                        del row[c]
-            if row:
-                rest.append(row)
-        live = rest
+            if not a:
+                continue
+            for c, y in pivot_row.items():
+                v = row.get(c, 0) - a * y
+                if p:
+                    v %= p
+                if v:
+                    if c not in row:
+                        holders[c].append(row)
+                    row[c] = v
+                else:
+                    del row[c]
+            if len(row) == 1 and (p or abs(*row.values()) == 1):
+                singles.append(row)
+        pivot_row.clear()
         r += 1
     if not live:
         return r, ()
@@ -406,6 +426,23 @@ def smith_invariants(rows: list, p: int = 0) -> tuple:
                        tuple(tuple(row.get(c, 0) for c in cols) for row in live))
     diagonal, _ = _eliminate(residual)
     return r + _rank(diagonal), tuple(d for d in diagonal if d > 1)
+
+
+def _shortest_unit_row(rows: list, p: int) -> tuple | None:
+    """(row, column) of the first unit in the first shortest row that
+    holds one, or None when no row does."""
+    best = None
+    least = 0
+    for row in rows:
+        if best is not None and len(row) >= least:
+            continue
+        for c, x in row.items():
+            if p or x == 1 or x == -1:
+                best, least = (row, c), len(row)
+                break
+        if least == 2:
+            break  # rows of one unit entry never get here, so 2 is the least
+    return best
 
 
 def _sparse(m: IntMatrix) -> list:
@@ -617,11 +654,6 @@ def subquotient_structure(span: IntMatrix, relations: IntMatrix) -> FinAbGroup:
         coeffs = solve_matrix(span, relations)
     rels = coeffs.hstack(kernel_basis(span))
     return cokernel_structure(rels)
-
-
-def rank_mod(m: IntMatrix, p: int) -> int:
-    """Rank of m over F_p for prime p, or over Q when p == 0."""
-    return smith_invariants(_sparse(m), p)[0]
 
 
 def rref_mod_p(rows, p: int) -> tuple:

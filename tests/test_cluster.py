@@ -7,7 +7,7 @@ from clusterforge.errors import (
     NotFoundWithinBound,
     PreconditionViolated,
 )
-from clusterforge.quiver import Quiver
+from clusterforge.quiver import Quiver, coxeter_apply
 from clusterforge import rep, serre
 from clusterforge.rep import (
     ZRep,
@@ -577,6 +577,31 @@ def test_pool_is_closed_under_tau_within_the_bound(q, bound):
         t = serre.tau(m)
         assert co(t).key() in pool.provenance or max(dim_vector(t)) > bound, obj.describe()
     assert "reflection" not in pool.provenance.values()
+
+
+@pytest.mark.parametrize("q, bound", ((KRONECKER, 6), (A_TILDE_2_1, 5), (WILD, 6)),
+                         ids=["Kronecker", "A~(2,1)", "wild"])
+def test_pool_walks_build_no_translate_past_the_bound(q, bound, monkeypatch):
+    # a walk compares the Coxeter transform of its last dimension vector
+    # with the bound before it translates, so every translate it builds
+    # is in bound and has the predicted dimension vector
+    built = []
+
+    def spy(translate, power):
+        def spied(m):
+            t = translate(m)
+            built.append((m, t, power))
+            return t
+        return spied
+
+    clear_caches()
+    monkeypatch.setattr(serre, "tau", spy(serre.tau, 1))
+    monkeypatch.setattr(serre, "tau_inv", spy(serre.tau_inv, -1))
+    build_pool(q, bound)
+    assert {power for _, _, power in built} == {1, -1}
+    for m, t, power in built:
+        assert max(dim_vector(t)) <= bound, dim_vector(t)
+        assert dim_vector(t) == coxeter_apply(m.quiver, dim_vector(m), power)
 
 
 # witness counts over both sides of every directed edge: balance,

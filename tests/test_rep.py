@@ -439,3 +439,39 @@ def test_one_untracked_reduction_per_lattice_pair(monkeypatch):
     assert calls == ["invariants", ("v_inv",)]
     assert hom_group(m, m).basis is basis
     assert calls == ["invariants", ("v_inv",)]
+
+
+def _count_kernel_bases(monkeypatch) -> list:
+    """The matrices rep hands to kernel_basis from now on."""
+    calls = []
+
+    def counted(mat):
+        calls.append((mat.rows, mat.cols))
+        return kernel_basis(mat)
+
+    monkeypatch.setattr(rep, "kernel_basis", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", (A2, KRONECKER), ids=["A2", "Kronecker"])
+def test_rank_zero_lattice_hom_has_the_empty_basis_unreduced(q, monkeypatch):
+    # Hom(P_1, P_2) = (P_2)_1 = 0: the basis follows from the rank alone
+    clear_caches()
+    calls = _count_kernel_bases(monkeypatch)
+    hom = hom_group(projective(q, 1), projective(q, 2))
+    assert hom.group.is_trivial
+    assert hom.basis == ()
+    assert calls == []
+
+
+def test_strip_summand_reads_no_basis_when_a_hom_is_zero(monkeypatch):
+    # Hom(P_2, P_1) = Z but Hom(P_1, P_2) = 0 on A2, so P_2 is no summand
+    # of P_1; the two groups show it before either basis is built
+    p1, p2 = projective(A2, 1), projective(A2, 2)
+    clear_caches()
+    assert is_exceptional(p2)
+    calls = _count_kernel_bases(monkeypatch)
+    with pytest.raises(NotASummand):
+        strip_summand(p1, p2)
+    assert hom_group(p2, p1).group == FinAbGroup(1)
+    assert calls == []

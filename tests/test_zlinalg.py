@@ -16,7 +16,6 @@ from clusterforge.zlinalg import (
     is_split_injective,
     kernel_basis,
     rank,
-    rank_mod,
     rref_mod_p,
     smith_invariants,
     snf,
@@ -166,7 +165,7 @@ def test_kernel_saturated_property(m):
 def test_cokernel_mod_p_dimension(m, p):
     g = cokernel_structure(m)
     expected = g.free_rank + sum(1 for d in g.torsion if d % p == 0)
-    assert m.rows - rank_mod(m, p) == expected
+    assert m.rows - smith_invariants(_sparse(m), p)[0] == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,6 +241,93 @@ def test_sparse_strategy_reaches_the_dense_residual():
     assert smith_invariants(_sparse(m)) == (snf(m).rank, tuple(d for d in snf(m).diagonal if d > 1))
 
 
+# Long sparse systems shaped like the intertwining matrices of path and
+# tree quivers: each of 60 or more rows ties a column to one of the few
+# before it, with mostly +-1 entries and a few +-2 and +-3.  A few
+# single-entry anchor rows start chains of rows that shrink to a single
+# unit, and a few chords between any two columns close cycles.
+WEIGHTS = (1, -1) * 5 + (2, -2, 3, -3)
+
+
+@st.composite
+def long_sparse_systems(draw):
+    n = draw(st.integers(min_value=61, max_value=80))
+    tree = draw(st.booleans())
+    back = draw(st.lists(st.integers(0, 3) if tree else st.just(0), min_size=n, max_size=n))
+    w = draw(st.lists(st.sampled_from(WEIGHTS), min_size=2 * n, max_size=2 * n))
+    rows = [{v: w[2 * v], max(0, v - 1 - back[v]): w[2 * v + 1]} for v in range(1, n)]
+    anchors = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(WEIGHTS)),
+                            max_size=3))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                     st.sampled_from(WEIGHTS), st.sampled_from(WEIGHTS)),
+                           max_size=3))
+    rows += [{a: x} for a, x in anchors]
+    rows += [{a: x, b: y} if a != b else {a: x + y} for a, b, x, y in chords if a != b or x + y]
+    order = draw(st.permutations(range(len(rows))))
+    return IntMatrix.from_rows([[rows[i].get(c, 0) for c in range(n)] for i in order], cols=n)
+
+
+def _pivot_sources(m):
+    """(pivots off the singleton stack, pivots off the fallback scan,
+    dense residual reductions) of smith_invariants over Z on m."""
+    scanned, residual_ranks = [], []
+    scan, dense = zlinalg._shortest_unit_row, zlinalg._eliminate
+
+    def counted_scan(*args):
+        found = scan(*args)
+        if found is not None:
+            scanned.append(found)
+        return found
+
+    def counted_dense(mat, track=()):
+        diagonal, transforms = dense(mat, track)
+        residual_ranks.append(sum(1 for d in diagonal if d))
+        return diagonal, transforms
+
+    zlinalg._shortest_unit_row, zlinalg._eliminate = counted_scan, counted_dense
+    try:
+        r, _ = smith_invariants(_sparse(m))
+    finally:
+        zlinalg._shortest_unit_row, zlinalg._eliminate = scan, dense
+    return r - len(scanned) - sum(residual_ranks), len(scanned), len(residual_ranks)
+
+
+def test_rows_shrunk_to_a_single_unit_pivot_off_the_stack():
+    # a single unit pivots first and leaves the row under it a single unit
+    assert _pivot_sources(IntMatrix.from_rows([[1, 0], [1, 1]])) == (2, 0, 0)
+    # with no single unit the scan takes the shortest row, and clearing
+    # its column shrinks the other row to a single unit
+    assert _pivot_sources(IntMatrix.from_rows([[1, 1, 1], [1, 1, 0]])) == (1, 1, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_sparse_systems())
+def test_unit_pivot_kernel_on_long_sparse_systems(m):
+    assert m.rows >= 60
+    dec = snf(m)
+    assert smith_invariants(_sparse(m)) == (dec.rank, tuple(d for d in dec.diagonal if d > 1))
+    for p in (2, 3, 5):
+        assert smith_invariants(_sparse(m), p)[0] == len(rref_mod_p(m.entries, p)[1])
+
+
+def test_long_sparse_systems_reach_every_pivot_source():
+    reached = set()
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(long_sparse_systems())
+    def record(m):
+        stack, scanned, residuals = _pivot_sources(m)
+        # more stack pivots than single-unit rows in m: some row shrank to one
+        singles = sum(1 for row in _sparse(m) if len(row) == 1 and abs(*row.values()) == 1)
+        reached.update(name for name, hit in (("shrunk row", stack > singles),
+                                              ("fallback scan", scanned),
+                                              ("dense residual", residuals))
+                       if hit)
+
+    record()
+    assert reached == {"shrunk row", "fallback scan", "dense residual"}
+
+
 def test_euler_pairing_on_e6_makes_no_dense_untracked_reduction(monkeypatch):
     # every intertwining matrix of the E6 pool is eliminated on unit
     # pivots alone, so a silent fallback to the dense path shows here
@@ -301,9 +387,9 @@ def test_lean_paths_match_full_snf(m, data):
     dec = snf(m)
     r = dec.rank
     assert rank(m) == r
-    assert rank_mod(m, 0) == r
+    assert smith_invariants(_sparse(m), 0)[0] == r
     for p in (2, 3, 5):
-        assert rank_mod(m, p) == len(rref_mod_p(m.entries, p)[1])
+        assert smith_invariants(_sparse(m), p)[0] == len(rref_mod_p(m.entries, p)[1])
     assert cokernel_structure(m) == FinAbGroup(
         m.rows - r, tuple(d for d in dec.diagonal if d > 1))
     assert is_split_injective(m) == (r == m.cols and all(d == 1 for d in dec.diagonal))
