@@ -431,16 +431,26 @@ class ExchangeTriangleData:
 
     e is the middle multiset of y -> E -> x -> sigma y, e_prime that of
     x -> E' -> y -> sigma x.  Multisets are sorted tuples of cluster
-    objects drawn from the complement; the witness strings record how
-    each middle term was certified.
+    objects drawn from the complement.  The witnesses, strings that
+    record how each middle term was certified, are not fields: each is
+    computed on its first read and kept on the value (see _witness), so
+    a mutation nobody asks about certifies nothing.
     """
 
     x: ClusterObject
     y: ClusterObject
     e: tuple
     e_prime: tuple
-    e_witness: str
-    e_prime_witness: str
+
+    @property
+    @once
+    def e_witness(self) -> str:
+        return _witness(self.y, self.x, self.e)
+
+    @property
+    @once
+    def e_prime_witness(self) -> str:
+        return _witness(self.x, self.y, self.e_prime)
 
 
 RANK_ONE = FinAbGroup(1)
@@ -453,44 +463,55 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
     suspension of one end is isomorphic to the other.  Otherwise the
     multiset is the unique non-negative solution of the dimension
     balance over the complement (the complement's classes are linearly
-    independent) and, for all-module triangles, is certified by a short
-    exact sequence whose first map is the one Hom-basis approximation of
-    the tail (see _ses_certified).
+    independent).  How each middle term is certified, for all-module
+    triangles by a short exact sequence whose first map is the one
+    Hom-basis approximation of the tail (see _ses_certified), is
+    computed and memoized when its witness is first read.
     """
     if ext1_c(x, y) != RANK_ONE:
         raise PreconditionViolated("exchange triangles need Ext1 free of rank one")
     complement = tuple(complement)
-    e, ew = _middle_term(y, x, complement)
-    ep, epw = _middle_term(x, y, complement)
-    return ExchangeTriangleData(x=x, y=y, e=e, e_prime=ep,
-                                e_witness=ew, e_prime_witness=epw)
+    return ExchangeTriangleData(x=x, y=y, e=_middle_term(y, x, complement),
+                                e_prime=_middle_term(x, y, complement))
 
 
 @memo
 def _middle_term(tail: ClusterObject, head: ClusterObject, complement: tuple) -> tuple:
     """Middle multiset of the triangle tail -> E -> head -> sigma tail.
 
-    E is read off the unique solution of dim E = dim head + dim tail
-    over the complement; the witness is "ses" when the cokernel of the
-    Hom-basis approximation tail -> E is head, making a short exact
-    sequence, and "balance" otherwise.  Memoized
-    because exchange_graph meets every undirected edge from both ends:
-    the reverse mutation asks for the same two triangles with tail and
-    head swapped over the same canonical complement.
+    E is empty when the suspension of tail is head, and otherwise read
+    off the unique solution of dim E = dim head + dim tail over the
+    complement; the multiset alone is returned, its witness is left to
+    _witness.  Memoized because exchange_graph meets every undirected
+    edge from both ends: the reverse mutation asks for the same two
+    triangles with tail and head swapped over the same canonical
+    complement.
     """
     if suspension(tail).key() == head.key():
-        return (), "connecting-iso"
+        return ()
     target = tuple(a + b for a, b in zip(head.dim_c(), tail.dim_c()))
     sol = _balance_solution(target, complement)
     if sol is None:
         raise BalanceUnsolvable(
             f"no middle term over the complement balances {target}")
-    middle = tuple(obj for obj, m in zip(complement, sol) for _ in range(m))
-    multiset = tuple(sorted(middle, key=lambda o: o.key()))
+    middle = (obj for obj, m in zip(complement, sol) for _ in range(m))
+    return tuple(sorted(middle, key=lambda o: o.key()))
+
+
+def _witness(tail: ClusterObject, head: ClusterObject, middle: tuple) -> str:
+    """How the middle term of tail -> E -> head -> sigma tail is certified.
+
+    "connecting-iso" when E is empty because the suspension of tail is
+    head, "ses" when the cokernel of the Hom-basis approximation
+    tail -> E is head, making a short exact sequence, and "balance"
+    otherwise.
+    """
+    if not middle and suspension(tail).key() == head.key():
+        return "connecting-iso"
     if (tail.is_module and head.is_module and all(c.is_module for c in middle)
             and _ses_certified(tail, head, middle)):
-        return multiset, "ses"
-    return multiset, "balance"
+        return "ses"
+    return "balance"
 
 
 def _balance_solution(target, complement) -> tuple | None:

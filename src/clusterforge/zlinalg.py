@@ -12,25 +12,32 @@ Matrices are immutable and row-major.  Pivoting is deterministic
 so the transforms U and V are reproducible between runs.
 
 Callers that print a basis share one dense elimination, `_eliminate`,
-which updates only the transforms (of M = U S V) the caller reads:
+which otherwise only reduces the residuals below.  It updates only the
+transforms (of M = U S V) the caller reads:
 
 - `snf`: all four, U, u_inv, V and v_inv;
 - `kernel_basis`: v_inv;
-- `solve` / `solve_matrix` / `solve_with_rank`: u_inv and v_inv;
 - `column_span_basis`: U;
 - `free_cokernel`: U and u_inv.
 
-Callers that read only the rank and the invariant factors (`rank`,
-`is_split_injective`, `cokernel_structure` and `kernel_rank_cokernel`,
-and over F_p the field Hom dimensions) share the sparse kernel
-`smith_invariants` instead.  It eliminates on unit pivots, each of
-which splits off an invariant factor 1, and hands only the residual
-without a unit to an untracked `_eliminate`; over F_p every nonzero
-entry is a unit, so nothing is left.  A pivot is a row reduced to a
-single unit entry when there is one, which fills nothing in, and
-otherwise the first shortest row with a unit; a column index sends
-each pivot only to the rows holding its column.  Smith invariants are
-unique, so the two routes agree exactly.
+Every other caller shares the sparse routine `_unit_pivots`, which
+eliminates rows on unit pivots, each of which splits off an invariant
+factor 1, and leaves the residual without a unit to `_eliminate`; over
+F_p every nonzero entry is a unit, so nothing is left.  A pivot is a
+row reduced to a single unit entry when there is one, which fills
+nothing in, and otherwise the first shortest row with a unit; a column
+index sends each pivot only to the rows holding its column.
+
+- `smith_invariants` reads the rank and the invariant factors (for
+  `rank`, `is_split_injective`, `cokernel_structure`,
+  `kernel_rank_cokernel`, and over F_p the field Hom dimensions) and
+  reduces the residual untracked.  Smith invariants are unique, so
+  this agrees exactly with the dense route.
+- `solve`, `solve_matrix` and `solve_with_rank` carry the right-hand
+  sides through the same row operations, solve the residual with u_inv
+  and v_inv tracked, and back-substitute through the kept pivot rows.
+  The rank and whether a solution exists agree with the dense route,
+  and so does the solution whenever the columns are independent.
 """
 
 from __future__ import annotations
@@ -356,19 +363,41 @@ def smith_invariants(rows: list, p: int = 0) -> tuple:
     Each row is a {column: entry} dict without zero entries; the dicts
     are reduced in place.  Over Z (p == 0) the factors form the chain
     d_1 | d_2 | ... of the Smith form; over F_p, p prime, there are none.
-
-    While some entry is a unit (+-1 over Z, any nonzero over F_p), it
-    clears its column by row operations; its row and column then carry
-    nothing else of the Smith form, so they are dropped, adding 1 to the
-    rank.  A column -> rows index, extended on fill-in, sends each pivot
-    only to the rows that hold its column.  Pivots come from a stack of
-    rows that are, or have shrunk to, a single unit entry, which fill
-    nothing in; only when it is empty does `_shortest_unit_row` scan the
-    live rows for the first shortest one with a unit.  The residual, with no unit
-    left, is reduced densely by `_eliminate`.
+    `_unit_pivots` splits off the unit pivots, each an invariant factor
+    1, and the residual, with no unit left, is reduced densely by
+    `_eliminate`.
     """
     if p:
         rows = [{c: x % p for c, x in row.items() if x % p} for row in rows]
+    r, live = _unit_pivots(rows, p)
+    if not live:
+        return r, ()
+    cols = sorted({c for row in live for c in row})
+    residual = _matrix(len(live), len(cols),
+                       tuple(tuple(row.get(c, 0) for c in cols) for row in live))
+    diagonal, _ = _eliminate(residual)
+    return r + _rank(diagonal), tuple(d for d in diagonal if d > 1)
+
+
+def _unit_pivots(rows: list, p: int, kept: list | None = None) -> tuple:
+    """(number of unit pivots, rows left without a unit) of sparse rows.
+
+    Rows are {column: entry} dicts without zero entries, reduced in
+    place by row operations.  While some entry is a unit (+-1 over Z,
+    any nonzero over F_p), it clears its column by row operations; its
+    row and column then carry nothing else of the Smith form, so they
+    are dropped.  A column -> rows index, extended on fill-in, sends
+    each pivot only to the rows that hold its column.  Pivots come from
+    a stack of rows that are, or have shrunk to, a single unit entry,
+    which fill nothing in; only when it is empty does
+    `_shortest_unit_row` scan the live rows for the first shortest one
+    with a unit.
+
+    With kept a list, each pivot taken from a longer row is appended to
+    it as (column, rest): the row scaled to a pivot 1, without the pivot
+    entry, as it stood when it cleared its column.  A single unit entry
+    is not kept, as its equation sets its column's unknown to 0.
+    """
     # column -> the rows that held it when they were listed; a row that
     # has lost the entry since is passed over when the column is cleared
     holders = defaultdict(list)
@@ -393,7 +422,7 @@ def smith_invariants(rows: list, p: int = 0) -> tuple:
         live = [row for row in live if row]
         found = _shortest_unit_row(live, p)
         if found is None:
-            break
+            return r, live
         pivot_row, col = found
         x = pivot_row.pop(col)
         # scale the pivot to 1, so row -= a * pivot_row clears a
@@ -417,15 +446,10 @@ def smith_invariants(rows: list, p: int = 0) -> tuple:
                     del row[c]
             if len(row) == 1 and (p or abs(*row.values()) == 1):
                 singles.append(row)
+        if kept is not None:
+            kept.append((col, pivot_row.copy()))
         pivot_row.clear()
         r += 1
-    if not live:
-        return r, ()
-    cols = sorted({c for row in live for c in row})
-    residual = _matrix(len(live), len(cols),
-                       tuple(tuple(row.get(c, 0) for c in cols) for row in live))
-    diagonal, _ = _eliminate(residual)
-    return r + _rank(diagonal), tuple(d for d in diagonal if d > 1)
 
 
 def _shortest_unit_row(rows: list, p: int) -> tuple | None:
@@ -498,26 +522,69 @@ def solve_with_rank(m: IntMatrix, b: Sequence[int]) -> tuple:
     """
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side has wrong length")
-    reduced = _eliminate(m, ("u_inv", "v_inv"))
-    try:
-        x = _solve_reduced(m, reduced, IntMatrix.column(b)).col(0)
-    except NoSolution:
-        x = None
-    return _rank(reduced[0]), x
+    r, x = _solve(m, IntMatrix.column(b))
+    return r, (None if x is None else x.col(0))
 
 
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Integer solution X of m X = b (columnwise), or NoSolution.
-
-    Tracks u_inv and v_inv: with m = U S V, X = v_inv S^+ u_inv b.
-    """
+    """Integer solution X of m X = b (columnwise), or NoSolution."""
     if b.rows != m.rows:
         raise DimensionMismatch("right-hand side has wrong row count")
-    return _solve_reduced(m, _eliminate(m, ("u_inv", "v_inv")), b)
+    x = _solve(m, b)[1]
+    if x is None:
+        raise NoSolution("the system is not solvable over Z")
+    return x
+
+
+def _solve(m: IntMatrix, b: IntMatrix) -> tuple:
+    """(rank of m, X with m X = b or None when there is none), every
+    column of b in one pass.
+
+    The rows of m carry those of b as extra entries in the negative
+    columns -1, -2, ..., doubled: twice an integer is never a unit, so
+    `_unit_pivots` never pivots on a right-hand side, and its row
+    operations carry b along.  The unit-free residual is solved by
+    `_eliminate` with u_inv and v_inv tracked, then each kept pivot row
+    is solved for its column, last pivot first; an unknown that no
+    pivot or residual column determines is 0.
+    """
+    k = b.cols
+    rows = []
+    for row, rhs in zip(m.entries, b.entries):
+        entries = {c: a for c, a in enumerate(row) if a}
+        entries.update((-1 - j, 2 * a) for j, a in enumerate(rhs) if a)
+        rows.append(entries)
+    pivots = []
+    r, live = _unit_pivots(rows, 0, pivots)
+    x = [[0] * k for _ in range(m.cols)]
+    if live:
+        cols = sorted({c for row in live for c in row if c >= 0})
+        residual = _matrix(len(live), len(cols),
+                           tuple(tuple(row.get(c, 0) for c in cols) for row in live))
+        rhs = _matrix(len(live), k,
+                      tuple(tuple(row.get(-1 - j, 0) // 2 for j in range(k)) for row in live))
+        reduced = _eliminate(residual, ("u_inv", "v_inv"))
+        r += _rank(reduced[0])
+        try:
+            y = _solve_reduced(residual, reduced, rhs)
+        except NoSolution:
+            return r, None
+        for c, values in zip(cols, y.entries):
+            x[c] = values
+    for col, rest in reversed(pivots):
+        value = [0] * k
+        for c, a in rest.items():
+            if c < 0:
+                value[-1 - c] += a // 2
+            else:
+                value = [v - a * w for v, w in zip(value, x[c])]
+        x[col] = value
+    return r, _wrap(x, k)
 
 
 def _solve_reduced(m: IntMatrix, reduced: tuple, b: IntMatrix) -> IntMatrix:
-    """solve_matrix on the result of _eliminate(m, ("u_inv", "v_inv"))."""
+    """Integer solution X of m X = b, or NoSolution, from the result of
+    _eliminate(m, ("u_inv", "v_inv")): with m = U S V, X = v_inv S^+ u_inv b."""
     diag, t = reduced
     r = _rank(diag)
     c = _wrap(t["u_inv"], m.rows).mul(b)

@@ -1,6 +1,6 @@
 import pytest
 
-from clusterforge import clear_caches
+from clusterforge import clear_caches, zlinalg
 from clusterforge.errors import (
     BalanceUnsolvable,
     NotExceptional,
@@ -666,3 +666,50 @@ def test_ses_certified_past_four_hom_basis_maps():
     assert _ses_certified(co(p2), co(head), (co(p1),) * 3)
     # a wrong multiplicity is no SES
     assert not _ses_certified(co(p2), co(head), (co(p1),) * 2)
+
+
+# witness counts of graphs whose exchange triangles are never read for
+# their witnesses: A4 and D4 as pinned above, and K2 at bound 16
+LAZY_WITNESS_GRAPHS = (
+    WITNESS_GRAPHS[0],
+    WITNESS_GRAPHS[1],
+    (KRONECKER, 16, 1000, 64, {"balance": 8, "connecting-iso": 64, "ses": 56}),
+)
+
+
+@pytest.mark.parametrize("q, bound, max_nodes, edges, counts", LAZY_WITNESS_GRAPHS,
+                         ids=["A4", "D4", "Kronecker-16"])
+def test_witnesses_are_computed_when_read(q, bound, max_nodes, edges, counts):
+    # exploring certifies no sequence; the first read of a witness does,
+    # and gives the witness an eager certification gave
+    clear_caches()
+    g = exchange_graph(q, bound, max_nodes)
+    assert len(g.edges) == edges
+    calls = _ses_certified.cache_info()
+    assert calls.hits + calls.misses == 0
+    seen = {}
+    for _, _, _, witness in _triangle_sides(g):
+        seen[witness] = seen.get(witness, 0) + 1
+    assert seen == counts
+    assert _ses_certified.cache_info().misses > 0
+
+
+def test_exchange_graph_makes_no_dense_solve(monkeypatch):
+    # a work count, not a time: on A4 and D4 every balance solve splits
+    # on unit pivots and no witness is certified, so the only dense
+    # eliminations left are the translate kernels, which track v_inv;
+    # a dense solve (u_inv) or an SES certification (U, in
+    # free_cokernel) shows here
+    tracked = []
+    inner = zlinalg._eliminate
+
+    def counted(mat, track=()):
+        tracked.append(tuple(track))
+        return inner(mat, track)
+
+    clear_caches()
+    monkeypatch.setattr(zlinalg, "_eliminate", counted)
+    for q in (A4, D4):
+        exchange_graph(q, 12)
+    assert tracked
+    assert not [t for t in tracked if "u_inv" in t or "U" in t]

@@ -382,8 +382,8 @@ def _snf_solve_matrix(m, b):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(matrices, sparse_matrices), st.data())
-def test_lean_paths_match_full_snf(m, data):
+@given(st.one_of(matrices, sparse_matrices))
+def test_lean_paths_match_full_snf(m):
     dec = snf(m)
     r = dec.rank
     assert rank(m) == r
@@ -411,6 +411,45 @@ def test_lean_paths_match_full_snf(m, data):
     assert proj == dec.u_inv.submatrix(range(r, m.rows), range(m.rows))
     assert section == dec.U.submatrix(range(m.rows), range(r, m.rows))
 
+
+def _check_solves(m, b):
+    """solve_matrix, solve_with_rank and solve against the dense reference.
+
+    Rank and solvability are properties of m and b, so they must agree
+    exactly; a solution must solve, and is the reference's exactly when
+    the columns of m are independent, as it is then unique.
+    """
+    r = snf(m).rank
+    try:
+        want = _snf_solve_matrix(m, b)
+    except NoSolution:
+        want = None
+        with pytest.raises(NoSolution):
+            solve_matrix(m, b)
+    else:
+        x = solve_matrix(m, b)
+        assert m.mul(x) == b
+        if r == m.cols:
+            assert x == want
+    for j in range(b.cols):
+        col = b.col(j)
+        rank_j, x = solve_with_rank(m, col)
+        assert rank_j == r
+        if want is not None:
+            assert solve(m, col) == solve_matrix(m, IntMatrix.column(col)).col(0)
+        try:
+            want_j = _snf_solve_matrix(m, IntMatrix.column(col)).col(0)
+        except NoSolution:
+            assert x is None
+            continue
+        assert m.mul_vec(x) == col
+        if r == m.cols:
+            assert x == want_j
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(matrices, sparse_matrices), st.data())
+def test_sparse_solves_agree_with_the_dense_route(m, data):
     k = data.draw(st.integers(0, 2))
     x = IntMatrix.from_rows(data.draw(st.lists(
         st.lists(st.integers(-5, 5), min_size=k, max_size=k),
@@ -419,16 +458,30 @@ def test_lean_paths_match_full_snf(m, data):
         st.lists(st.integers(-1, 1), min_size=k, max_size=k),
         min_size=m.rows, max_size=m.rows)), cols=k)
     for b in (m.mul(x), m.mul(x).add(noise)):
-        try:
-            want = _snf_solve_matrix(m, b)
-        except NoSolution:
-            with pytest.raises(NoSolution):
-                solve_matrix(m, b)
-        else:
-            assert solve_matrix(m, b) == want
-        for j in range(b.cols):
-            try:
-                want = _snf_solve_matrix(m, IntMatrix.column(b.col(j))).col(0)
-            except NoSolution:
-                want = None
-            assert solve_with_rank(m, b.col(j)) == (r, want)
+        _check_solves(m, b)
+
+
+def test_solves_hand_the_unit_free_residual_to_the_dense_route(monkeypatch):
+    # no entry of [[2, 4], [6, 8]] is a unit, so all of it goes to the
+    # dense route; bordered by a unit pivot, it is the residual left over
+    square = IntMatrix.from_rows([[2, 4], [6, 8]])
+    bordered = IntMatrix.from_rows([[1, 3, 1], [0, 2, 4], [2, 12, 10]])
+    for m in (square, bordered):
+        _check_solves(m, m.mul(IntMatrix.from_rows([[1, -2, 0], [3, 0, 1], [1, 1, 0]][:m.cols])))
+        _check_solves(m, IntMatrix.from_rows([[1]] + [[0]] * (m.rows - 1)))
+    tracked = []
+    inner = zlinalg._eliminate
+
+    def counted(mat, track=()):
+        tracked.append((mat.rows, mat.cols, track))
+        return inner(mat, track)
+
+    monkeypatch.setattr(zlinalg, "_eliminate", counted)
+    assert solve(square, (2, 6)) == (1, 0)
+    assert solve(bordered, (1, 0, 2)) == (1, 0, 0)
+    assert solve(bordered, (0, 2, 6)) == (-3, 1, 0)
+    with pytest.raises(NoSolution):
+        solve(square, (1, 0))
+    with pytest.raises(NoSolution):
+        solve(bordered, (0, 1, 0))
+    assert tracked == [(2, 2, ("u_inv", "v_inv"))] * 5
