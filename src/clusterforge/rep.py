@@ -12,11 +12,14 @@ projective resolution has the three-term shape P -> P + P' -> P''
 featuring a multiplication-by-2 entry next to an arrow entry; at the
 sink the resolution collapses to two terms.
 
-Between lattices Hom is the kernel and Ext^1 the cokernel of one
-intertwining matrix, built as sparse rows, so each ordered pair costs one
-`smith_invariants` reduction with no transform tracked; a Hom basis is
-computed, on the rows made dense, only when it is read, and never for a
-Hom of rank 0.
+Between lattices Hom is the kernel and Ext^1 the cokernel of Hom(D, n)
+for D the standard presentation of m with its unit entries split off,
+built once per lattice and kept on it; so each ordered pair costs one
+`smith_invariants` reduction, with no transform tracked, of a system
+that on every exceptional lattice tried is the minimal resolution's.
+The standard intertwining matrix is used only for a Hom basis, computed
+on the rows made dense when it is read and never for a Hom of rank 0,
+and over F_p by `field_hom_ext_dims`.
 Ext^1 out of a presented module is read off its minimal projective
 resolution, whose every stage is a projective cover of a top, minimal
 as built: nothing is split off afterwards.
@@ -117,6 +120,19 @@ class ZRep:
     @once
     def is_lattice(self) -> bool:
         return all(r.cols == 0 for r in self.relations)
+
+    @property
+    @once
+    def _presentation(self) -> tuple:
+        """`_lattice_presentation` of this lattice, built on first read."""
+        return _lattice_presentation(self)
+
+    @property
+    @once
+    def _path_actions(self) -> dict:
+        """The action of each nonempty path read so far, filled by
+        `_path_action`."""
+        return {}
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in dim_vector(self))
@@ -325,16 +341,158 @@ def _lattice_matrix(m: ZRep, n: ZRep) -> IntMatrix:
     return IntMatrix(len(rows), nvars, tuple(tuple(_dense(row, nvars)) for row in rows))
 
 
+def _lattice_presentation(m: ZRep) -> tuple:
+    """(row vertices, column vertices, rows) of the lattice m's standard
+    presentation with every unit trivial-path entry split off.
+
+    The standard presentation is Ringel's resolution
+    0 -> sum_a P_{t(a)} (x) M_{s(a)} -> sum_v P_v (x) M_v -> m -> 0: row
+    (a, c), for each arrow a and c < rank M_{s(a)}, holds the path -a at
+    column (s(a), c) and M_a[k][c] times the trivial path at column
+    (t(a), k).  An entry is a {path: coefficient} dict of paths from its
+    column's vertex to its row's vertex.  While some entry is u e_v with
+    u = +-1, it is a pivot: every other row i holding its column j0 gets
+    D_ij -= u (D_{i0 j} followed by D_{i j0}), and its row and column
+    drop.  Under Hom(-, n) the pivot is the unit block u I on n_v, so the
+    kernel rank and the cokernel are those of the standard system for
+    every n.  No entry left is a unit times a trivial path; on every
+    exceptional lattice tried the rows and columns then sit at the
+    vertices of `projective_resolution(m).p1` and `.p0`.
+
+    Rows come back as tuples of (column, ((path, coefficient), ...))
+    pairs, the columns left renumbered in order.
+    """
+    q = m.quiver
+    start, col_vertex = {}, []
+    for v in q.vertices:
+        start[v] = len(col_vertex)
+        col_vertex += [v] * m.gens[v - 1]
+    row_vertex, rows = [], {}
+    for a, (s, t) in enumerate(q.arrows):
+        ma = m.actions[a].entries
+        for c in range(m.gens[s - 1]):
+            row = {start[s] + c: {(a,): -1}}
+            for k, action_row in enumerate(ma):
+                if action_row[c]:
+                    row[start[t] + k] = {(): action_row[c]}
+            rows[len(row_vertex)] = row
+            row_vertex.append(t)
+    # the rows to search for a pivot: each row once, then each row a pivot changed
+    unseen = list(reversed(rows))
+    dropped = set()
+    while unseen:
+        i0 = unseen.pop()
+        top = rows.get(i0, {})
+        # on an acyclic quiver an entry with a trivial path has no other path
+        j0 = next((j for j, e in top.items() if abs(e.get((), 0)) == 1), None)
+        if j0 is None:
+            continue
+        del rows[i0]
+        u = top.pop(j0)[()]
+        for i, row in rows.items():
+            below = row.pop(j0, None)
+            if below is None:
+                continue
+            unseen.append(i)
+            for j, e in top.items():
+                acc = row.setdefault(j, {})
+                for p, x in e.items():
+                    for r, y in below.items():
+                        z = acc.get(p + r, 0) - u * x * y
+                        if z:
+                            acc[p + r] = z
+                        else:
+                            del acc[p + r]
+                if not acc:
+                    del row[j]
+        dropped.add(j0)
+    kept = [j for j in range(len(col_vertex)) if j not in dropped]
+    renumber = {j: i for i, j in enumerate(kept)}
+    return (tuple(row_vertex[i] for i in rows), tuple(col_vertex[j] for j in kept),
+            tuple(tuple(sorted((renumber[j], tuple(sorted(e.items()))) for j, e in row.items()))
+                  for row in rows.values()))
+
+
+def _path_action(n: ZRep, path: tuple) -> tuple:
+    """The action of a nonempty path on n as sparse rows, tuples of
+    (column, entry) pairs without zeros.  Built from its prefix,
+    n(p a) = n_a n(p), and kept on n."""
+    actions = n._path_actions
+    try:
+        return actions[path]
+    except KeyError:
+        pass
+    last = n.actions[path[-1]].entries
+    if len(path) == 1:
+        out = tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in last)
+    else:
+        prefix = _path_action(n, path[:-1])
+        out = []
+        for row in last:
+            acc = {}
+            for l, x in enumerate(row):
+                if x:
+                    for k, y in prefix[l]:
+                        acc[k] = acc.get(k, 0) + x * y
+            out.append(tuple((k, z) for k, z in acc.items() if z))
+        out = tuple(out)
+    actions[path] = out
+    return out
+
+
+def _presented_rows(m: ZRep, n: ZRep) -> tuple:
+    """The sparse rows of Hom(presentation of m, n), and their width.
+
+    Block (i, j) is the sum of c n(p) over the terms (p, c) of the
+    presentation's entry (i, j): rows of n at row i's vertex, columns of
+    n at column j's vertex.  Blocks of different columns are disjoint,
+    so only an entry of several terms can cancel to zero.
+    """
+    row_vertex, col_vertex, entries = m._presentation
+    gens, actions = n.gens, n._path_actions
+    at, width = [], 0
+    for v in col_vertex:
+        at.append(width)
+        width += gens[v - 1]
+    rows = []
+    for v, entry in zip(row_vertex, entries):
+        block = [{} for _ in range(gens[v - 1])]
+        if not block:
+            continue
+        summed = False
+        for j, terms in entry:
+            base = at[j]
+            summed = summed or len(terms) > 1
+            for p, x in terms:
+                if not p:
+                    for r, out in enumerate(block):
+                        out[base + r] = out.get(base + r, 0) + x
+                    continue
+                action = actions.get(p)
+                if action is None:
+                    action = _path_action(n, p)
+                for out, action_row in zip(block, action):
+                    for k, y in action_row:
+                        out[base + k] = out.get(base + k, 0) + x * y
+        if summed:
+            block = [{c: x for c, x in out.items() if x} for out in block]
+        rows += block
+    return rows, width
+
+
 @memo
 def _lattice_hom_ext(m: ZRep, n: ZRep) -> tuple:
     """(Hom, Ext^1) between lattices from one untracked reduction.
 
-    Hom is free of rank cols - rank of the intertwining matrix and Ext^1
-    is its cokernel, both read off its sparse rows.  The Hom basis is
-    rebuilt from (m, n) when read, so no matrix is kept alive; a Hom of
-    rank 0 has the empty basis and is never reduced again.
+    Hom is free of rank the nullity, and Ext^1 is the cokernel, of
+    Hom(presentation of m, n), read off its sparse rows; the presentation
+    is built once per lattice with its unit entries split off, so on an
+    exceptional lattice the system is that of the minimal resolution.
+    The standard intertwining matrix is used only for the Hom basis,
+    rebuilt from (m, n) when read, so no matrix is kept alive, and over
+    F_p; a Hom of rank 0 has the empty basis and is never reduced again.
     """
-    nullity, ext = kernel_rank_cokernel(*_lattice_rows(m, n))
+    nullity, ext = kernel_rank_cokernel(*_presented_rows(m, n))
     make_basis = partial(_lattice_hom_basis, m, n) if nullity else tuple
     return Hom(FinAbGroup(nullity), make_basis), ext
 
@@ -349,10 +507,11 @@ def hom_group(m: ZRep, n: ZRep) -> Hom:
     """All homomorphisms of representations m -> n over the path algebra.
 
     Solves the intertwining system f_{t(a)} M_a = N_a f_{s(a)} on
-    vertexwise matrices.  Between lattices Hom is the kernel of the
-    intertwining matrix, read with Ext^1 from one reduction per ordered
-    pair, and the basis is computed on first read; otherwise the system
-    is solved modulo the target presentations.
+    vertexwise matrices.  Between lattices the rank is read with Ext^1
+    from one reduction per ordered pair, of Hom out of m's presentation
+    (`_lattice_hom_ext`), and the basis, the kernel of the intertwining
+    matrix, is computed on first read; otherwise the system is solved
+    modulo the target presentations.
     """
     q = m.quiver
     if n.quiver != q:
@@ -434,7 +593,8 @@ def ext1_group(m: ZRep, n: ZRep) -> FinAbGroup:
 
     Between lattices this is the cokernel of the map sending a family of
     vertexwise Z-linear maps (f_i) to (f_{t(a)} M_a - N_a f_{s(a)})_a,
-    read with the Hom rank from one reduction per ordered pair; in
+    read with the Hom rank from one reduction per ordered pair, of Hom
+    out of m's presentation with its unit entries split off; in
     general it is computed as the degree-one homology of Hom applied to
     a minimal projective resolution of m.  The two routes agree on
     lattices and the test suite cross-checks them.

@@ -55,9 +55,9 @@ def _euler_pairing(q, objects) -> CheckResult:
     # rank Hom - rank Ext^1 = <dim M, dim N>.  Where both objects carry
     # orbit coordinates, rank Hom is transported along them by the
     # Coxeter matrix and rank Ext^1 is eliminated, so the sides share no
-    # reduction.  Elsewhere both ranks come from one intertwining matrix,
-    # whose kernel and cokernel ranks always differ by the Euler form, so
-    # there the check is tautological.
+    # reduction.  Elsewhere both ranks come from one system, Hom of the
+    # lattice's presentation into the other, whose columns minus rows is
+    # still the Euler form, so there the check is tautological.
     bad = []
     for x in objects:
         for y in objects:

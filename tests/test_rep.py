@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterforge import clear_caches, rep, zlinalg
 from clusterforge.cluster import build_pool
@@ -35,6 +36,7 @@ from clusterforge.zlinalg import (
     FinAbGroup,
     IntMatrix,
     kernel_basis,
+    kernel_rank_cokernel,
     snf,
     solve_matrix,
     subquotient_structure,
@@ -475,3 +477,117 @@ def test_strip_summand_reads_no_basis_when_a_hom_is_zero(monkeypatch):
         strip_summand(p1, p2)
     assert hom_group(p2, p1).group == FinAbGroup(1)
     assert calls == []
+
+
+D5 = Quiver(5, ((1, 3), (2, 3), (3, 4), (4, 5)))
+E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+E7 = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
+WILD = Quiver(3, ((1, 2), (1, 2), (2, 3)))
+
+
+def _pool_modules(q, bound) -> list:
+    return [obj.module for obj in build_pool(q, bound).modules()]
+
+
+def _presented_equals_standard(m, n) -> bool:
+    return kernel_rank_cokernel(*rep._presented_rows(m, n)) \
+        == kernel_rank_cokernel(*rep._lattice_rows(m, n))
+
+
+@pytest.mark.parametrize("q, bound", ((A5_MIXED, 12), (D5, 12), (E6, 12), (E7, 12),
+                                      (KRONECKER, 12), (WILD, 6), (A_TILDE_2_1, 5)),
+                         ids=["A5-mixed", "D5", "E6", "E7", "Kronecker", "1=>2->3", "A~(2,1)"])
+def test_presented_invariants_equal_the_standard_ones(q, bound):
+    modules = _pool_modules(q, bound)
+    for m in modules:
+        for n in modules:
+            assert _presented_equals_standard(m, n), (m, n)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two lattices over one of five quivers, of ranks 0-3, with action
+    entries in {0, +-1, +-2, 3}: non-unit trivial-path entries survive
+    the splitting and Ext^1 can have torsion."""
+    q = draw(st.sampled_from((A3, KRONECKER, D4, WILD, A_TILDE_2_1)))
+
+    def lattice():
+        ranks = [draw(st.integers(0, 3)) for _ in q.vertices]
+        actions = [IntMatrix.from_rows([[draw(st.sampled_from((0, 1, -1, 2, -2, 3)))
+                                         for _ in range(ranks[s - 1])]
+                                        for _ in range(ranks[t - 1])], cols=ranks[s - 1])
+                   for s, t in q.arrows]
+        return make_lattice(q, ranks, actions)
+
+    return lattice(), lattice()
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_pairs())
+def test_presented_invariants_on_random_lattices(pair):
+    assert _presented_equals_standard(*pair)
+
+
+def _trivial_entries(m) -> list:
+    """The coefficients of the trivial paths left in m's presentation."""
+    return [x for row in m._presentation[2] for _, terms in row for p, x in terms if not p]
+
+
+def test_random_lattices_reach_non_unit_entries_and_torsion():
+    reached = set()
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(lattice_pairs())
+    def record(pair):
+        m, n = pair
+        if _trivial_entries(m):
+            reached.add("non-unit entry")
+        if ext1_group(m, n).torsion:
+            reached.add("torsion")
+
+    record()
+    assert reached == {"non-unit entry", "torsion"}
+
+
+def _lattice_a2(x):
+    return make_lattice(A2, (1, 1), (IntMatrix.from_rows([[x]]),))
+
+
+# lattices whose minimal presentation keeps a trivial-path entry 2 or 3
+NON_UNIT_ENTRIES = (
+    _lattice_a2(2),
+    make_lattice(KRONECKER, (1, 1), (IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[0]]))),
+    make_lattice(A3, (1, 1, 1), (IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[3]]))),
+    make_lattice(D4, (1, 1, 1, 2), (IntMatrix.from_rows([[2], [0]]), IntMatrix.from_rows([[0], [2]]),
+                                    IntMatrix.from_rows([[1], [1]]))),
+)
+
+
+# P_1^2 on A2 with action (2 1; 3 1): pivoting on the second row's 1
+# turns the first row's 3, checked before, into a unit
+UNIT_BY_FILL_IN = make_lattice(A2, (2, 2), (IntMatrix.from_rows([[2, 1], [3, 1]]),))
+
+
+@pytest.mark.parametrize("modules", (
+    pytest.param(lambda: _pool_modules(E7, 12), id="E7"),
+    pytest.param(lambda: _pool_modules(KRONECKER, 12), id="Kronecker"),
+    pytest.param(lambda: _pool_modules(WILD, 6), id="1=>2->3"),
+    pytest.param(lambda: _pool_modules(A_TILDE_2_1, 5), id="A~(2,1)"),
+    pytest.param(lambda: NON_UNIT_ENTRIES, id="non-unit entries"),
+    pytest.param(lambda: (UNIT_BY_FILL_IN,), id="unit by fill-in"),
+))
+def test_the_presentation_is_minimal(modules):
+    # its rows and columns sit at the vertices of the minimal resolution's
+    # P1 and P0, and no unit entry is left to split off
+    for m in modules():
+        row_vertices, col_vertices, _ = m._presentation
+        res = projective_resolution(m)
+        assert sorted(row_vertices) == sorted(res.p1), m
+        assert sorted(col_vertices) == sorted(res.p0), m
+        assert all(abs(x) != 1 for x in _trivial_entries(m)), m
+
+
+def test_non_unit_entries_survive_the_splitting():
+    for m in NON_UNIT_ENTRIES:
+        assert any(abs(x) > 1 for x in _trivial_entries(m)), m
+    assert ext1_group(simple(A2, 1), _lattice_a2(2)) == FinAbGroup(0, (2,))

@@ -1,4 +1,4 @@
-from clusterforge import clear_caches, cluster, verify
+from clusterforge import clear_caches, cluster, rep, verify
 from clusterforge.cluster import build_pool
 from clusterforge.quiver import Quiver
 from clusterforge.rep import projective
@@ -7,6 +7,8 @@ A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
 D4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
+# the orientation of the e7-verify benchmark workload
+E7 = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
 
 
 def test_euler_pairing_passes_on_orbit_pools():
@@ -40,3 +42,27 @@ def test_rep_checks_reject_another_quiver():
     assert "different quiver" in by_name["rep-wellformed(p1)"].detail
     assert "rep-euler(p1)" not in by_name
     assert not report.ok
+
+
+def test_e7_verify_reduces_each_pair_on_the_presentations(monkeypatch):
+    # each lattice is presented once and no standard intertwining row is
+    # built; the minimal resolution fixes the presented system sizes, so
+    # the totals do not depend on the pivot order
+    clear_caches()
+    presented, standard = [], []
+    present, rows = rep._lattice_presentation, rep._lattice_rows
+    monkeypatch.setattr(rep, "_lattice_presentation", lambda m: presented.append(m) or present(m))
+    monkeypatch.setattr(rep, "_lattice_rows", lambda m, n: standard.append((m, n)) or rows(m, n))
+    assert verify.run_suite(E7, 12).ok
+    assert standard == []
+    modules = [obj.module for obj in build_pool(E7, 12).modules()]
+    assert len(modules) == 63
+    assert len(set(presented)) == len(presented)
+    assert set(modules) <= set(presented)
+
+    def totals(system) -> tuple:
+        sizes = [system(m, n) for m in modules for n in modules]
+        return sum(len(r) for r, _ in sizes), sum(c for _, c in sizes)
+
+    assert totals(rep._presented_rows) == (6412, 6811)
+    assert totals(rows) == (25788, 26187)
