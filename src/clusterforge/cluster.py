@@ -298,7 +298,17 @@ class RigidPool:
     """All known rigid indecomposable objects within a dimension bound.
 
     complete is True exactly for Dynkin quivers, where the translate
-    orbits of the projectives exhaust the exceptional modules.
+    orbits of the projectives exhaust the exceptional modules.  objects
+    stays sorted by key and grows only through add.
+
+    Partner rows.  Each member also holds a bit, in insertion order, that
+    stays when the pool grows.  For an object key the pool keeps two bit
+    rows over the members, filled lazily: the rank-one row of x, the
+    members y other than x with Ext^1_C(x, y) free of rank one, and the
+    compatible row of t, the members y with Ext^1_C(y, t) and
+    Ext^1_C(t, y) both trivial.  Each row remembers which members it has
+    tested, so a pair is tested at most once per row and a member added
+    later is tested when a row is first asked about it (see partners).
     """
 
     quiver: Quiver
@@ -306,6 +316,15 @@ class RigidPool:
     objects: tuple = ()
     provenance: dict = field(default_factory=dict)
     complete: bool = False
+    _members: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _bits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # object key -> [bits that pass, bits tested]
+    _rank_one_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _compatible_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for obj in self.objects:
+            self._enlist(obj)
 
     def by_key(self) -> dict:
         return {obj.key(): obj for obj in self.objects}
@@ -314,13 +333,70 @@ class RigidPool:
         return tuple(obj for obj in self.objects if obj.is_module)
 
     def add(self, obj: ClusterObject, tag: str) -> bool:
-        key = obj.key()
-        if key in self.provenance:
+        if not self._enlist(obj):
             return False
+        key = obj.key()
         self.provenance[key] = tag
         i = bisect(self.objects, key, key=ClusterObject.key)
         self.objects = self.objects[:i] + (obj,) + self.objects[i:]
         return True
+
+    def _enlist(self, obj: ClusterObject) -> bool:
+        """Give obj the next bit unless a member has its key."""
+        if obj.key() in self._bits:
+            return False
+        self._bits[obj.key()] = len(self._members)
+        self._members.append(obj)
+        return True
+
+    def partners(self, x: ClusterObject, others) -> tuple:
+        """The members y other than x with Ext^1_C(x, y) free of rank one
+        and no Ext^1_C either way against any object of others.
+
+        The rank-one row of x meets the compatible row of each t in
+        others in turn, and a row tests only the candidates still left
+        that it has not tested, so the pairs tested are those of a scan
+        of every member that stops at the first failing test.  The
+        members come in insertion order.
+        """
+        everyone = (1 << len(self._members)) - 1
+        own = self._bits.get(x.key())
+        if own is not None:
+            everyone ^= 1 << own
+        left = self._row(self._rank_one_rows, x, everyone, _rank_one)
+        for t in others:
+            if not left:
+                break
+            left = self._row(self._compatible_rows, t, left, _compatible)
+        found = []
+        while left:
+            low = left & -left
+            found.append(self._members[low.bit_length() - 1])
+            left ^= low
+        return tuple(found)
+
+    def _row(self, rows: dict, obj: ClusterObject, among: int, test) -> int:
+        """The bits among `among` of the members y with test(obj, y), testing
+        only those the row of obj has not tested yet."""
+        row = rows.get(obj.key())
+        if row is None:
+            row = rows[obj.key()] = [0, 0]
+        untested = among & ~row[1]
+        row[1] |= untested
+        while untested:
+            low = untested & -untested
+            if test(obj, self._members[low.bit_length() - 1]):
+                row[0] |= low
+            untested ^= low
+        return row[0] & among
+
+
+def _rank_one(x: ClusterObject, y: ClusterObject) -> bool:
+    return ext1_c(x, y) == RANK_ONE
+
+
+def _compatible(t: ClusterObject, y: ClusterObject) -> bool:
+    return ext1_c(y, t).is_trivial and ext1_c(t, y).is_trivial
 
 
 def _within_bound(m: ZRep, bound: int) -> bool:
@@ -463,39 +539,49 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
     suspension of one end is isomorphic to the other.  Otherwise the
     multiset is the unique non-negative solution of the dimension
     balance over the complement (the complement's classes are linearly
-    independent).  How each middle term is certified, for all-module
-    triangles by a short exact sequence whose first map is the one
-    Hom-basis approximation of the tail (see _ses_certified), is
-    computed and memoized when its witness is first read.
+    independent); both triangles balance dim x + dim y, so one solution
+    serves the pair, memoized with the pair in key order so that the
+    reverse mutation reads it swapped (see _middle_terms).  How each
+    middle term is certified, for all-module triangles by a short exact
+    sequence whose first map is the one Hom-basis approximation of the
+    tail (see _ses_certified), is computed and memoized when its witness
+    is first read.
     """
     if ext1_c(x, y) != RANK_ONE:
         raise PreconditionViolated("exchange triangles need Ext1 free of rank one")
     complement = tuple(complement)
-    return ExchangeTriangleData(x=x, y=y, e=_middle_term(y, x, complement),
-                                e_prime=_middle_term(x, y, complement))
+    if x.key() <= y.key():
+        e, e_prime = _middle_terms(x, y, complement)
+    else:
+        e_prime, e = _middle_terms(y, x, complement)
+    return ExchangeTriangleData(x=x, y=y, e=e, e_prime=e_prime)
 
 
 @memo
-def _middle_term(tail: ClusterObject, head: ClusterObject, complement: tuple) -> tuple:
-    """Middle multiset of the triangle tail -> E -> head -> sigma tail.
+def _middle_terms(x: ClusterObject, y: ClusterObject, complement: tuple) -> tuple:
+    """(E, E'), the middle multisets of y -> E -> x -> sigma y and
+    x -> E' -> y -> sigma x.
 
-    E is empty when the suspension of tail is head, and otherwise read
-    off the unique solution of dim E = dim head + dim tail over the
-    complement; the multiset alone is returned, its witness is left to
-    _witness.  Memoized because exchange_graph meets every undirected
-    edge from both ends: the reverse mutation asks for the same two
-    triangles with tail and head swapped over the same canonical
-    complement.
+    A middle term is empty when the suspension of its tail is its head,
+    and otherwise read off the unique solution of dim E = dim x + dim y
+    over the complement, the same balance for both triangles, so it is
+    solved at most once; the multisets alone are returned, their
+    witnesses are left to _witness.  Memoized because exchange_graph
+    meets every undirected edge from both ends, over the same canonical
+    complement; exchange_triangles passes the pair in key order.
     """
-    if suspension(tail).key() == head.key():
-        return ()
-    target = tuple(a + b for a, b in zip(head.dim_c(), tail.dim_c()))
+    e_empty = suspension(y).key() == x.key()
+    e_prime_empty = suspension(x).key() == y.key()
+    if e_empty and e_prime_empty:
+        return (), ()
+    target = tuple(a + b for a, b in zip(x.dim_c(), y.dim_c()))
     sol = _balance_solution(target, complement)
     if sol is None:
         raise BalanceUnsolvable(
             f"no middle term over the complement balances {target}")
     middle = (obj for obj, m in zip(complement, sol) for _ in range(m))
-    return tuple(sorted(middle, key=lambda o: o.key()))
+    middle = tuple(sorted(middle, key=lambda o: o.key()))
+    return (() if e_empty else middle), (() if e_prime_empty else middle)
 
 
 def _witness(tail: ClusterObject, head: ClusterObject, middle: tuple) -> str:
@@ -563,9 +649,11 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
 
     Pool search first: the partner is the unique pool object with Ext^1
     against the leaving summand free of rank one and no extensions
-    against the rest.  If the search fails on an all-module cluster the
-    partner is constructed by approximation and, when it lies within the
-    pool's dimension bound, inserted into the pool.  Raises
+    against the rest, read off the pool's partner rows
+    (RigidPool.partners), which test each pair once over all mutations.
+    If the search fails on an all-module cluster the partner is
+    constructed by approximation and, when it lies within the pool's
+    dimension bound, inserted into the pool.  Raises
     NotFoundWithinBound rather than returning anything unverified or
     past the bound.
     """
@@ -574,14 +662,7 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
         raise PreconditionViolated(f"position {k} out of range")
     x = summands[k]
     others = summands[:k] + summands[k + 1:]
-    candidates = []
-    for y in pool.objects:
-        if y.key() == x.key():
-            continue
-        if ext1_c(x, y) != RANK_ONE:
-            continue
-        if all(ext1_c(y, t).is_trivial and ext1_c(t, y).is_trivial for t in others):
-            candidates.append(y)
+    candidates = pool.partners(x, others)
     if len(candidates) > 1:
         raise ConstructionFailed(
             f"pool offers {len(candidates)} exchange partners for {x.describe()}; "

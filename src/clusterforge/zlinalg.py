@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NoSolution
@@ -390,8 +391,11 @@ def _unit_pivots(rows: list, p: int, kept: list | None = None) -> tuple:
     each pivot only to the rows that hold its column.  Pivots come from
     a stack of rows that are, or have shrunk to, a single unit entry,
     which fill nothing in; only when it is empty does
-    `_shortest_unit_row` scan the live rows for the first shortest one
-    with a unit.
+    `_shortest_unit_row` take the first shortest row with a unit.  It
+    scans the live rows while they are few; once more than _SCAN_ROWS
+    are live at a search, it pops a heap of (length, position) entries
+    instead, to which every row changed since is pushed again, so a
+    system with many such pivots costs no scan of every row per pivot.
 
     With kept a list, each pivot taken from a longer row is appended to
     it as (column, rest): the row scaled to a pivot 1, without the pivot
@@ -409,20 +413,37 @@ def _unit_pivots(rows: list, p: int, kept: list | None = None) -> tuple:
             singles.append(row)
     live = rows
     r = 0
+    # the heap, the rows that may have changed since it was last pushed
+    # to, and where each row sits in live; emptied rows never change again
+    queue = changed = position = None
     while True:
         while singles:
             row = singles.pop()
             if len(row) == 1 and (p or abs(*row.values()) == 1):
                 # a single unit clears its column and fills nothing in
                 col, _ = row.popitem()
-                for other in holders.pop(col):
+                held = holders.pop(col)
+                for other in held:
                     if other.pop(col, 0) and len(other) == 1 and (p or abs(*other.values()) == 1):
                         singles.append(other)
+                if changed is not None:
+                    changed += held
                 r += 1
-        live = [row for row in live if row]
-        found = _shortest_unit_row(live, p)
+        if queue is None:
+            live = [row for row in live if row]
+            if len(live) > _SCAN_ROWS:
+                queue = [(len(row), i) for i, row in enumerate(live)]
+                heapify(queue)
+                changed = []
+                position = {id(row): i for i, row in enumerate(live)}
+        else:
+            for row in changed:
+                if row:
+                    heappush(queue, (len(row), position[id(row)]))
+            changed.clear()
+        found = _shortest_unit_row(live, p, queue)
         if found is None:
-            return r, live
+            return r, live if queue is None else [row for row in live if row]
         pivot_row, col = found
         x = pivot_row.pop(col)
         # scale the pivot to 1, so row -= a * pivot_row clears a
@@ -430,7 +451,8 @@ def _unit_pivots(rows: list, p: int, kept: list | None = None) -> tuple:
         if inv != 1:
             for c in pivot_row:
                 pivot_row[c] = pivot_row[c] * inv % p if p else -pivot_row[c]
-        for row in holders.pop(col):
+        held = holders.pop(col)
+        for row in held:
             a = row.pop(col, 0)
             if not a:
                 continue
@@ -446,15 +468,37 @@ def _unit_pivots(rows: list, p: int, kept: list | None = None) -> tuple:
                     del row[c]
             if len(row) == 1 and (p or abs(*row.values()) == 1):
                 singles.append(row)
+        if changed is not None:
+            changed += held
         if kept is not None:
             kept.append((col, pivot_row.copy()))
         pivot_row.clear()
         r += 1
 
 
-def _shortest_unit_row(rows: list, p: int) -> tuple | None:
+# live rows above which a pivot search pops a heap instead of scanning
+_SCAN_ROWS = 32
+
+
+def _shortest_unit_row(rows: list, p: int, queue: list | None = None) -> tuple | None:
     """(row, column) of the first unit in the first shortest row that
-    holds one, or None when no row does."""
+    holds one, or None when no row does.
+
+    With queue None the rows are scanned.  Otherwise queue is a heap of
+    (length, position in rows) holding an entry with the current length
+    of every row that can hold a unit; an entry whose length is stale,
+    or whose row holds no unit, is dropped, as its row is pushed again
+    when it next changes.
+    """
+    if queue is not None:
+        while queue:
+            length, i = heappop(queue)
+            row = rows[i]
+            if len(row) == length:
+                for c, x in row.items():
+                    if p or x == 1 or x == -1:
+                        return row, c
+        return None
     best = None
     least = 0
     for row in rows:

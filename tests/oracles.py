@@ -4,7 +4,8 @@ Nothing here touches the mutation engine or the exchange-graph search:
 positive roots come from reflection closure on the underlying graph,
 and cluster counts from exhaustive enumeration of maximal pairwise
 compatible subsets of a pool, or from the closed-form finite-type
-counts of Fomin-Zelevinsky (Cluster algebras II, 2003).  Morphisms in
+counts of Fomin-Zelevinsky (Cluster algebras II, 2003), and exchange
+partners from a scan of every pool object.  Morphisms in
 the cluster category come from the orbit formula itself, summed over
 the f_apply translates of the target, and projectives and injective
 lattices are recognized by an explicit isomorphism.
@@ -100,6 +101,14 @@ def cluster_count_a(n):
 def cluster_count_d(n):
     """Clusters of type D_n, n >= 4: (3n-2)/n * C(2n-2, n-1)."""
     return (3 * n - 2) * _binomial(2 * n - 2, n - 1) // n
+
+
+def partner_scan(objects, x, others):
+    """The exchange partners of x next to others among objects, testing
+    every object: Ext^1_C(x, y) free of rank one and no Ext^1_C either
+    way against any of others."""
+    return [y for y in objects if y.key() != x.key() and ext1_c(x, y) == FinAbGroup(1)
+            and all(ext1_c(y, t).is_trivial and ext1_c(t, y).is_trivial for t in others)]
 
 
 def index_by_isomorphism(m, lattice_at):

@@ -9,6 +9,7 @@ from clusterforge.errors import (
 )
 from clusterforge.quiver import Quiver, coxeter_apply
 from clusterforge import rep, serre
+from clusterforge import cluster as cluster_module
 from clusterforge.rep import (
     ZRep,
     dim_vector,
@@ -21,8 +22,9 @@ from clusterforge.rep import (
 from clusterforge.serre import ShiftedModule, f_apply, tau_inv
 from clusterforge.cluster import (
     ClusterObject,
+    RigidPool,
     _balance_solution,
-    _middle_term,
+    _middle_terms,
     _ses_certified,
     build_pool,
     canonical_cluster,
@@ -389,14 +391,14 @@ def test_exchange_triangles_certified_once():
     _, tri = mutate(initial, k, pool)
     assert tri.e_prime_witness == "ses"
     certified = _ses_certified.cache_info().misses
-    before = _middle_term.cache_info()
+    before = _middle_terms.cache_info()
     again = exchange_triangles(tri.x, tri.y, initial[:k] + initial[k + 1:])
-    after = _middle_term.cache_info()
+    after = _middle_terms.cache_info()
     assert again == tri
     # the repeated call stops at the middle-term table, so the SES
     # search behind the "ses" witness ran once
     assert after.misses == before.misses
-    assert after.hits == before.hits + 2
+    assert after.hits == before.hits + 1
     assert _ses_certified.cache_info().misses == certified
 
 
@@ -423,12 +425,12 @@ def test_mutating_back_hits_the_middle_terms():
     k = next(i for i, s in enumerate(initial) if s.key() == ("M", (0, 1, 1)))
     clear_caches()
     step, tri = mutate(initial, k, pool)
-    before = _middle_term.cache_info()
+    before = _middle_terms.cache_info()
     back, reverse = mutate(step, step.index(tri.y), pool)
-    after = _middle_term.cache_info()
+    after = _middle_terms.cache_info()
     assert back == initial
     assert (reverse.e, reverse.e_prime) == (tri.e_prime, tri.e)
-    assert after.hits == before.hits + 2
+    assert after.hits == before.hits + 1
     assert after.misses == before.misses
 
 
@@ -713,3 +715,66 @@ def test_exchange_graph_makes_no_dense_solve(monkeypatch):
         exchange_graph(q, 12)
     assert tracked
     assert not [t for t in tracked if "u_inv" in t or "U" in t]
+
+
+# (quiver, bound, node limit, whether the pool grows through mutation cones)
+PARTNER_GRAPHS = ((A4, 12, 10000, False), (D4, 12, 10000, False), (KRONECKER, 16, 1000, False),
+                  (A_TILDE_2_1, 5, 10000, True), (WILD, 6, 20, True))
+
+
+@pytest.mark.parametrize("q, bound, max_nodes, grows", PARTNER_GRAPHS,
+                         ids=["A4", "D4", "Kronecker-16", "A~(2,1)", "wild"])
+def test_partner_rows_equal_the_pool_scan(q, bound, max_nodes, grows, monkeypatch):
+    # at every mutation the partner rows give what a scan of every pool
+    # object gives, as the pool grows; so, through the same check, does a
+    # pool rebuilt from its objects alone, whose bits follow key order
+    rows = RigidPool.partners
+    sizes = []
+
+    def checked(pool, x, others):
+        found = rows(pool, x, others)
+        scan = oracles.partner_scan(pool.objects, x, others)
+        assert sorted(y.key() for y in found) == [y.key() for y in scan], x.describe()
+        sizes.append(len(pool.objects))
+        return found
+
+    clear_caches()
+    monkeypatch.setattr(RigidPool, "partners", checked)
+    start = len(build_pool(q, bound).objects)
+    g = exchange_graph(q, bound, max_nodes)
+    assert len(sizes) == len(g.nodes) * q.n
+    assert (sizes[-1] > start) == grows
+    grown = build_pool(q, bound)
+    for node in g.nodes:
+        for o in node:
+            grown.add(o, "graph")
+    rebuilt = RigidPool(q, bound, objects=grown.objects)
+    assert not rebuilt.add(grown.objects[0], "again")
+    for node in g.nodes:
+        for k in range(q.n):
+            rebuilt.partners(node[k], node[:k] + node[k + 1:])
+
+
+def test_exchange_graph_work_counts(monkeypatch):
+    # on A4 and D4 the partner rows test the pairs the pool scan tested,
+    # each once, and each undirected edge is balanced once: the reverse
+    # mutation reads the same middle-term entry
+    balances = []
+    inner = cluster_module._balance_solution
+
+    def counted(target, complement):
+        balances.append(target)
+        return inner(target, complement)
+
+    clear_caches()
+    monkeypatch.setattr(cluster_module, "_balance_solution", counted)
+    for q, undirected in ((A4, 84), (D4, 100)):
+        before = _middle_terms.cache_info()
+        g = exchange_graph(q, 12)
+        after = _middle_terms.cache_info()
+        assert len(g.edges) == 2 * undirected
+        assert after.misses - before.misses == after.hits - before.hits == undirected
+    lookups = ext1_c.cache_info()
+    assert lookups.misses == 452
+    assert lookups.hits + lookups.misses == 7373
+    assert len(balances) == 84 + 100

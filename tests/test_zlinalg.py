@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import find, given, settings, strategies as st
 
@@ -326,6 +328,61 @@ def test_long_sparse_systems_reach_every_pivot_source():
 
     record()
     assert reached == {"shrunk row", "fallback scan", "dense residual"}
+
+
+@st.composite
+def fallback_systems(draw):
+    """Sparse systems of 40 to 70 rows of two to four entries, so that no
+    row starts as a single unit and most pivots come off the search."""
+    n = draw(st.integers(min_value=40, max_value=70))
+    cols = draw(st.integers(min_value=30, max_value=60))
+    rows = []
+    for _ in range(n):
+        k = draw(st.integers(min_value=2, max_value=4))
+        picked = draw(st.lists(st.integers(0, cols - 1), min_size=k, max_size=k, unique=True))
+        rows.append({c: draw(st.sampled_from(WEIGHTS)) for c in picked})
+    return rows
+
+
+def _unit_pivots_with(rows, p, scan_rows):
+    """(result, kept pivots, pivots taken off the heap) of _unit_pivots on
+    a copy of rows, with the heap used above scan_rows live rows."""
+    rows = [{c: x % p for c, x in row.items() if x % p} if p else dict(row) for row in rows]
+    kept, heaped = [], []
+    saved, search = zlinalg._SCAN_ROWS, zlinalg._shortest_unit_row
+
+    def spied(live, p, queue=None):
+        found = search(live, p, queue)
+        if found is not None and queue is not None:
+            heaped.append(found[1])
+        return found
+
+    zlinalg._SCAN_ROWS, zlinalg._shortest_unit_row = scan_rows, spied
+    try:
+        r, live = zlinalg._unit_pivots(rows, p, kept)
+    finally:
+        zlinalg._SCAN_ROWS, zlinalg._shortest_unit_row = saved, search
+    return (r, [list(row.items()) for row in live]), kept, len(heaped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fallback_systems(), st.sampled_from((0, 0, 2, 3)))
+def test_the_pivot_heap_takes_the_pivots_of_the_scan(rows, p):
+    # the heap is an index of the scan: the same pivots in the same
+    # order, so the same kept rows, rank and residual
+    scanned = _unit_pivots_with(rows, p, 10 ** 9)
+    assert scanned[2] == 0
+    for scan_rows in (0, zlinalg._SCAN_ROWS):
+        assert _unit_pivots_with(rows, p, scan_rows)[:2] == scanned[:2]
+
+
+def test_a_fallback_system_takes_its_pivots_off_the_heap():
+    rng = random.Random(0)
+    rows = [{c: rng.choice(WEIGHTS) for c in rng.sample(range(40), rng.randint(2, 4))}
+            for _ in range(60)]
+    result, kept, heaped = _unit_pivots_with(rows, 0, zlinalg._SCAN_ROWS)
+    assert heaped >= 20
+    assert (result, kept) == _unit_pivots_with(rows, 0, 10 ** 9)[:2]
 
 
 def test_euler_pairing_on_e6_makes_no_dense_untracked_reduction(monkeypatch):
