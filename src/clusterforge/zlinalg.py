@@ -391,59 +391,51 @@ def _unit_pivots(rows: list, p: int, kept: list | None = None) -> tuple:
     each pivot only to the rows that hold its column.  Pivots come from
     a stack of rows that are, or have shrunk to, a single unit entry,
     which fill nothing in; only when it is empty does
-    `_shortest_unit_row` take the first shortest row with a unit.  It
-    scans the live rows while they are few; once more than _SCAN_ROWS
-    are live at a search, it pops a heap of (length, position) entries
-    instead, to which every row changed since is pushed again, so a
-    system with many such pivots costs no scan of every row per pivot.
+    `_shortest_unit_row` take the first shortest row with a unit, off a
+    heap of (length, position) entries to which every changed row is
+    pushed again, so a system with many such pivots costs no scan of
+    every row per pivot.
 
     With kept a list, each pivot taken from a longer row is appended to
     it as (column, rest): the row scaled to a pivot 1, without the pivot
     entry, as it stood when it cleared its column.  A single unit entry
     is not kept, as its equation sets its column's unknown to 0.
     """
-    # column -> the rows that held it when they were listed; a row that
-    # has lost the entry since is passed over when the column is cleared
+    # column -> positions of the rows that held it when they were listed;
+    # a row that has lost the entry since is passed over when it is cleared
     holders = defaultdict(list)
     singles = []  # rows that were a single unit entry when pushed
-    for row in rows:
+    for i, row in enumerate(rows):
         for c in row:
-            holders[c].append(row)
+            holders[c].append(i)
         if len(row) == 1 and (p or abs(*row.values()) == 1):
             singles.append(row)
-    live = rows
     r = 0
-    # the heap, the rows that may have changed since it was last pushed
-    # to, and where each row sits in live; emptied rows never change again
-    queue = changed = position = None
+    # (length, position) of rows, built at the first search; every row
+    # changed since is pushed again, unless it is empty or a single unit
+    queue = None
     while True:
         while singles:
             row = singles.pop()
             if len(row) == 1 and (p or abs(*row.values()) == 1):
                 # a single unit clears its column and fills nothing in
                 col, _ = row.popitem()
-                held = holders.pop(col)
-                for other in held:
-                    if other.pop(col, 0) and len(other) == 1 and (p or abs(*other.values()) == 1):
-                        singles.append(other)
-                if changed is not None:
-                    changed += held
+                for i in holders.pop(col):
+                    other = rows[i]
+                    if other.pop(col, 0):
+                        if len(other) == 1 and (p or abs(*other.values()) == 1):
+                            singles.append(other)
+                        elif other and queue is not None:
+                            heappush(queue, (len(other), i))
                 r += 1
         if queue is None:
-            live = [row for row in live if row]
-            if len(live) > _SCAN_ROWS:
-                queue = [(len(row), i) for i, row in enumerate(live)]
-                heapify(queue)
-                changed = []
-                position = {id(row): i for i, row in enumerate(live)}
-        else:
-            for row in changed:
-                if row:
-                    heappush(queue, (len(row), position[id(row)]))
-            changed.clear()
-        found = _shortest_unit_row(live, p, queue)
+            queue = [(len(row), i) for i, row in enumerate(rows) if row]
+            if not queue:
+                return r, []
+            heapify(queue)
+        found = _shortest_unit_row(rows, p, queue)
         if found is None:
-            return r, live if queue is None else [row for row in live if row]
+            return r, [row for row in rows if row]
         pivot_row, col = found
         x = pivot_row.pop(col)
         # scale the pivot to 1, so row -= a * pivot_row clears a
@@ -451,8 +443,8 @@ def _unit_pivots(rows: list, p: int, kept: list | None = None) -> tuple:
         if inv != 1:
             for c in pivot_row:
                 pivot_row[c] = pivot_row[c] * inv % p if p else -pivot_row[c]
-        held = holders.pop(col)
-        for row in held:
+        for i in holders.pop(col):
+            row = rows[i]
             a = row.pop(col, 0)
             if not a:
                 continue
@@ -462,55 +454,37 @@ def _unit_pivots(rows: list, p: int, kept: list | None = None) -> tuple:
                     v %= p
                 if v:
                     if c not in row:
-                        holders[c].append(row)
+                        holders[c].append(i)
                     row[c] = v
                 else:
                     del row[c]
             if len(row) == 1 and (p or abs(*row.values()) == 1):
                 singles.append(row)
-        if changed is not None:
-            changed += held
+            elif row:
+                heappush(queue, (len(row), i))
         if kept is not None:
             kept.append((col, pivot_row.copy()))
         pivot_row.clear()
         r += 1
 
 
-# live rows above which a pivot search pops a heap instead of scanning
-_SCAN_ROWS = 32
-
-
-def _shortest_unit_row(rows: list, p: int, queue: list | None = None) -> tuple | None:
+def _shortest_unit_row(rows: list, p: int, queue: list) -> tuple | None:
     """(row, column) of the first unit in the first shortest row that
     holds one, or None when no row does.
 
-    With queue None the rows are scanned.  Otherwise queue is a heap of
-    (length, position in rows) holding an entry with the current length
-    of every row that can hold a unit; an entry whose length is stale,
-    or whose row holds no unit, is dropped, as its row is pushed again
-    when it next changes.
+    queue is a heap of (length, position in rows) holding an entry with
+    the current length of every row that can hold a unit; an entry whose
+    length is stale, or whose row holds no unit, is dropped, as its row
+    is pushed again when it next changes.
     """
-    if queue is not None:
-        while queue:
-            length, i = heappop(queue)
-            row = rows[i]
-            if len(row) == length:
-                for c, x in row.items():
-                    if p or x == 1 or x == -1:
-                        return row, c
-        return None
-    best = None
-    least = 0
-    for row in rows:
-        if best is not None and len(row) >= least:
-            continue
-        for c, x in row.items():
-            if p or x == 1 or x == -1:
-                best, least = (row, c), len(row)
-                break
-        if least == 2:
-            break  # rows of one unit entry never get here, so 2 is the least
-    return best
+    while queue:
+        length, i = heappop(queue)
+        row = rows[i]
+        if len(row) == length:
+            for c, x in row.items():
+                if p or x == 1 or x == -1:
+                    return row, c
+    return None
 
 
 def _sparse(m: IntMatrix) -> list:
