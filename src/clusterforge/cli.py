@@ -18,29 +18,29 @@ from .quiver import validate
 from . import cluster, formats, rep, serre, verify
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="clusterforge",
-        description="exact computation in integral cluster categories of acyclic quivers")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_check(sub) -> None:
     p = sub.add_parser("check", help="validate a quiver file")
     p.add_argument("quiver")
 
-    for name in ("ext", "hom"):
-        p = sub.add_parser(name, help=f"{name}-group of two representations")
-        p.add_argument("quiver")
-        p.add_argument("rep_m")
-        p.add_argument("rep_n")
-        p.add_argument("--prime", type=int, action="append", default=[],
-                       help="compute dimensions over F_p instead (repeatable)")
 
+def _add_group(sub, name: str) -> None:
+    p = sub.add_parser(name, help=f"{name}-group of two representations")
+    p.add_argument("quiver")
+    p.add_argument("rep_m")
+    p.add_argument("rep_n")
+    p.add_argument("--prime", type=int, action="append", default=[],
+                   help="compute dimensions over F_p instead (repeatable)")
+
+
+def _add_tau(sub) -> None:
     p = sub.add_parser("tau", help="Auslander-Reiten translate of a representation")
     p.add_argument("quiver")
     p.add_argument("rep_m")
     p.add_argument("--power", type=int, default=1,
                    help="apply tau this many times; negative powers use the inverse")
 
+
+def _add_mutate(sub) -> None:
     p = sub.add_parser("mutate", help="mutate a cluster-tilting object")
     p.add_argument("quiver")
     p.add_argument("cluster")
@@ -50,12 +50,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactive", action="store_true",
                    help="read successive positions from standard input")
 
+
+def _add_graph(sub) -> None:
     p = sub.add_parser("graph", help="exchange graph exploration")
     p.add_argument("quiver")
     p.add_argument("--dim-bound", type=int, default=12)
     p.add_argument("--max-nodes", type=int, default=10000)
     p.add_argument("--format", choices=("text", "structured", "dot"), default="text")
 
+
+def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("quiver")
     p.add_argument("--dim-bound", type=int, default=12)
@@ -63,10 +67,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", action="append", default=[],
                    help="representation files to validate alongside the suite")
 
+
+def _add_pool(sub) -> None:
     p = sub.add_parser("pool", help="list the rigid object pool")
     p.add_argument("quiver")
     p.add_argument("--dim-bound", type=int, default=12)
 
+
+# command -> the function that adds its subparser, in help order
+COMMANDS = {
+    "check": _add_check,
+    "ext": lambda sub: _add_group(sub, "ext"),
+    "hom": lambda sub: _add_group(sub, "hom"),
+    "tau": _add_tau,
+    "mutate": _add_mutate,
+    "graph": _add_graph,
+    "verify": _add_verify,
+    "pool": _add_pool,
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one command given.
+
+    A parser of one command names all of them in its usage line, so its
+    usage and error text are those of the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="clusterforge",
+        description="exact computation in integral cluster categories of acyclic quivers")
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        COMMANDS[name](sub)
     return parser
 
 
@@ -249,8 +282,15 @@ def cmd_pool(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    Only the parser of the command that argv names is built; with no
+    command or an unknown one every parser is, so that help and errors
+    list them all.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         if args.command == "check":
             return cmd_check(args)

@@ -134,6 +134,11 @@ class ClusterObject:
             return ("M", rep.dim_vector(self.module))
         return ("S", (self.shifted_projective,))
 
+    @once
+    def suspended(self) -> "ClusterObject":
+        """The suspension of this object, built once and kept on it."""
+        return suspension(self)
+
     def dim_c(self) -> tuple:
         """Class in the dimension bookkeeping, with dim(sigma P_i) = -dim P_i."""
         if self.is_module:
@@ -227,7 +232,8 @@ def ext1_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
     coordinates the group is free of the rank _ext1_rank reads off
     dimension vectors; against sigma P_i a lattice L gives free of rank
     (dim L)_i (Yoneda, and Hom(L, I_i) = Hom_Z(L_i, Z)).  Every other
-    pair is computed by elimination.
+    pair is computed by elimination, with a translate that is P_i read
+    as rep.projective(q, i) (serre.tau_canonical).
     """
     if x.quiver != y.quiver:
         raise DimensionMismatch("objects live over different quivers")
@@ -250,7 +256,7 @@ def ext1_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
     n = y.module
     total = FinAbGroup(0) if serre.projective_index_of(m) is not None else rep.ext1_group(m, n)
     if serre.projective_index_of(n) is None:
-        total = total.direct_sum(rep.hom_group(m, serre.tau(n)).group)
+        total = total.direct_sum(rep.hom_group(m, serre.tau_canonical(n)).group)
     return total
 
 
@@ -259,7 +265,9 @@ def suspension(x: ClusterObject) -> ClusterObject:
 
     P_i goes to sigma P_i, any other module M to tau M, and sigma P_i
     to the injective lattice I_i.  A coordinate moves one step down its
-    orbit; I_i is built without one.
+    orbit; I_i is built without one.  Each call builds the object anew;
+    the exchange triangles read x.suspended(), which builds it once per
+    object.
     """
     q = x.quiver
     if not x.is_module:
@@ -477,9 +485,18 @@ def is_cluster_tilting(summands) -> tuple:
     """Whether the summand list is cluster-tilting, with a certificate.
 
     Returns (flag, failures); each failure is a human-readable string
-    naming the offending pair or count.
+    naming the offending pair or count, in the order of the summands.
+    Being cluster-tilting depends on the summands alone (Buan-Marsh-
+    Reineke-Reiten-Todorov 2006), so the certificate is memoized on the
+    summand tuple as given: a cluster that an exchange graph reaches
+    along several edges is certified once, and a list or a generator
+    asked again returns the identical result.
     """
-    summands = tuple(summands)
+    return _tilting_certificate(tuple(summands))
+
+
+@memo
+def _tilting_certificate(summands: tuple) -> tuple:
     failures = []
     if not summands:
         return False, ("empty summand list",)
@@ -536,16 +553,16 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
     """Middle terms of both exchange triangles for the pair (x, y).
 
     The triangle collapses to a zero middle term exactly when the
-    suspension of one end is isomorphic to the other.  Otherwise the
-    multiset is the unique non-negative solution of the dimension
-    balance over the complement (the complement's classes are linearly
-    independent); both triangles balance dim x + dim y, so one solution
-    serves the pair, memoized with the pair in key order so that the
-    reverse mutation reads it swapped (see _middle_terms).  How each
-    middle term is certified, for all-module triangles by a short exact
-    sequence whose first map is the one Hom-basis approximation of the
-    tail (see _ses_certified), is computed and memoized when its witness
-    is first read.
+    suspension of one end (ClusterObject.suspended) is isomorphic to
+    the other.  Otherwise the multiset is the unique non-negative
+    solution of the dimension balance over the complement (the
+    complement's classes are linearly independent); both triangles
+    balance dim x + dim y, so one solution serves the pair, memoized
+    with the pair in key order so that the reverse mutation reads it
+    swapped (see _middle_terms).  How each middle term is certified, for
+    all-module triangles by a short exact sequence whose first map is
+    the one Hom-basis approximation of the tail (see _ses_certified), is
+    computed and memoized when its witness is first read.
     """
     if ext1_c(x, y) != RANK_ONE:
         raise PreconditionViolated("exchange triangles need Ext1 free of rank one")
@@ -570,8 +587,8 @@ def _middle_terms(x: ClusterObject, y: ClusterObject, complement: tuple) -> tupl
     meets every undirected edge from both ends, over the same canonical
     complement; exchange_triangles passes the pair in key order.
     """
-    e_empty = suspension(y).key() == x.key()
-    e_prime_empty = suspension(x).key() == y.key()
+    e_empty = y.suspended().key() == x.key()
+    e_prime_empty = x.suspended().key() == y.key()
     if e_empty and e_prime_empty:
         return (), ()
     target = tuple(a + b for a, b in zip(x.dim_c(), y.dim_c()))
@@ -592,7 +609,7 @@ def _witness(tail: ClusterObject, head: ClusterObject, middle: tuple) -> str:
     tail -> E is head, making a short exact sequence, and "balance"
     otherwise.
     """
-    if not middle and suspension(tail).key() == head.key():
+    if not middle and tail.suspended().key() == head.key():
         return "connecting-iso"
     if (tail.is_module and head.is_module and all(c.is_module for c in middle)
             and _ses_certified(tail, head, middle)):
@@ -653,9 +670,10 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
     (RigidPool.partners), which test each pair once over all mutations.
     If the search fails on an all-module cluster the partner is
     constructed by approximation and, when it lies within the pool's
-    dimension bound, inserted into the pool.  Raises
-    NotFoundWithinBound rather than returning anything unverified or
-    past the bound.
+    dimension bound, inserted into the pool.  The new cluster is
+    certified by is_cluster_tilting, which reads the stored certificate
+    when the cluster was certified before.  Raises NotFoundWithinBound
+    rather than returning anything unverified or past the bound.
     """
     summands = tuple(summands)
     if not 0 <= k < len(summands):

@@ -12,9 +12,10 @@ the Coxeter transform of dim M.
 Exceptional modules are determined by their dimension vectors, so an
 exceptional module is P_i (or I_i) exactly when its dimension vector is
 that of P_i (or I_i); projective_index_of and injective_index_of
-compare them and build no isomorphism.  The dimension vector of a
-lattice is its generator counts; a module given by a presentation with
-relations has its rank per vertex instead.
+compare them and build no isomorphism, and tau_canonical reads a
+projective translate as the value rep.projective returns.  The
+dimension vector of a lattice is its generator counts; a module given
+by a presentation with relations has its rank per vertex instead.
 
 tau_inv goes through the opposite quiver: dualize, translate, dualize
 back.  f_apply is one step of the orbit autoequivalence on shifted
@@ -95,6 +96,20 @@ def tau(m: ZRep) -> ZRep:
     for v in reversed(validate(q)):
         q, m = reflect(q, m, v)
     return m
+
+
+def tau_canonical(m: ZRep) -> ZRep:
+    """tau m, read as rep.projective(q, i) when the translate is P_i.
+
+    The sink reflections build a projective translate as a lattice
+    isomorphic to P_i but not always equal to the value rep.projective
+    returns, which the pools and the memo tables hold; a caller that
+    pairs the translate with pool lattices reads this one, so no pair is
+    reduced twice under two values of the same module.
+    """
+    t = tau(m)
+    i = projective_index_of(t)
+    return t if i is None else rep.projective(m.quiver, i)
 
 
 @memo

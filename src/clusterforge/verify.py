@@ -126,10 +126,11 @@ def _tau_coxeter(q, modules) -> CheckResult:
 
 def _ar_duality(q, modules) -> CheckResult:
     bad = []
-    translated = [n for n in modules if serre.projective_index_of(n) is None]
+    translates = [(n, serre.tau_canonical(n)) for n in modules
+                  if serre.projective_index_of(n) is None]
     for m in modules:
-        for n in translated:
-            lhs = rep.hom_group(m, serre.tau(n)).free_rank
+        for n, tau_n in translates:
+            lhs = rep.hom_group(m, tau_n).free_rank
             rhs = rep.ext1_group(n, m).free_rank
             if lhs != rhs:
                 bad.append(f"Hom({rep.dim_vector(m)}, tau{rep.dim_vector(n)}) "

@@ -4,7 +4,8 @@ Nothing here touches the mutation engine or the exchange-graph search:
 positive roots come from reflection closure on the underlying graph,
 and cluster counts from exhaustive enumeration of maximal pairwise
 compatible subsets of a pool, or from the closed-form finite-type
-counts of Fomin-Zelevinsky (Cluster algebras II, 2003), and exchange
+counts of Fomin-Zelevinsky (Cluster algebras II, 2003) and the
+generalized Catalan numbers over the exponents, and exchange
 partners from a scan of every pool object.  Morphisms in
 the cluster category come from the orbit formula itself, summed over
 the f_apply translates of the target, and projectives and injective
@@ -101,6 +102,35 @@ def cluster_count_a(n):
 def cluster_count_d(n):
     """Clusters of type D_n, n >= 4: (3n-2)/n * C(2n-2, n-1)."""
     return (3 * n - 2) * _binomial(2 * n - 2, n - 1) // n
+
+
+# Exponents of the exceptional root systems (Bourbaki, Lie groups and Lie
+# algebras, chapters 4-6, plates V-VII).
+EXCEPTIONAL_EXPONENTS = {6: (1, 4, 5, 7, 8, 11), 7: (1, 5, 7, 9, 11, 13, 17),
+                         8: (1, 7, 11, 13, 17, 19, 23, 29)}
+
+
+def exponents(letter, n):
+    """The exponents of the simply-laced root system of type letter_n."""
+    if letter == "A":
+        return tuple(range(1, n + 1))
+    if letter == "D":
+        return tuple(range(1, 2 * n - 2, 2)) + (n - 1,)
+    return EXCEPTIONAL_EXPONENTS[n]
+
+
+def cluster_count(letter, n):
+    """Clusters of a finite type: the generalized Catalan number
+    prod (h + e_i + 1) / (e_i + 1) over the exponents e_i, with the
+    Coxeter number h one more than the largest exponent."""
+    es = exponents(letter, n)
+    h = max(es) + 1
+    numerator = denominator = 1
+    for e in es:
+        numerator *= h + e + 1
+        denominator *= e + 1
+    assert numerator % denominator == 0
+    return numerator // denominator
 
 
 def partner_scan(objects, x, others):

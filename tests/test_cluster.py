@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from clusterforge import clear_caches, zlinalg
@@ -157,6 +159,26 @@ def test_is_cluster_tilting_examples():
     assert is_cluster_tilting([s1, sp(A2, 2)])[0]
     assert not is_cluster_tilting([p1])[0]
     assert not is_cluster_tilting([p1, p1])[0]
+
+
+def test_a_certificate_is_computed_once_and_read_back():
+    # the certificate is kept on the summand tuple as given: a list, a
+    # generator and a tuple of the same summands read the identical
+    # result, and another order is another entry with its failures in
+    # that order
+    p1, p2, s1 = co(projective(A2, 1)), co(projective(A2, 2)), sp(A2, 1)
+    clear_caches()
+    first = is_cluster_tilting([p1, s1, p2])
+    assert first == (False, ("expected 2 summands, got 3",
+                             "Ext1(M[1, 1], SP1) = Z^1", "Ext1(SP1, M[1, 1]) = Z^1"))
+    assert is_cluster_tilting([p1, s1, p2]) is first
+    assert is_cluster_tilting(s for s in (p1, s1, p2)) is first
+    assert is_cluster_tilting((p1, s1, p2)) is first
+    swapped = is_cluster_tilting([s1, p1, p2])
+    assert swapped[1] == ("expected 2 summands, got 3",
+                          "Ext1(SP1, M[1, 1]) = Z^1", "Ext1(M[1, 1], SP1) = Z^1")
+    info = cluster_module._tilting_certificate.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
 
 
 def test_presented_simple_is_not_taken_for_a_projective():
@@ -446,9 +468,28 @@ def test_exchange_graph_closed_form_counts():
         assert len(g.edges) == expected * q.n
 
 
+def test_generalized_catalan_numbers():
+    assert [oracles.cluster_count("A", n) for n in range(1, 9)] \
+        == [oracles.cluster_count_a(n) for n in range(1, 9)]
+    assert [oracles.cluster_count("D", n) for n in range(4, 9)] \
+        == [oracles.cluster_count_d(n) for n in range(4, 9)]
+    assert [oracles.cluster_count("E", n) for n in (6, 7, 8)] == [833, 4160, 25080]
+
+
+E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+
+
+def test_e6_exchange_graph_closes_on_the_catalan_count():
+    g = exchange_graph(E6, 12)
+    assert not g.truncated
+    assert len(g.nodes) == oracles.cluster_count("E", 6) == 833
+    assert len(g.edges) == 6 * 833 == 4998
+    assert Counter(i for i, _, _, _ in g.edges) == Counter({i: 6 for i in range(833)})
+    assert Counter(j for _, _, j, _ in g.edges) == Counter({j: 6 for j in range(833)})
+
+
 A5_MIXED = Quiver(5, ((2, 1), (2, 3), (4, 3), (4, 5)))
 A_TILDE_2_1 = Quiver(3, ((1, 2), (2, 3), (1, 3)))
-E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
 WILD = Quiver(3, ((1, 2), (1, 2), (2, 3)))
 THREE_KRONECKER = Quiver(2, ((1, 2), (1, 2), (1, 2)))
 D4_AND_KRONECKER = Quiver(6, ((1, 4), (2, 4), (3, 4), (5, 6), (5, 6)))
@@ -758,9 +799,12 @@ def test_partner_rows_equal_the_pool_scan(q, bound, max_nodes, grows, monkeypatc
 def test_exchange_graph_work_counts(monkeypatch):
     # on A4 and D4 the partner rows test the pairs the pool scan tested,
     # each once, and each undirected edge is balanced once: the reverse
-    # mutation reads the same middle-term entry
-    balances = []
-    inner = cluster_module._balance_solution
+    # mutation reads the same middle-term entry.  Each of the 42 + 50
+    # clusters is certified once, the other 278 of the 370 certificates
+    # (one per mutation and one per initial cluster) are read back, and
+    # each of the 14 + 16 pool objects has its suspension built once
+    balances, suspended = [], []
+    inner, suspend = cluster_module._balance_solution, cluster_module.suspension
 
     def counted(target, complement):
         balances.append(target)
@@ -768,6 +812,7 @@ def test_exchange_graph_work_counts(monkeypatch):
 
     clear_caches()
     monkeypatch.setattr(cluster_module, "_balance_solution", counted)
+    monkeypatch.setattr(cluster_module, "suspension", lambda x: suspended.append(x) or suspend(x))
     for q, undirected in ((A4, 84), (D4, 100)):
         before = _middle_terms.cache_info()
         g = exchange_graph(q, 12)
@@ -776,5 +821,8 @@ def test_exchange_graph_work_counts(monkeypatch):
         assert after.misses - before.misses == after.hits - before.hits == undirected
     lookups = ext1_c.cache_info()
     assert lookups.misses == 452
-    assert lookups.hits + lookups.misses == 7373
+    assert lookups.hits + lookups.misses == 2925
+    certificates = cluster_module._tilting_certificate.cache_info()
+    assert (certificates.misses, certificates.hits) == (42 + 50, 278)
     assert len(balances) == 84 + 100
+    assert len(suspended) == len({id(x) for x in suspended}) == 14 + 16

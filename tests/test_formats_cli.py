@@ -1,5 +1,6 @@
 import pytest
 
+from clusterforge import cli
 from clusterforge.cli import main
 from clusterforge.errors import FormatError
 from clusterforge.formats import (
@@ -182,6 +183,24 @@ def test_cli_mutate(workdir, capsys):
     assert main(["mutate", quiver, cluster, "3", "--dim-bound", "5"]) == 2
 
 
+def test_cli_mutate_refuses_a_cluster_that_is_not_tilting(workdir, capsys):
+    # three summands, P_1 and sigma P_1 among them: the count and both
+    # Ext^1 between them are reported, in the printed summand order, on
+    # a first run and on one that reads the stored certificate
+    (workdir / "bad.cluster").write_text(
+        "clusterforge/1 cluster\nquiver a2.quiver\nsummand shifted_projective 1\n"
+        "summand projective 1\nsummand projective 2\n")
+    argv = ["mutate", str(workdir / "a2.quiver"), str(workdir / "bad.cluster"), "1"]
+    expected = ("not cluster-tilting:\n"
+                "  expected 2 summands, got 3\n"
+                "  Ext1(M[1, 1], SP1) = Z^1\n"
+                "  Ext1(SP1, M[1, 1]) = Z^1\n")
+    for _ in range(2):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (expected, "")
+
+
 def test_cli_graph_formats(workdir, capsys):
     quiver = str(workdir / "a2.quiver")
     assert main(["graph", quiver, "--dim-bound", "5"]) == 0
@@ -280,3 +299,58 @@ def test_cli_verify_a3(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "PASS bijection-mod-5" in out
+
+
+# one bad-argument error per command; the last is refused by the
+# top-level parser, whose usage line names every command
+BAD_ARGUMENTS = {
+    "check": ["check"],
+    "ext": ["ext", "a2.quiver", "m.rep", "s1.rep", "--prime", "two"],
+    "hom": ["hom", "a2.quiver", "m.rep"],
+    "tau": ["tau", "a2.quiver", "m.rep", "--power", "twice"],
+    "mutate": ["mutate", "a2.quiver", "initial.cluster", "first"],
+    "graph": ["graph", "a2.quiver", "--format", "svg"],
+    "verify": ["verify", "a2.quiver", "--dim-bound", "big"],
+    "pool": ["pool", "a2.quiver", "extra"],
+}
+
+
+def _parser_text(parse, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", sorted(BAD_ARGUMENTS))
+def test_one_command_parser_prints_what_the_full_parser_prints(command, capsys):
+    full = cli._build_parser().parse_args
+    for argv in ([command, "-h"], BAD_ARGUMENTS[command]):
+        text = _parser_text(main, argv, capsys)
+        assert text == _parser_text(full, argv, capsys)
+        assert text[0] == (0 if argv[-1] == "-h" else 2)
+    if command == "pool":
+        assert "{check,ext,hom,tau,mutate,graph,verify,pool} ..." in text[2]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]], ids=["empty", "help", "bogus"])
+def test_top_level_help_and_errors_list_every_command(argv, capsys):
+    full = cli._build_parser().parse_args
+    text = _parser_text(main, argv, capsys)
+    assert text == _parser_text(full, argv, capsys)
+    printed = text[1] + text[2]
+    assert all(name in printed for name in cli.COMMANDS)
+    if argv == ["bogus"]:
+        assert "invalid choice: 'bogus'" in printed
+
+
+def test_main_builds_the_parser_of_the_command_given(workdir, capsys, monkeypatch):
+    built = []
+    for name, add in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            lambda sub, name=name, add=add: built.append(name) or add(sub))
+    assert main(["check", str(workdir / "a2.quiver")]) == 0
+    assert built == ["check"]
+    capsys.readouterr()
+    _parser_text(main, ["-h"], capsys)
+    assert built == ["check", *cli.COMMANDS]

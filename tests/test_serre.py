@@ -30,6 +30,7 @@ from clusterforge.serre import (
     projective_index_of,
     reflect,
     tau,
+    tau_canonical,
     tau_inv,
 )
 from clusterforge.zlinalg import IntMatrix
@@ -40,6 +41,8 @@ from test_cluster import TAU_CLOSED_POOLS
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
+# the orientation of the e7-verify benchmark workload
+E7 = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
 
 
 def test_tau_examples():
@@ -193,6 +196,25 @@ def test_recognition_by_dimension_vector_matches_isomorphism(q, bound):
             dim_vector(m)
         assert injective_index_of(m) == \
             oracles.index_by_isomorphism(m, injective_lattice), dim_vector(m)
+
+
+def test_projective_translates_read_as_the_pool_projectives():
+    # on E7 every P_i is the translate of a pool lattice, and the sink
+    # reflections build four of them as a value other than the P_i the
+    # pool holds; tau_canonical returns that P_i and every other
+    # translate unchanged
+    modules = [o.module for o in build_pool(E7, 12).modules()]
+    translated = [m for m in modules if projective_index_of(m) is None]
+    onto = [m for m in translated if projective_index_of(tau(m)) is not None]
+    assert len(onto) == 7
+    assert sum(tau(m) != projective(E7, projective_index_of(tau(m))) for m in onto) == 4
+    for m in translated:
+        i = projective_index_of(tau(m))
+        if i is None:
+            assert tau_canonical(m) is tau(m)
+        else:
+            assert tau_canonical(m) is projective(E7, i)
+        assert tau_canonical(m) in modules
 
 
 def test_recognition_rejects_non_exceptional_lattices():

@@ -66,3 +66,36 @@ def test_e7_verify_reduces_each_pair_on_the_presentations(monkeypatch):
 
     assert totals(rep._presented_rows) == (6412, 6811)
     assert totals(rows) == (25788, 26187)
+
+
+def test_e7_verify_reads_projective_translates_as_the_pool_projectives(monkeypatch):
+    # AR duality pairs every pool lattice with the translates of the
+    # others; a translate that is P_i is read as the pool's P_i, so Hom
+    # into it is the pool pair already reduced, and only the 4 self-pairs
+    # that recognize those translates as exceptional are reduced besides
+    # the 63 x 63 pool pairs (the parent reduced 4,225)
+    clear_caches()
+    reduced = []
+    rows = rep._presented_rows
+    monkeypatch.setattr(rep, "_presented_rows", lambda m, n: reduced.append((m, n)) or rows(m, n))
+    assert verify.run_suite(E7, 12).ok
+    modules = set(obj.module for obj in build_pool(E7, 12).modules())
+    outside = [(m, n) for m, n in reduced if not {m, n} <= modules]
+    assert len(reduced) == 63 * 63 + 4 == 3973
+    assert len(outside) == 4 and all(m is n for m, n in outside)
+
+
+def test_coordinate_free_ext1_reads_projective_translates_as_the_pool_projectives(monkeypatch):
+    # objects without orbit coordinates take the elimination branch of
+    # ext1_c, whose Hom(M, tau N) term then reads the pool's P_i
+    clear_caches()
+    lattices = [obj.module for obj in build_pool(E7, 12).modules()]
+    targets = []
+    hom = rep.hom_group
+    monkeypatch.setattr(rep, "hom_group", lambda m, n: targets.append(n) or hom(m, n))
+    plain = [cluster.ClusterObject.from_module(m) for m in lattices]
+    x = plain[0]
+    for y in plain:
+        cluster.ext1_c(x, y)
+    assert len(targets) == 56
+    assert set(targets) <= set(lattices)
