@@ -53,7 +53,7 @@ def _parse_int_list(token: str, line: int):
         value = ast.literal_eval(token)
     except (ValueError, SyntaxError):
         raise FormatError(f"malformed integer list {token!r}", line=line)
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise FormatError(f"expected a flat integer list, found {token!r}", line=line)
     return value
 
@@ -77,7 +77,7 @@ def _parse_matrix(token: str, line: int):
     if value == []:
         return []
     if not (isinstance(value, list) and all(isinstance(r, list) for r in value)
-            and all(isinstance(x, int) for r in value for x in r)):
+            and all(type(x) is int for r in value for x in r)):
         raise FormatError(f"expected a bracketed row list, found {token!r}", line=line)
     widths = {len(r) for r in value}
     if len(widths) > 1:

@@ -12,17 +12,19 @@ projective resolution has the three-term shape P -> P + P' -> P''
 featuring a multiplication-by-2 entry next to an arrow entry; at the
 sink the resolution collapses to two terms.
 
-Between lattices Hom is the kernel and Ext^1 the cokernel of Hom(D, n)
-for D the standard presentation of m with its unit entries split off,
-built once per lattice and kept on it; so each ordered pair costs one
-`smith_invariants` reduction, with no transform tracked, of a system
-that on every exceptional lattice tried is the minimal resolution's.
-The standard intertwining matrix is used only for a Hom basis, computed
-on the rows made dense when it is read and never for a Hom of rank 0,
-and over F_p by `field_hom_ext_dims`.
-Ext^1 out of a presented module is read off its minimal projective
-resolution, whose every stage is a projective cover of a top, minimal
-as built: nothing is split off afterwards.
+Hom(m, n) and Ext^1(m, n) are H^0 and H^1 of Hom(P., n) for one
+projective complex P. -> m kept on m (`ZRep._presentation`): for a
+lattice the standard presentation with its unit entries split off, on
+every exceptional lattice tried the minimal resolution's; otherwise the
+minimal projective resolution, whose every stage is a projective cover
+of a top, minimal as built.  Between lattices each ordered pair costs
+one `smith_invariants` reduction, with no transform tracked; with
+relations in either module the homology is read with the relations of
+n as extra columns.  A Hom basis is the kernel of the same system,
+computed on first read and never for a Hom of rank 0, each element of
+Hom(P_0, n) lifted to vertexwise maps through a right inverse of P_0 ->
+m kept on m.  The standard intertwining rows serve only
+`field_hom_ext_dims` over a field.
 """
 
 from __future__ import annotations
@@ -124,8 +126,39 @@ class ZRep:
     @property
     @once
     def _presentation(self) -> tuple:
-        """`_lattice_presentation` of this lattice, built on first read."""
-        return _lattice_presentation(self)
+        """(p0, p1, p2, d1, d2, tops) of the projective complex P. -> self
+        that Hom and Ext^1 out of self are read off, built on first read:
+        `_lattice_presentation` for a lattice, else `projective_resolution`.
+
+        Slots are vertices, and d_k holds one row per slot of p_k of
+        (column, path sum) pairs over the slots of p_{k-1}, a path sum
+        running from the column's vertex to the row's.  tops[j] is the
+        image of p0's slot j: a generator index for a lattice, else a
+        generator-lift vector.
+        """
+        if self.is_lattice:
+            return _lattice_presentation(self)
+        return _resolution_complex(projective_resolution(self))
+
+    @property
+    @once
+    def _sections(self) -> tuple:
+        """Per vertex v, rows Y_v over the basis (j, p) of (P_0)_v with
+        eps_v Y_v = I modulo the relations, eps_v sending (j, p) to
+        self(p) tops[j]: the top rows of a solution of [eps_v | R_v] Y = I,
+        which exists as P_0 -> self is onto.  Built on first read."""
+        q, gens = self.quiver, self.gens
+        p0, tops = self._presentation[0], self._presentation[5]
+        if self.is_lattice:
+            tops = [tuple(int(i == k) for i in range(gens[v - 1])) for v, k in zip(p0, tops)]
+        out = []
+        for v in q.vertices:
+            cols = [_act(self, p, tops[j]) for j, p in _ambient(q, p0, v)]
+            eps = _matrix(gens[v - 1], len(cols),
+                          tuple(tuple(c[r] for c in cols) for r in range(gens[v - 1])))
+            y = solve_matrix(eps.hstack(self.relations[v - 1]), IntMatrix.identity(gens[v - 1]))
+            out.append(y.entries[:len(cols)])
+        return tuple(out)
 
     @property
     @once
@@ -237,19 +270,6 @@ def direct_sum_many(parts) -> ZRep:
     return ZRep(q, gens, relations, actions)
 
 
-def action_along_path(m: ZRep, start: int, path: tuple) -> IntMatrix:
-    """The composite action matrix of a path on generator columns."""
-    out = IntMatrix.identity(m.gens[start - 1])
-    at = start
-    for a in path:
-        s, t = m.quiver.arrows[a]
-        if s != at:
-            raise DimensionMismatch("path does not compose")
-        out = m.actions[a].mul(out)
-        at = t
-    return out
-
-
 def dualize(m: ZRep) -> ZRep:
     """The Z-dual lattice over the opposite quiver (lattices only)."""
     if not m.is_lattice:
@@ -259,15 +279,16 @@ def dualize(m: ZRep) -> ZRep:
 
 
 # ---------------------------------------------------------------------------
-# Hom
+# Hom and Ext^1
 
 @dataclass(frozen=True, eq=False)
 class Hom:
     """Hom group together with explicit homomorphisms.
 
     `basis` is a tuple of per-vertex IntMatrix tuples, computed by
-    `make_basis` on first read and kept.  For lattices it is a genuine
-    Z-basis in kernel_basis order; in the presence of torsion it is a
+    `make_basis` on first read and kept: the lifts (`_lift`) of the
+    kernel_basis columns of the degree-0 cycles of Hom(P., n).  For
+    lattices it is a genuine Z-basis; in the presence of torsion it is a
     generating set of representative maps.  Values compare by identity.
     """
 
@@ -284,89 +305,36 @@ class Hom:
         return self.group.free_rank
 
 
-def _hom_var_layout(m_gens, n_gens):
-    """Offsets of the vertexwise blocks f_v (n_v x m_v, row-major) and their total."""
-    offsets = []
-    total = 0
-    for g_m, g_n in zip(m_gens, n_gens):
-        offsets.append(total)
-        total += g_n * g_m
-    return offsets, total
-
-
-def _intertwining_rows(q: Quiver, m_gens, n_gens, m_actions, n_actions) -> tuple:
-    """Rows of the map (f_v)_v -> (f_{t(a)} M_a - N_a f_{s(a)})_a, and its width.
-
-    Actions are per-arrow row tuples (IntMatrix entries, or FieldRep
-    actions); the variables follow _hom_var_layout.  There is one row per
-    entry (r, c) of each arrow component, in arrow, row, column order,
-    as a {variable: coefficient} dict without zeros.  The two terms sit
-    in the blocks of t(a) and s(a), which differ on an acyclic quiver.
-    """
-    offsets, nvars = _hom_var_layout(m_gens, n_gens)
-    rows = []
-    for a, (s, t) in enumerate(q.arrows):
-        su, tv = s - 1, t - 1
-        ma, na = m_actions[a], n_actions[a]
-        g_ms, g_mt, g_ns = m_gens[su], m_gens[tv], n_gens[su]
-        for r in range(n_gens[tv]):
-            at_t = offsets[tv] + r * g_mt
-            na_r = na[r]
-            for c in range(g_ms):
-                row = {at_t + k: ma[k][c] for k in range(g_mt) if ma[k][c]}
-                at_s = offsets[su] + c
-                for k in range(g_ns):
-                    if na_r[k]:
-                        row[at_s + k * g_ms] = -na_r[k]
-                rows.append(row)
-    return rows, nvars
-
-
-def _dense(row: dict, width: int) -> list:
-    out = [0] * width
-    for c, x in row.items():
-        out[c] = x
-    return out
-
-
-def _lattice_rows(m: ZRep, n: ZRep) -> tuple:
-    """The sparse intertwining rows of two ZReps, on their generator columns."""
-    return _intertwining_rows(m.quiver, m.gens, n.gens,
-                              [x.entries for x in m.actions], [x.entries for x in n.actions])
-
-
-def _lattice_matrix(m: ZRep, n: ZRep) -> IntMatrix:
-    """The intertwining matrix of two ZReps, made dense."""
-    rows, nvars = _lattice_rows(m, n)
-    return IntMatrix(len(rows), nvars, tuple(tuple(_dense(row, nvars)) for row in rows))
-
-
 def _lattice_presentation(m: ZRep) -> tuple:
-    """(row vertices, column vertices, rows) of the lattice m's standard
+    """The `ZRep._presentation` of the lattice m: its standard
     presentation with every unit trivial-path entry split off.
 
     The standard presentation is Ringel's resolution
     0 -> sum_a P_{t(a)} (x) M_{s(a)} -> sum_v P_v (x) M_v -> m -> 0: row
     (a, c), for each arrow a and c < rank M_{s(a)}, holds the path -a at
     column (s(a), c) and M_a[k][c] times the trivial path at column
-    (t(a), k).  An entry is a {path: coefficient} dict of paths from its
-    column's vertex to its row's vertex.  While some entry is u e_v with
-    u = +-1, it is a pivot: every other row i holding its column j0 gets
+    (t(a), k), and column (v, k) maps to generator k of M_v.  An entry
+    is a {path: coefficient} dict of paths from its column's vertex to
+    its row's vertex.  While some entry is u e_v with u = +-1, it is a
+    pivot: every other row i holding its column j0 gets
     D_ij -= u (D_{i0 j} followed by D_{i j0}), and its row and column
-    drop.  Under Hom(-, n) the pivot is the unit block u I on n_v, so the
-    kernel rank and the cokernel are those of the standard system for
-    every n.  No entry left is a unit times a trivial path; on every
-    exceptional lattice tried the rows and columns then sit at the
-    vertices of `projective_resolution(m).p1` and `.p0`.
+    drop, as its relation writes generator j0 in the others.  Under
+    Hom(-, n) the pivot is the unit block u I on n_v, so the kernel and
+    the cokernel are those of the standard system for every n.  No
+    entry left is a unit times a trivial path; on every exceptional
+    lattice tried the rows and columns then sit at the vertices of
+    `projective_resolution(m).p1` and `.p0`.
 
     Rows come back as tuples of (column, ((path, coefficient), ...))
-    pairs, the columns left renumbered in order.
+    pairs, the columns left renumbered in order, and tops as the kept
+    generator index of each column.
     """
     q = m.quiver
-    start, col_vertex = {}, []
+    start, col_vertex, col_index = {}, [], []
     for v in q.vertices:
         start[v] = len(col_vertex)
         col_vertex += [v] * m.gens[v - 1]
+        col_index += range(m.gens[v - 1])
     row_vertex, rows = [], {}
     for a, (s, t) in enumerate(q.arrows):
         ma = m.actions[a].entries
@@ -408,9 +376,20 @@ def _lattice_presentation(m: ZRep) -> tuple:
         dropped.add(j0)
     kept = [j for j in range(len(col_vertex)) if j not in dropped]
     renumber = {j: i for i, j in enumerate(kept)}
-    return (tuple(row_vertex[i] for i in rows), tuple(col_vertex[j] for j in kept),
+    return (tuple(col_vertex[j] for j in kept), tuple(row_vertex[i] for i in rows), (),
             tuple(tuple(sorted((renumber[j], tuple(sorted(e.items()))) for j, e in row.items()))
-                  for row in rows.values()))
+                  for row in rows.values()),
+            (), tuple(col_index[j] for j in kept))
+
+
+def _resolution_complex(res: "ProjResolution") -> tuple:
+    """The `ZRep._presentation` tuple of a projective resolution: each
+    map's (row, column) entries read as rows over its domain's slots."""
+    def rows(d, count):
+        return tuple(tuple((r, row[c]) for r, row in enumerate(d) if row[c])
+                     for c in range(count))
+    return (res.p0, res.p1, res.p2, rows(res.d1, len(res.p1)), rows(res.d2, len(res.p2)),
+            res.augmentation)
 
 
 def _path_action(n: ZRep, path: tuple) -> tuple:
@@ -440,22 +419,30 @@ def _path_action(n: ZRep, path: tuple) -> tuple:
     return out
 
 
-def _presented_rows(m: ZRep, n: ZRep) -> tuple:
-    """The sparse rows of Hom(presentation of m, n), and their width.
+def _act(n: ZRep, path: tuple, vec) -> tuple:
+    """The path's action on n applied to the generator vector vec."""
+    if not path:
+        return tuple(vec)
+    return tuple(sum(x * vec[k] for k, x in row) for row in _path_action(n, path))
 
-    Block (i, j) is the sum of c n(p) over the terms (p, c) of the
-    presentation's entry (i, j): rows of n at row i's vertex, columns of
-    n at column j's vertex.  Blocks of different columns are disjoint,
-    so only an entry of several terms can cancel to zero.
+
+def _hom_rows(row_slots, col_slots, entries, n: ZRep) -> tuple:
+    """The sparse rows of Hom(d, n): Hom(P(col_slots), n) ->
+    Hom(P(row_slots), n), for d with the rows of path sums `entries`
+    (as in `ZRep._presentation`), and their width.
+
+    Block (i, j) is the sum of c n(p) over the terms (p, c) of d's entry
+    (i, j): rows of n at row i's vertex, columns of n at column j's
+    vertex.  Blocks of different columns are disjoint, so only an entry
+    of several terms can cancel to zero.
     """
-    row_vertex, col_vertex, entries = m._presentation
     gens, actions = n.gens, n._path_actions
     at, width = [], 0
-    for v in col_vertex:
+    for v in col_slots:
         at.append(width)
         width += gens[v - 1]
     rows = []
-    for v, entry in zip(row_vertex, entries):
+    for v, entry in zip(row_slots, entries):
         block = [{} for _ in range(gens[v - 1])]
         if not block:
             continue
@@ -480,176 +467,122 @@ def _presented_rows(m: ZRep, n: ZRep) -> tuple:
     return rows, width
 
 
+def _presented_rows(m: ZRep, n: ZRep) -> tuple:
+    """The sparse rows of Hom(presentation of m, n), and their width."""
+    p0, p1, _, d1, _, _ = m._presentation
+    return _hom_rows(p1, p0, d1, n)
+
+
+def _dense(rows: list, width: int) -> IntMatrix:
+    return _matrix(len(rows), width,
+                   tuple(tuple(row.get(c, 0) for c in range(width)) for row in rows))
+
+
+def _relations(slots, n: ZRep) -> IntMatrix:
+    """n's relations in Hom(P(slots), n), the sum of n at the slots."""
+    return block_diag([n.relations[v - 1] for v in slots])
+
+
+def _cycles(cx: tuple, n: ZRep, k: int) -> IntMatrix:
+    """Columns spanning the degree-k cycles of Hom(P., n), for P. the
+    complex cx of `ZRep._presentation`: the x in Hom(P_k, n) whose image
+    in Hom(P_{k+1}, n) lies in n's relations, from one kernel_basis with
+    those relations as extra columns."""
+    rows, width = _hom_rows(cx[k + 1], cx[k], cx[k + 3], n)
+    kb = kernel_basis(_dense(rows, width).hstack(_relations(cx[k + 1], n).neg()))
+    return kb.submatrix(range(width), range(kb.cols))
+
+
+def _cohomology(cx: tuple, n: ZRep, k: int) -> tuple:
+    """(H^k of Hom(P., n), its cycles) for k = 0 or 1: the cycles modulo
+    n's relations in Hom(P_k, n) and, for k = 1, the image of
+    Hom(P_0, n)."""
+    cycles = _cycles(cx, n, k)
+    boundaries = _relations(cx[k], n)
+    if k:
+        boundaries = _dense(*_hom_rows(cx[1], cx[0], cx[3], n)).hstack(boundaries)
+    return subquotient_structure(cycles, boundaries), cycles
+
+
+def _lift(m: ZRep, n: ZRep, cycles: IntMatrix) -> tuple:
+    """The vertexwise maps m -> n of the columns x of cycles, elements of
+    Hom(P_0, n), the sum of n at p0's slots: f_v = X_v Y_v, where X_v
+    holds n(p) x_j at the basis (j, p) of (P_0)_v and Y_v is the row
+    block of `ZRep._sections` at v."""
+    q = m.quiver
+    p0 = m._presentation[0]
+    at = [0]
+    for w in p0:
+        at.append(at[-1] + n.gens[w - 1])
+    # per vertex, the basis elements whose row of Y_v is nonzero
+    terms = [[(j, p, y) for (j, p), y in zip(_ambient(q, p0, v), m._sections[v - 1]) if any(y)]
+             for v in q.vertices]
+    basis = []
+    for x in zip(*cycles.entries):
+        maps = []
+        for v in q.vertices:
+            f = [[0] * m.gens[v - 1] for _ in range(n.gens[v - 1])]
+            for j, p, y in terms[v - 1]:
+                for row, a in zip(f, _act(n, p, x[at[j]:at[j + 1]])):
+                    if a:
+                        for c, b in enumerate(y):
+                            row[c] += a * b
+            maps.append(_matrix(len(f), m.gens[v - 1], tuple(map(tuple, f))))
+        basis.append(tuple(maps))
+    return tuple(basis)
+
+
 @memo
 def _lattice_hom_ext(m: ZRep, n: ZRep) -> tuple:
     """(Hom, Ext^1) between lattices from one untracked reduction.
 
     Hom is free of rank the nullity, and Ext^1 is the cokernel, of
-    Hom(presentation of m, n), read off its sparse rows; the presentation
-    is built once per lattice with its unit entries split off, so on an
+    Hom(presentation of m, n), read off its sparse rows; on an
     exceptional lattice the system is that of the minimal resolution.
-    The standard intertwining matrix is used only for the Hom basis,
-    rebuilt from (m, n) when read, so no matrix is kept alive, and over
-    F_p; a Hom of rank 0 has the empty basis and is never reduced again.
+    The Hom basis is the kernel of the same system, rebuilt from (m, n)
+    when read, so no matrix is kept alive; a Hom of rank 0 has the empty
+    basis and is never reduced again.
     """
     nullity, ext = kernel_rank_cokernel(*_presented_rows(m, n))
-    make_basis = partial(_lattice_hom_basis, m, n) if nullity else tuple
+    make_basis = (lambda: _lift(m, n, _cycles(m._presentation, n, 0))) if nullity else tuple
     return Hom(FinAbGroup(nullity), make_basis), ext
-
-
-def _lattice_hom_basis(m: ZRep, n: ZRep) -> tuple:
-    kb = kernel_basis(_lattice_matrix(m, n))
-    return tuple(_unflatten_hom(m, n, kb.col(j)) for j in range(kb.cols))
 
 
 @memo
 def hom_group(m: ZRep, n: ZRep) -> Hom:
     """All homomorphisms of representations m -> n over the path algebra.
 
-    Solves the intertwining system f_{t(a)} M_a = N_a f_{s(a)} on
-    vertexwise matrices.  Between lattices the rank is read with Ext^1
-    from one reduction per ordered pair, of Hom out of m's presentation
-    (`_lattice_hom_ext`), and the basis, the kernel of the intertwining
-    matrix, is computed on first read; otherwise the system is solved
-    modulo the target presentations.
+    H^0 of Hom(P., n) for P. -> m the complex `ZRep._presentation`.
+    Between lattices the rank is read with Ext^1 from one reduction per
+    ordered pair (`_lattice_hom_ext`); otherwise the cycles come from one
+    kernel_basis with n's relations as extra columns and the group is
+    taken modulo those relations.  The basis lifts the cycles to
+    vertexwise maps on first read.
     """
-    q = m.quiver
-    if n.quiver != q:
+    if n.quiver != m.quiver:
         raise DimensionMismatch("representations live over different quivers")
     if m.is_lattice and n.is_lattice:
         return _lattice_hom_ext(m, n)[0]
+    group, cycles = _cohomology(m._presentation, n, 0)
+    return Hom(group, partial(_lift, m, n, cycles))
 
-    m_actions = [x.entries for x in m.actions]
-    n_actions = [x.entries for x in n.actions]
-    offsets, _ = _hom_var_layout(m.gens, n.gens)
-
-    def var(v, r, c):
-        return offsets[v] + r * m.gens[v] + c
-
-    rows, nvars = _intertwining_rows(q, m.gens, n.gens, m_actions, n_actions)
-    rows = [_dense(row, nvars) for row in rows]
-    # each equation holds modulo one row of the target relations: row r at t(a)
-    rels = [n.relations[t - 1].entries[r] for s, t in q.arrows
-            for r in range(n.gens[t - 1]) for _ in range(m.gens[s - 1])]
-    for v in range(q.n):
-        relm = m.relations[v]
-        reln = n.relations[v]
-        for c in range(relm.cols):
-            for r in range(n.gens[v]):
-                row = [0] * nvars
-                for k in range(m.gens[v]):
-                    row[var(v, r, k)] += relm.entries[k][c]
-                rows.append(row)
-                rels.append(reln.entries[r])
-
-    aux_total = sum(map(len, rels))
-    pad = [0] * aux_total
-    big = []
-    aux_at = nvars
-    for row, rel in zip(rows, rels):
-        full = row + pad
-        for j, x in enumerate(rel):
-            full[aux_at + j] = -x
-        big.append(tuple(full))
-        aux_at += len(rel)
-    system = IntMatrix(len(big), nvars + aux_total, tuple(big))
-    kb = kernel_basis(system)
-    span = kb.submatrix(range(nvars), range(kb.cols))
-
-    # quotient by maps landing inside the target relations
-    zgens = []
-    for v in range(q.n):
-        reln = n.relations[v]
-        for j in range(reln.cols):
-            for c in range(m.gens[v]):
-                vec = [0] * nvars
-                for r in range(n.gens[v]):
-                    vec[var(v, r, c)] = reln.entries[r][j]
-                zgens.append(vec)
-    zmat = IntMatrix(nvars, len(zgens), tuple(tuple(g[i] for g in zgens) for i in range(nvars)))
-    group = subquotient_structure(span, zmat)
-    basis = tuple(_unflatten_hom(m, n, span.col(j)) for j in range(span.cols))
-    return Hom(group, lambda: basis)
-
-
-def _unflatten_hom(m: ZRep, n: ZRep, flat) -> tuple:
-    offsets, _ = _hom_var_layout(m.gens, n.gens)
-    mats = []
-    for v in range(m.quiver.n):
-        g_n, g_m = n.gens[v], m.gens[v]
-        base = offsets[v]
-        mats.append(IntMatrix.from_rows(
-            [[flat[base + r * g_m + c] for c in range(g_m)] for r in range(g_n)],
-            cols=g_m))
-    return tuple(mats)
-
-
-# ---------------------------------------------------------------------------
-# Ext^1
 
 @memo
 def ext1_group(m: ZRep, n: ZRep) -> FinAbGroup:
     """Ext^1 over the integral path algebra.
 
-    Between lattices this is the cokernel of the map sending a family of
-    vertexwise Z-linear maps (f_i) to (f_{t(a)} M_a - N_a f_{s(a)})_a,
-    read with the Hom rank from one reduction per ordered pair, of Hom
-    out of m's presentation with its unit entries split off; in
-    general it is computed as the degree-one homology of Hom applied to
-    a minimal projective resolution of m.  The two routes agree on
-    lattices and the test suite cross-checks them.
+    H^1 of Hom(P., n) for P. -> m the complex `ZRep._presentation`, a
+    resolution.  Between lattices it is read with the Hom rank from one
+    reduction per ordered pair, the cokernel of Hom out of m's
+    presentation with its unit entries split off; in general it is the
+    degree-one homology with n's relations as extra columns.  The test
+    suite cross-checks the lattice route against the minimal resolution.
     """
-    q = m.quiver
-    if n.quiver != q:
+    if n.quiver != m.quiver:
         raise DimensionMismatch("representations live over different quivers")
     if m.is_lattice and n.is_lattice:
         return _lattice_hom_ext(m, n)[1]
-    res = projective_resolution(m)
-    return _resolution_h1(res, n)
-
-
-def _hom_into(res_slots, n: ZRep):
-    """Presented group data for Hom(P(slots), n): generators and relations."""
-    gens = sum(n.gens[v - 1] for v in res_slots)
-    rel = block_diag([n.relations[v - 1] for v in res_slots]) if res_slots \
-        else IntMatrix.zero(0, 0)
-    return gens, rel
-
-
-def _induced_map(res_rows, res_cols, entries, n: ZRep) -> IntMatrix:
-    """Matrix of Hom(d, n): Hom(P(rows), n) -> Hom(P(cols), n).
-
-    A path p from the row slot's vertex to the column slot's vertex acts
-    by the composite action of p on n.
-    """
-    row_groups = [n.gens[v - 1] for v in res_rows]
-    col_groups = [n.gens[v - 1] for v in res_cols]
-    row_off = [sum(row_groups[:i]) for i in range(len(res_rows))]
-    col_off = [sum(col_groups[:i]) for i in range(len(res_cols))]
-    out = [[0] * sum(row_groups) for _ in range(sum(col_groups))]
-    for r, vr in enumerate(res_rows):
-        for c, vc in enumerate(res_cols):
-            for p, coeff in entries[r][c]:
-                mat = action_along_path(n, vr, p)
-                for i in range(mat.rows):
-                    for j in range(mat.cols):
-                        if mat.entries[i][j]:
-                            out[col_off[c] + i][row_off[r] + j] += coeff * mat.entries[i][j]
-    return IntMatrix.from_rows(out, cols=sum(row_groups))
-
-
-def _resolution_h1(res: "ProjResolution", n: ZRep) -> FinAbGroup:
-    g0, rel0 = _hom_into(res.p0, n)
-    g1, rel1 = _hom_into(res.p1, n)
-    g2, rel2 = _hom_into(res.p2, n)
-    phi1 = _induced_map(res.p0, res.p1, res.d1, n)
-    phi2 = _induced_map(res.p1, res.p2, res.d2, n)
-    # cycles: x in Z^{g1} with phi2 x inside the relations of the degree-2 group
-    system = phi2.hstack(rel2.neg()) if rel2.cols else phi2
-    kb = kernel_basis(system)
-    cycles = kb.submatrix(range(g1), range(kb.cols))
-    boundaries = phi1.hstack(rel1)
-    return subquotient_structure(cycles, boundaries)
+    return _cohomology(m._presentation, n, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +683,7 @@ def _kernel(n: ZRep, slots, lifts) -> tuple:
     basis = []
     for j in q.vertices:
         amb = _ambient(q, slots, j)
-        cols = [action_along_path(n, slots[k], p).mul_vec(lifts[k]) for k, p in amb]
+        cols = [_act(n, p, lifts[k]) for k, p in amb]
         g = n.gens[j - 1]
         eps = IntMatrix(g, len(cols), tuple(tuple(c[r] for c in cols) for r in range(g)))
         kb = kernel_basis(eps.hstack(n.relations[j - 1].neg()))
@@ -848,29 +781,22 @@ def strip_summand(m: ZRep, s: ZRep) -> ZRep:
         raise NotASummand("composition pairing never attains a unit")
     y = dec.u_inv.row(0)
     x = dec.v_inv.col(0)
-    q = m.quiver
-    retraction = []
-    for v in range(q.n):
-        acc = IntMatrix.zero(s.gens[v], m.gens[v])
-        for coeff, rb in zip(y, maps_out):
-            if coeff:
-                acc = acc.add(IntMatrix.from_rows(
-                    [[coeff * e for e in row] for row in rb[v].entries], cols=m.gens[v]))
-        retraction.append(acc)
-    section = []
-    for v in range(q.n):
-        acc = IntMatrix.zero(m.gens[v], s.gens[v])
-        for coeff, sb in zip(x, maps_in):
-            if coeff:
-                acc = acc.add(IntMatrix.from_rows(
-                    [[coeff * e for e in row] for row in sb[v].entries], cols=s.gens[v]))
-        section.append(acc)
-    for v in range(q.n):
+    retraction = [_combination(y, [rb[v] for rb in maps_out]) for v in range(m.quiver.n)]
+    section = [_combination(x, [sb[v] for sb in maps_in]) for v in range(m.quiver.n)]
+    for v in range(m.quiver.n):
         comp = retraction[v].mul(section[v])
         if comp.entries != IntMatrix.identity(s.gens[v]).entries:
             raise NotASummand("split pair verification failed")
     complement, _ = kernel_subrep(m, s, tuple(retraction))
     return complement
+
+
+def _combination(coeffs, mats) -> IntMatrix:
+    """sum_k coeffs[k] mats[k], for matrices of one shape."""
+    rows, cols = mats[0].rows, mats[0].cols
+    return _matrix(rows, cols, tuple(
+        tuple(sum(c * mat.entries[i][j] for c, mat in zip(coeffs, mats)) for j in range(cols))
+        for i in range(rows)))
 
 
 def are_isomorphic_exceptional(m: ZRep, n: ZRep) -> bool:
@@ -959,6 +885,38 @@ def _reduce_mod_basis(vec, pivots, reduced, p):
         if f:
             out = [(x - f * y) % p for x, y in zip(out, reduced[r])]
     return out
+
+
+def _intertwining_rows(q: Quiver, m_gens, n_gens, m_actions, n_actions) -> tuple:
+    """Rows of the map (f_v)_v -> (f_{t(a)} M_a - N_a f_{s(a)})_a, and its width.
+
+    Actions are per-arrow row tuples; the variables are the vertexwise
+    blocks f_v, n_v x m_v and row-major, in vertex order.  There is one
+    row per entry (r, c) of each arrow component, in arrow, row, column
+    order, as a {variable: coefficient} dict without zeros.  The two
+    terms sit in the blocks of t(a) and s(a), which differ on an acyclic
+    quiver.
+    """
+    offsets, nvars = [], 0
+    for g_m, g_n in zip(m_gens, n_gens):
+        offsets.append(nvars)
+        nvars += g_n * g_m
+    rows = []
+    for a, (s, t) in enumerate(q.arrows):
+        su, tv = s - 1, t - 1
+        ma, na = m_actions[a], n_actions[a]
+        g_ms, g_mt, g_ns = m_gens[su], m_gens[tv], n_gens[su]
+        for r in range(n_gens[tv]):
+            at_t = offsets[tv] + r * g_mt
+            na_r = na[r]
+            for c in range(g_ms):
+                row = {at_t + k: ma[k][c] for k in range(g_mt) if ma[k][c]}
+                at_s = offsets[su] + c
+                for k in range(g_ns):
+                    if na_r[k]:
+                        row[at_s + k * g_ms] = -na_r[k]
+                rows.append(row)
+    return rows, nvars
 
 
 def field_hom_ext_dims(m: FieldRep, n: FieldRep) -> tuple:

@@ -35,6 +35,10 @@ def workdir(tmp_path):
         "clusterforge/1 rep\nquiver a2.quiver\ngenerators [0, 1]\n")
     (tmp_path / "p1.rep").write_text(
         "clusterforge/1 rep\nquiver a2.quiver\ngenerators [1, 1]\naction 1 [[1]]\n")
+    # P_1 again, presented with two generators at vertex 2 and one relation
+    (tmp_path / "n.rep").write_text(
+        "clusterforge/1 rep\nquiver a2.quiver\ngenerators [1, 2]\n"
+        "relations 2 [[1], [1]]\naction 1 [[1], [0]]\n")
     (tmp_path / "initial.cluster").write_text(
         "clusterforge/1 cluster\nquiver a2.quiver\nsummand projective 1\nsummand projective 2\n")
     (tmp_path / "cyclic.quiver").write_text(
@@ -56,6 +60,10 @@ def test_quiver_parse_errors_name_lines():
     assert "line 3" in str(info.value)
     with pytest.raises(FormatError):
         parse_quiver("clusterforge/0 quiver\nvertices 2\n")
+    # True is an int to isinstance: this arrow would read as 1 -> 2
+    with pytest.raises(FormatError) as info:
+        parse_quiver("clusterforge/1 quiver\nvertices 2\narrows [[True, 2]]\n")
+    assert "line 3" in str(info.value)
 
 
 def test_constructor_errors_become_format_errors(tmp_path, capsys):
@@ -92,6 +100,12 @@ def test_bad_rep_lines_name_lines(tmp_path, capsys):
     with pytest.raises(FormatError) as info:
         parse_rep("clusterforge/1 rep\ngenerators [-1, 0]\n", A2)
     assert "line 2" in str(info.value)
+    with pytest.raises(FormatError) as info:
+        parse_rep("clusterforge/1 rep\ngenerators [True, False]\n", A2)
+    assert "line 2" in str(info.value)
+    with pytest.raises(FormatError) as info:
+        parse_rep("clusterforge/1 rep\ngenerators [1, 1]\naction 1 [[False]]\n", A2)
+    assert "line 3" in str(info.value)
     (tmp_path / "a2.quiver").write_text(A2_TEXT)
     (tmp_path / "stray.rep").write_text(
         "clusterforge/1 rep\nquiver a2.quiver\ngenerators [1, 0]\n"
@@ -154,6 +168,9 @@ def test_cli_ext_and_hom(workdir, capsys):
     assert main(["ext", quiver, str(workdir / "s1.rep"), str(workdir / "s2.rep")]) == 0
     assert capsys.readouterr().out == "Z^1\n"
     assert main(["hom", quiver, str(workdir / "p1.rep"), str(workdir / "p1.rep")]) == 0
+    assert capsys.readouterr().out == "Z^1\n"
+    # Hom(P_1, N) = N_1 = Z by Yoneda, for N a presented copy of P_1
+    assert main(["hom", quiver, str(workdir / "p1.rep"), str(workdir / "n.rep")]) == 0
     assert capsys.readouterr().out == "Z^1\n"
     assert main(["ext", quiver, str(workdir / "s1.rep"), str(workdir / "s2.rep"),
                  "--prime", "2"]) == 0

@@ -15,6 +15,16 @@ mutation-cone partners and empty middle terms) and the wild 1=>2->3
 graph were recorded before Hom, Ext^1 and the suspension in the cluster
 category became fundamental-domain formulas; they pin the suspension and
 the non-Dynkin ext1_c path.
+
+No golden pinned `hom` or `ext` before the torsion and presented A2
+reps below.  The `ext` digest (Z/2 out of Z/2 at vertex 1 into Z/6 at
+vertex 2) was recorded before Hom and Ext^1 were read off one complex
+per module, and Ext^1 did not change there.  The `hom` digest (Z^1) was
+recorded after it, because the dense system before it printed Z^2 for
+Hom(P_1, N) with N a presented copy of P_1: by Yoneda the group is
+N_1 = Z, and its rank is the dimension of Hom over Q of the
+rationalized modules, which `tests/test_rep.py` checks on random
+presented pairs.
 """
 
 import hashlib
@@ -31,11 +41,17 @@ QUIVERS = {
     "a5mix.quiver": "vertices 5\narrows [[2, 1], [2, 3], [4, 3], [4, 5]]\n",
     "at21.quiver": "vertices 3\narrows [[1, 2], [2, 3], [1, 3]]\n",
     "wild.quiver": "vertices 3\narrows [[1, 2], [1, 2], [2, 3]]\n",
+    "a2.quiver": "vertices 2\narrows [[1, 2]]\n",
 }
 
 REPS = {
     "d4thin.rep": "quiver d4.quiver\ngenerators [1, 1, 1, 1]\n"
                   "action 1 [[1]]\naction 2 [[1]]\naction 3 [[1]]\n",
+    "z2at1.rep": "quiver a2.quiver\ngenerators [1, 0]\nrelations 1 [[2]]\n",
+    "z6at2.rep": "quiver a2.quiver\ngenerators [0, 1]\nrelations 2 [[6]]\n",
+    "p1.rep": "quiver a2.quiver\ngenerators [1, 1]\naction 1 [[1]]\n",
+    "p1presented.rep": "quiver a2.quiver\ngenerators [1, 2]\n"
+                       "relations 2 [[1], [1]]\naction 1 [[1], [0]]\n",
 }
 
 GOLDEN = (
@@ -63,6 +79,10 @@ GOLDEN = (
     (("graph", "wild.quiver", "--dim-bound", "6", "--max-nodes", "20",
       "--format", "structured"),
      "28ecc8713b4788f2399fe8114aebafe407a6f370ca16c107a0e207054444a73d"),
+    (("ext", "a2.quiver", "z2at1.rep", "z6at2.rep"),
+     "a11fa08845c98900554963661253bc8b2585556250118cf1b4e1aa44ff9a2582"),
+    (("hom", "a2.quiver", "p1.rep", "p1presented.rep"),
+     "9602df4a88f4c33c1efdf244d247adea280e7170b6495cb3cca4a47fd058177a"),
 )
 
 

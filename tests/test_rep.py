@@ -10,8 +10,6 @@ from clusterforge.errors import NotASummand, PreconditionViolated
 from clusterforge.quiver import Quiver, euler_form, validate
 from clusterforge.rep import (
     ZRep,
-    _resolution_h1,
-    action_along_path,
     are_isomorphic_exceptional,
     base_change,
     dim_vector,
@@ -165,6 +163,23 @@ def proj_map_vertex_matrices(q: Quiver, row_slots, col_slots, entries) -> tuple:
     return tuple(mats)
 
 
+def action_along_path(m: ZRep, start: int, path: tuple) -> IntMatrix:
+    """The composite action matrix of a path on generator columns, by dense
+    products: the reference for the sparse path actions of the library."""
+    out = IntMatrix.identity(m.gens[start - 1])
+    for a in path:
+        assert m.quiver.arrows[a][0] == start, "path does not compose"
+        out = m.actions[a].mul(out)
+        start = m.quiver.arrows[a][1]
+    return out
+
+
+def _resolution_h1(res, n):
+    """Ext^1 read off the minimal resolution, also for a lattice, whose
+    Hom and Ext^1 the library reads off its presentation."""
+    return rep._cohomology(rep._resolution_complex(res), n, 1)[0]
+
+
 def _realized(res):
     q = res.module.quiver
     d1 = proj_map_vertex_matrices(q, res.p0, res.p1, res.d1)
@@ -269,6 +284,38 @@ def test_random_presented_resolutions(q):
         if m.is_lattice:
             for n in targets:
                 assert _resolution_h1(res, n) == ext1_group(m, n), (m, n)
+
+
+# P_1 on A2 presented with generators [1, 2], relations (1, 1) at vertex
+# 2 and action (1, 0): N_2 = Z^2 / (1, 1) = Z, generated by the image
+PRESENTED_P1 = ZRep(A2, (1, 2), (IntMatrix.zero(1, 0), IntMatrix.from_rows([[1], [1]])),
+                    (IntMatrix.from_rows([[1], [0]]),))
+
+
+def test_hom_into_a_presented_module():
+    # Yoneda: Hom(P_1, N) = N_1 = Z; and N = P_1 is exceptional
+    n = PRESENTED_P1
+    assert hom_group(projective(A2, 1), n).group == FinAbGroup(1)
+    assert hom_group(n, n).group == FinAbGroup(1)
+    assert is_exceptional(n)
+    (f,) = hom_group(n, n).basis
+    # the identity on N_2 = Z^2 / (1, 1), up to the relation
+    assert solve_matrix(n.relations[1], f[1].add(IntMatrix.identity(2).neg()))
+
+
+@pytest.mark.parametrize("q", (A3, KRONECKER, D4, A_TILDE_2_1),
+                         ids=["A3", "Kronecker", "D4", "A~(2,1)"])
+def test_hom_rank_is_the_rational_dimension(q):
+    # Hom_Z(M, N) (x) Q = Hom_Q(M (x) Q, N (x) Q) for a finitely presented M,
+    # and base_change(-, 0) reads the rational side off the saturated
+    # cokernels, with no Hom of the library in between
+    rng = random.Random(7)
+    modules = [random_presented(q, rng, lattice=k % 5 == 0) for k in range(20)]
+    assert sum(not n.is_lattice for n in modules) >= 12
+    for m in modules:
+        for n in modules:
+            rational = field_hom_ext_dims(base_change(m, 0), base_change(n, 0))[0]
+            assert hom_group(m, n).free_rank == rational, (m, n)
 
 
 def test_ext_dual_route_agreement():
@@ -396,18 +443,34 @@ def test_dualize_rejects_torsion():
 A5_MIXED = Quiver(5, ((2, 1), (2, 3), (4, 3), (4, 5)))
 
 
+def _flat(f) -> tuple:
+    """A family of vertexwise maps as one vector, each block row-major in
+    vertex order, the variables of the standard intertwining rows."""
+    return tuple(x for block in f for row in block.entries for x in row)
+
+
 @pytest.mark.parametrize("q", (D4, A5_MIXED, KRONECKER), ids=["D4", "A5-mixed", "Kronecker"])
 def test_lattice_hom_and_ext_match_the_eager_reductions(q):
     # the eager route: a v_inv-tracked kernel basis and the full Smith
-    # form, each on its own dense copy of the intertwining matrix
+    # form, each on its own dense copy of the standard intertwining
+    # matrix; the Hom basis lifted from the presentation spans the same
+    # lattice of intertwining maps, each column solving in the other
     modules = [obj.module for obj in build_pool(q, 6).modules()]
     for m in modules:
         for n in modules:
-            mat = rep._lattice_matrix(m, n)
+            rows, width = _standard_rows(m, n)
+            mat = IntMatrix.from_rows([[row.get(c, 0) for c in range(width)] for row in rows],
+                                      cols=width)
             kb = kernel_basis(mat)
             hom = hom_group(m, n)
             assert hom.group == FinAbGroup(kb.cols)
-            assert hom.basis == tuple(rep._unflatten_hom(m, n, kb.col(j)) for j in range(kb.cols))
+            basis = IntMatrix(width, kb.cols, tuple(zip(*map(_flat, hom.basis)))
+                              if kb.cols else ((),) * width)
+            solve_matrix(basis, kb)
+            solve_matrix(kb, basis)
+            for f in hom.basis:
+                for a, (s, t) in enumerate(q.arrows):
+                    assert f[t - 1].mul(m.actions[a]) == n.actions[a].mul(f[s - 1])
             diagonal = snf(mat).diagonal
             rank = sum(1 for d in diagonal if d)
             assert ext1_group(m, n) == FinAbGroup(mat.rows - rank,
@@ -489,9 +552,15 @@ def _pool_modules(q, bound) -> list:
     return [obj.module for obj in build_pool(q, bound).modules()]
 
 
+def _standard_rows(m, n) -> tuple:
+    """The sparse intertwining rows of two lattices, and their width."""
+    return rep._intertwining_rows(m.quiver, m.gens, n.gens, [x.entries for x in m.actions],
+                                  [x.entries for x in n.actions])
+
+
 def _presented_equals_standard(m, n) -> bool:
     return kernel_rank_cokernel(*rep._presented_rows(m, n)) \
-        == kernel_rank_cokernel(*rep._lattice_rows(m, n))
+        == kernel_rank_cokernel(*_standard_rows(m, n))
 
 
 @pytest.mark.parametrize("q, bound", ((A5_MIXED, 12), (D5, 12), (E6, 12), (E7, 12),
@@ -530,7 +599,7 @@ def test_presented_invariants_on_random_lattices(pair):
 
 def _trivial_entries(m) -> list:
     """The coefficients of the trivial paths left in m's presentation."""
-    return [x for row in m._presentation[2] for _, terms in row for p, x in terms if not p]
+    return [x for row in m._presentation[3] for _, terms in row for p, x in terms if not p]
 
 
 def test_random_lattices_reach_non_unit_entries_and_torsion():
@@ -580,7 +649,7 @@ def test_the_presentation_is_minimal(modules):
     # its rows and columns sit at the vertices of the minimal resolution's
     # P1 and P0, and no unit entry is left to split off
     for m in modules():
-        row_vertices, col_vertices, _ = m._presentation
+        col_vertices, row_vertices = m._presentation[:2]
         res = projective_resolution(m)
         assert sorted(row_vertices) == sorted(res.p1), m
         assert sorted(col_vertices) == sorted(res.p0), m

@@ -45,16 +45,19 @@ def test_rep_checks_reject_another_quiver():
 
 
 def test_e7_verify_reduces_each_pair_on_the_presentations(monkeypatch):
-    # each lattice is presented once and no standard intertwining row is
-    # built; the minimal resolution fixes the presented system sizes, so
-    # the totals do not depend on the pivot order
+    # each lattice is presented once and the standard intertwining rows
+    # are built only over F_p, once per field_hom_ext_dims; the minimal
+    # resolution fixes the presented system sizes, so the totals do not
+    # depend on the pivot order
     clear_caches()
-    presented, standard = [], []
-    present, rows = rep._lattice_presentation, rep._lattice_rows
+    presented, standard, over_fields = [], [], []
+    present, rows, field = rep._lattice_presentation, rep._intertwining_rows, rep.field_hom_ext_dims
     monkeypatch.setattr(rep, "_lattice_presentation", lambda m: presented.append(m) or present(m))
-    monkeypatch.setattr(rep, "_lattice_rows", lambda m, n: standard.append((m, n)) or rows(m, n))
+    monkeypatch.setattr(rep, "_intertwining_rows", lambda *a: standard.append(a) or rows(*a))
+    monkeypatch.setattr(rep, "field_hom_ext_dims",
+                        lambda m, n: over_fields.append((m, n)) or field(m, n))
     assert verify.run_suite(E7, 12).ok
-    assert standard == []
+    assert over_fields and len(standard) == len(over_fields)
     modules = [obj.module for obj in build_pool(E7, 12).modules()]
     assert len(modules) == 63
     assert len(set(presented)) == len(presented)
@@ -65,7 +68,8 @@ def test_e7_verify_reduces_each_pair_on_the_presentations(monkeypatch):
         return sum(len(r) for r, _ in sizes), sum(c for _, c in sizes)
 
     assert totals(rep._presented_rows) == (6412, 6811)
-    assert totals(rows) == (25788, 26187)
+    assert totals(lambda m, n: rows(m.quiver, m.gens, n.gens, [x.entries for x in m.actions],
+                                    [x.entries for x in n.actions])) == (25788, 26187)
 
 
 def test_e7_verify_reads_projective_translates_as_the_pool_projectives(monkeypatch):
