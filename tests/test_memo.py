@@ -18,7 +18,7 @@ def test_every_table_is_registered():
         "cluster._middle_terms", "cluster._orbit_dim", "cluster._ses_certified",
         "cluster._tilting_certificate", "cluster.ext1_c", "quiver.coxeter_inverse", "quiver.coxeter_matrix", "rep._lattice_hom_ext", "rep.ext1_group",
         "rep.hom_group", "rep.injective_lattice", "rep.is_exceptional", "rep.paths_from",
-        "rep.paths_into", "rep.projective", "serre.tau", "serre.tau_inv"]
+        "rep.projective", "serre.tau", "serre.tau_inv"]
 
 
 def test_clear_caches_empties_every_table():

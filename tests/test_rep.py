@@ -40,6 +40,8 @@ from clusterforge.zlinalg import (
     subquotient_structure,
 )
 
+import oracles
+
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -458,7 +460,7 @@ def test_lattice_hom_and_ext_match_the_eager_reductions(q):
     modules = [obj.module for obj in build_pool(q, 6).modules()]
     for m in modules:
         for n in modules:
-            rows, width = _standard_rows(m, n)
+            rows, width = oracles.standard_rows(m, n)
             mat = IntMatrix.from_rows([[row.get(c, 0) for c in range(width)] for row in rows],
                                       cols=width)
             kb = kernel_basis(mat)
@@ -552,25 +554,30 @@ def _pool_modules(q, bound) -> list:
     return [obj.module for obj in build_pool(q, bound).modules()]
 
 
-def _standard_rows(m, n) -> tuple:
-    """The sparse intertwining rows of two lattices, and their width."""
-    return rep._intertwining_rows(m.quiver, m.gens, n.gens, [x.entries for x in m.actions],
-                                  [x.entries for x in n.actions])
+def _presented_equals_standard(m, n, p) -> bool:
+    """Over Z (p == 0, with Q) or F_p, the invariants read off m's
+    presentation are those of the standard intertwining rows."""
+    rows, width = oracles.standard_rows(m, n)
+    rk = zlinalg.smith_invariants([dict(row) for row in rows], p)[0]
+    field = field_hom_ext_dims(base_change(m, p), base_change(n, p))
+    if field != (width - rk, len(rows) - rk):
+        return False
+    return p > 0 or kernel_rank_cokernel(*rep._presented_rows(m, n)) \
+        == kernel_rank_cokernel(rows, width)
 
 
-def _presented_equals_standard(m, n) -> bool:
-    return kernel_rank_cokernel(*rep._presented_rows(m, n)) \
-        == kernel_rank_cokernel(*_standard_rows(m, n))
+PRIMES = (0, 2, 3, 5)
+POOLS = ((A5_MIXED, 12, "A5-mixed"), (D5, 12, "D5"), (E6, 12, "E6"), (E7, 12, "E7"),
+         (KRONECKER, 12, "Kronecker"), (WILD, 6, "1=>2->3"), (A_TILDE_2_1, 5, "A~(2,1)"))
 
 
-@pytest.mark.parametrize("q, bound", ((A5_MIXED, 12), (D5, 12), (E6, 12), (E7, 12),
-                                      (KRONECKER, 12), (WILD, 6), (A_TILDE_2_1, 5)),
-                         ids=["A5-mixed", "D5", "E6", "E7", "Kronecker", "1=>2->3", "A~(2,1)"])
-def test_presented_invariants_equal_the_standard_ones(q, bound):
+@pytest.mark.parametrize("q, bound, p", [pytest.param(q, bound, p, id=f"{name}-F{p}" if p else name)
+                                         for q, bound, name in POOLS for p in PRIMES])
+def test_presented_invariants_equal_the_standard_ones(q, bound, p):
     modules = _pool_modules(q, bound)
     for m in modules:
         for n in modules:
-            assert _presented_equals_standard(m, n), (m, n)
+            assert _presented_equals_standard(m, n, p), (m, n)
 
 
 @st.composite
@@ -594,7 +601,8 @@ def lattice_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(lattice_pairs())
 def test_presented_invariants_on_random_lattices(pair):
-    assert _presented_equals_standard(*pair)
+    for p in PRIMES:
+        assert _presented_equals_standard(*pair, p), p
 
 
 def _trivial_entries(m) -> list:

@@ -3,6 +3,8 @@ from clusterforge.cluster import build_pool
 from clusterforge.quiver import Quiver
 from clusterforge.rep import projective
 
+import oracles
+
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
 D4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
@@ -45,21 +47,28 @@ def test_rep_checks_reject_another_quiver():
 
 
 def test_e7_verify_reduces_each_pair_on_the_presentations(monkeypatch):
-    # each lattice is presented once and the standard intertwining rows
-    # are built only over F_p, once per field_hom_ext_dims; the minimal
-    # resolution fixes the presented system sizes, so the totals do not
-    # depend on the pivot order
+    # each lattice is presented once, and the field checks read the
+    # systems of the lattices they reduce, the pool's own, so they
+    # present no lattice outside the pool; the minimal resolution fixes
+    # the presented system sizes, so the totals do not depend on the
+    # pivot order
     clear_caches()
-    presented, standard, over_fields = [], [], []
-    present, rows, field = rep._lattice_presentation, rep._intertwining_rows, rep.field_hom_ext_dims
+    presented, over_fields = [], []
+    present, field = rep._lattice_presentation, rep.field_hom_ext_dims
+
+    def read_over_field(m, n):
+        before = len(presented)
+        dims = field(m, n)
+        over_fields.append(presented[before:])
+        return dims
+
     monkeypatch.setattr(rep, "_lattice_presentation", lambda m: presented.append(m) or present(m))
-    monkeypatch.setattr(rep, "_intertwining_rows", lambda *a: standard.append(a) or rows(*a))
-    monkeypatch.setattr(rep, "field_hom_ext_dims",
-                        lambda m, n: over_fields.append((m, n)) or field(m, n))
+    monkeypatch.setattr(rep, "field_hom_ext_dims", read_over_field)
     assert verify.run_suite(E7, 12).ok
-    assert over_fields and len(standard) == len(over_fields)
     modules = [obj.module for obj in build_pool(E7, 12).modules()]
     assert len(modules) == 63
+    assert len(over_fields) == 70 * 3
+    assert {m for new in over_fields for m in new} <= set(modules)
     assert len(set(presented)) == len(presented)
     assert set(modules) <= set(presented)
 
@@ -68,8 +77,7 @@ def test_e7_verify_reduces_each_pair_on_the_presentations(monkeypatch):
         return sum(len(r) for r, _ in sizes), sum(c for _, c in sizes)
 
     assert totals(rep._presented_rows) == (6412, 6811)
-    assert totals(lambda m, n: rows(m.quiver, m.gens, n.gens, [x.entries for x in m.actions],
-                                    [x.entries for x in n.actions])) == (25788, 26187)
+    assert totals(oracles.standard_rows) == (25788, 26187)
 
 
 def test_e7_verify_reads_projective_translates_as_the_pool_projectives(monkeypatch):
@@ -77,7 +85,9 @@ def test_e7_verify_reads_projective_translates_as_the_pool_projectives(monkeypat
     # others; a translate that is P_i is read as the pool's P_i, so Hom
     # into it is the pool pair already reduced, and only the 4 self-pairs
     # that recognize those translates as exceptional are reduced besides
-    # the 63 x 63 pool pairs (the parent reduced 4,225)
+    # the 63 x 63 pool pairs (the parent reduced 4,225); the field checks
+    # read one self-pair system per pool object and prime, 70 x 3, all on
+    # pool lattices
     clear_caches()
     reduced = []
     rows = rep._presented_rows
@@ -85,7 +95,7 @@ def test_e7_verify_reads_projective_translates_as_the_pool_projectives(monkeypat
     assert verify.run_suite(E7, 12).ok
     modules = set(obj.module for obj in build_pool(E7, 12).modules())
     outside = [(m, n) for m, n in reduced if not {m, n} <= modules]
-    assert len(reduced) == 63 * 63 + 4 == 3973
+    assert len(reduced) == 63 * 63 + 4 + 70 * 3 == 4183
     assert len(outside) == 4 and all(m is n for m, n in outside)
 
 
