@@ -8,9 +8,11 @@ has at most two nonzero terms (Buan-Marsh-Reineke-Reiten-Todorov,
 Tilting theory and cluster combinatorics, 2006, section 1), so ext1_c
 and the suspension are closed forms in Hom, Ext^1, tau and tau_inv of
 lattices, and hom_c is ext1_c against the desuspension; no orbit is
-walked.  The rigid pool walks each translate orbit once, from the
-injective lattices and the projectives, and holds every translate
-within its dimension bound.
+walked.  The rigid pool walks each translate orbit once on dimension
+vectors, from the injective lattices and the projectives, and holds
+every translate within its dimension bound at its orbit coordinate; a
+lattice there is built only when its module is read, so exchange
+graphs on pool objects build none.
 
 ext1_c keeps the Hom(M, tau N) term instead of the duality shortcut
 D Ext^1(N, M), which is only rank-faithful; the duality statement is
@@ -18,6 +20,7 @@ kept as a test invariant.
 
 Orbit coordinates.  Each lattice a pool walk produces carries where the
 walk met it: ("P", i, a) for tau^-a P_i, ("I", j, b) for tau^b I_j.
+Its key, its class and its suspension are read off the coordinate.
 Between two such lattices ext1_c reads its rank off dimension vectors,
 which the Coxeter matrix moves along the orbit, and reduces no matrix:
 
@@ -43,6 +46,12 @@ which the Coxeter matrix moves along the orbit, and reduces no matrix:
 Presented modules, lattices read from files and mutation-cone partners
 carry no coordinate, nor does an orbit the bound cuts on a Dynkin or
 disconnected quiver; their pairs are computed by elimination.
+
+Partners past the bound.  The pool keeps the first translate past the
+bound of each orbit walk with coordinates that the bound stopped
+(RigidPool.frontier), and mutate tests those with the partner tests
+before it builds an approximation cone, so a partner on such an orbit is
+refused at the cost of integer arithmetic.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from math import inf
 
 from .errors import (
     BalanceUnsolvable,
@@ -87,34 +97,61 @@ from .rep import ZRep
 @hash_once
 @dataclass(frozen=True)
 class ClusterObject:
-    """A module-variant or shifted-projective object of the cluster category."""
+    """A module-variant or shifted-projective object of the cluster category.
+
+    An exceptional lattice is identified by its dimension vector (dims),
+    any other exceptional module by itself (presented), and a suspended
+    projective by its vertex.  A lattice can sit at an orbit coordinate
+    (coord): then its key and class are read off the coordinate, and its
+    module is built on first read, by the orbit walk that reached it.
+    """
 
     quiver: Quiver
-    module: ZRep | None = None
+    dims: tuple | None = None
+    presented: ZRep | None = None
     shifted_projective: int | None = None
-    # Orbit coordinate of a lattice a pool walk produced: ("P", i, a) is
-    # tau^-a P_i and ("I", j, b) is tau^b I_j.  Not a field, so ==, hash
-    # and repr ignore it; from_module sets it on the instance.
+    # Not fields, so ==, hash and repr ignore them.  coord is the orbit
+    # coordinate of a lattice a pool walk produces: ("P", i, a) is
+    # tau^-a P_i and ("I", j, b) is tau^b I_j.  source is the lattice, or
+    # the walk that builds it on first read, in the same notation; it
+    # differs from coord on an orbit walked backward to its projective.
     coord = None
+    source = None
 
     def __post_init__(self):
-        if (self.module is None) == (self.shifted_projective is None):
+        if sum(v is not None for v in (self.dims, self.presented, self.shifted_projective)) != 1:
             raise PreconditionViolated("exactly one variant must be set")
-        if self.module is not None:
-            if self.module.quiver != self.quiver:
+        if self.presented is not None:
+            if self.presented.quiver != self.quiver:
                 raise DimensionMismatch("module lives over a different quiver")
-            if not rep.is_exceptional(self.module):
+            if not rep.is_exceptional(self.presented):
                 raise PreconditionViolated("module objects must be exceptional")
 
     @staticmethod
     def from_module(m: ZRep, coord: tuple | None = None) -> "ClusterObject":
         """The object of m, carrying coord when given; coord must name a
         translate with the dimension vector of the lattice m."""
-        obj = ClusterObject(m.quiver, module=m)
-        if coord is not None:
-            if not m.is_lattice or _orbit_dim(m.quiver, coord) != m.gens:
-                raise PreconditionViolated(f"{coord} is not the orbit coordinate of {m.gens}")
-            object.__setattr__(obj, "coord", coord)
+        if not m.is_lattice:
+            if coord is not None:
+                raise PreconditionViolated(f"{coord} is not the orbit coordinate of a lattice")
+            return ClusterObject(m.quiver, presented=m)
+        if not rep.is_exceptional(m):
+            raise PreconditionViolated("module objects must be exceptional")
+        if coord is not None and _orbit_dim(m.quiver, coord) != m.gens:
+            raise PreconditionViolated(f"{coord} is not the orbit coordinate of {m.gens}")
+        return ClusterObject._lattice(m.quiver, m.gens, coord, m)
+
+    @staticmethod
+    def at(q: Quiver, coord: tuple, walk: tuple | None = None) -> "ClusterObject":
+        """The lattice at an orbit coordinate, built on first read by walk,
+        by default the walk along coord."""
+        return ClusterObject._lattice(q, _orbit_dim(q, coord), coord, walk or coord)
+
+    @staticmethod
+    def _lattice(q: Quiver, dims: tuple, coord, source) -> "ClusterObject":
+        obj = ClusterObject(q, dims=dims)
+        object.__setattr__(obj, "coord", coord)
+        object.__setattr__(obj, "source", source)
         return obj
 
     @staticmethod
@@ -125,13 +162,30 @@ class ClusterObject:
 
     @property
     def is_module(self) -> bool:
-        return self.module is not None
+        return self.shifted_projective is None
+
+    @property
+    @once
+    def module(self) -> ZRep | None:
+        """The module, None for a suspended projective.  A lattice at a
+        coordinate is built on first read and must be exceptional, with
+        the dimension vector of its coordinate."""
+        if self.dims is None:
+            return self.presented
+        if isinstance(self.source, ZRep):
+            return self.source
+        if self.source is None:
+            raise PreconditionViolated(f"no lattice is known for {self.describe()}")
+        m = _walk_module(self.quiver, self.source)
+        if not m.is_lattice or m.gens != self.dims or not rep.is_exceptional(m):
+            raise PreconditionViolated(f"{self.source} is not a walk to {self.coord}")
+        return m
 
     @once
     def key(self) -> tuple:
         """Canonical key; exceptional modules are determined by dimension vector."""
         if self.is_module:
-            return ("M", rep.dim_vector(self.module))
+            return ("M", self.dim_c())
         return ("S", (self.shifted_projective,))
 
     @once
@@ -141,14 +195,16 @@ class ClusterObject:
 
     def dim_c(self) -> tuple:
         """Class in the dimension bookkeeping, with dim(sigma P_i) = -dim P_i."""
-        if self.is_module:
-            return rep.dim_vector(self.module)
+        if self.dims is not None:
+            return self.dims
+        if self.presented is not None:
+            return rep.dim_vector(self.presented)
         p = rep.projective(self.quiver, self.shifted_projective)
         return tuple(-d for d in rep.dim_vector(p))
 
     def describe(self) -> str:
         if self.is_module:
-            return "M" + str(list(rep.dim_vector(self.module)))
+            return "M" + str(list(self.dim_c()))
         return f"SP{self.shifted_projective}"
 
 
@@ -164,16 +220,62 @@ def _orbit_dim(q: Quiver, coord: tuple) -> tuple:
     return coxeter_apply(q, rep.injective_lattice(q, v).gens, power)
 
 
+def _walk_module(q: Quiver, walk: tuple) -> ZRep:
+    """tau^b I_j for the walk ("I", j, b), tau^-a P_i for ("P", i, a)."""
+    side, v, steps = walk
+    if side == "P":
+        m, step = rep.projective(q, v), serre.tau_inv
+    else:
+        m, step = rep.injective_lattice(q, v), serre.tau
+    for _ in range(steps):
+        m = step(m)
+    return m
+
+
+def _backward_walk(q: Quiver, j: int, bound) -> tuple:
+    """(dims, i): the dimension vectors of tau^b I_j for b = 0, 1, ...,
+    up to the projective P_i, or up to the last before a translate past
+    the bound, with i None then."""
+    phi = coxeter_matrix(q)
+    dims = [rep.injective_lattice(q, j).gens]
+    while (i := serre.index_by_dims(q, dims[-1], rep.projective)) is None:
+        step = phi.mul_vec(dims[-1])
+        if max(step) > bound:
+            return dims, None
+        dims.append(step)
+    return dims, i
+
+
 def _is_projective_coord(coord: tuple) -> bool:
     return coord[0] == "P" and coord[2] == 0
 
 
-def _translate_coord(coord: tuple | None, k: int) -> tuple | None:
-    """The coordinate of tau^k of the lattice at coord, None staying None."""
-    if coord is None:
-        return None
+def _translate_coord(coord: tuple, k: int) -> tuple:
+    """The coordinate (or walk) of tau^k of the lattice at coord."""
     side, v, power = coord
     return (side, v, power - k if side == "P" else power + k)
+
+
+def _translate(x: ClusterObject, k: int) -> ClusterObject:
+    """tau^k of the coordinate object x, for k = 1 or -1, built on read
+    by x's walk one step further (P_i by rep.projective)."""
+    coord = _translate_coord(x.coord, k)
+    if _is_projective_coord(coord) or isinstance(x.source, ZRep):
+        return ClusterObject.at(x.quiver, coord)
+    return ClusterObject.at(x.quiver, coord, _translate_coord(x.source, k))
+
+
+def _injective_object(q: Quiver, j: int) -> ClusterObject:
+    """I_j at the coordinate a pool whose bound cuts no orbit gives it:
+    ("P", i, b) on a Dynkin quiver, where the backward walk closes at P_i,
+    and ("I", j, 0) on a connected non-Dynkin one; on a disconnected
+    quiver I_j carries no coordinate."""
+    if is_dynkin(q):
+        dims, i = _backward_walk(q, j, inf)
+        return ClusterObject.at(q, ("P", i, len(dims) - 1), ("I", j, 0))
+    if is_connected(q):
+        return ClusterObject.at(q, ("I", j, 0))
+    return ClusterObject.from_module(rep.injective_lattice(q, j))
 
 
 def _hom_rank(q: Quiver, cx: tuple, cy: tuple) -> int:
@@ -202,7 +304,7 @@ def _ext1_rank(x: ClusterObject, y: ClusterObject) -> int:
     q, cx, cy = x.quiver, x.coord, y.coord
     r = 0
     if not _is_projective_coord(cx):
-        r += _hom_rank(q, cx, cy) - euler_form(q, x.module.gens, y.module.gens)
+        r += _hom_rank(q, cx, cy) - euler_form(q, x.dim_c(), y.dim_c())
     if not _is_projective_coord(cy):
         r += _hom_rank(q, cx, _translate_coord(cy, 1))
     return r
@@ -241,19 +343,18 @@ def ext1_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
     if not x.is_module:
         if not y.is_module:
             return FinAbGroup(0)
-        i, n = x.shifted_projective, y.module
-        if n.is_lattice:
-            return FinAbGroup(n.gens[i - 1])
-        return rep.hom_group(rep.projective(q, i), n).group
-    m = x.module
+        i = x.shifted_projective
+        if y.dims is not None:
+            return FinAbGroup(y.dims[i - 1])
+        return rep.hom_group(rep.projective(q, i), y.module).group
     if not y.is_module:
         i = y.shifted_projective
-        if m.is_lattice:
-            return FinAbGroup(m.gens[i - 1])
-        return rep.hom_group(m, rep.injective_lattice(q, i)).group
+        if x.dims is not None:
+            return FinAbGroup(x.dims[i - 1])
+        return rep.hom_group(x.module, rep.injective_lattice(q, i)).group
     if x.coord is not None and y.coord is not None:
         return FinAbGroup(_ext1_rank(x, y))
-    n = y.module
+    m, n = x.module, y.module
     total = FinAbGroup(0) if serre.projective_index_of(m) is not None else rep.ext1_group(m, n)
     if serre.projective_index_of(n) is None:
         total = total.direct_sum(rep.hom_group(m, serre.tau_canonical(n)).group)
@@ -264,31 +365,39 @@ def suspension(x: ClusterObject) -> ClusterObject:
     """The suspension on the fundamental domain.
 
     P_i goes to sigma P_i, any other module M to tau M, and sigma P_i
-    to the injective lattice I_i.  A coordinate moves one step down its
-    orbit; I_i is built without one.  Each call builds the object anew;
-    the exchange triangles read x.suspended(), which builds it once per
-    object.
+    to the injective lattice I_i.  An object at an orbit coordinate
+    moves one step down its orbit and I_i takes its coordinate
+    (_injective_object), so neither reads a module; a module without a
+    coordinate is translated.  The exchange triangles read
+    x.suspended(), which calls this once per object.
     """
     q = x.quiver
     if not x.is_module:
-        return ClusterObject.from_module(rep.injective_lattice(q, x.shifted_projective))
+        return _injective_object(q, x.shifted_projective)
+    if x.coord is not None:
+        if _is_projective_coord(x.coord):
+            return ClusterObject.sigma_projective(q, x.coord[1])
+        return _translate(x, 1)
     i = serre.projective_index_of(x.module)
     if i is not None:
         return ClusterObject.sigma_projective(q, i)
-    return ClusterObject.from_module(serre.tau(x.module), _translate_coord(x.coord, 1))
+    return ClusterObject.from_module(serre.tau(x.module))
 
 
 def _desuspension(x: ClusterObject) -> ClusterObject:
     """The inverse of the suspension: I_i goes to sigma P_i, any other
-    module N to tau^- N, and sigma P_i to P_i, each with its coordinate."""
+    module N to tau^- N, and sigma P_i to the pool's P_i, an object at an
+    orbit coordinate to the coordinate one step up its orbit."""
     q = x.quiver
     if not x.is_module:
-        i = x.shifted_projective
-        return ClusterObject.from_module(rep.projective(q, i), ("P", i, 0))
+        return ClusterObject.at(q, ("P", x.shifted_projective, 0))
+    if x.coord is not None:
+        i = serre.index_by_dims(q, x.dim_c(), rep.injective_lattice)
+        return ClusterObject.sigma_projective(q, i) if i is not None else _translate(x, -1)
     i = serre.injective_index_of(x.module)
     if i is not None:
         return ClusterObject.sigma_projective(q, i)
-    return ClusterObject.from_module(serre.tau_inv(x.module), _translate_coord(x.coord, -1))
+    return ClusterObject.from_module(serre.tau_inv(x.module))
 
 
 def g_functor(x: ClusterObject) -> ZRep:
@@ -307,7 +416,9 @@ class RigidPool:
 
     complete is True exactly for Dynkin quivers, where the translate
     orbits of the projectives exhaust the exceptional modules.  objects
-    stays sorted by key and grows only through add.
+    stays sorted by key and grows only through add.  frontier holds, for
+    each orbit walk with coordinates that the bound stopped, the first
+    translate past the bound (see build_pool); those are not members.
 
     Partner rows.  Each member also holds a bit, in insertion order, that
     stays when the pool grows.  For an object key the pool keeps two bit
@@ -324,6 +435,7 @@ class RigidPool:
     objects: tuple = ()
     provenance: dict = field(default_factory=dict)
     complete: bool = False
+    frontier: tuple = ()
     _members: list = field(default_factory=list, init=False, repr=False, compare=False)
     _bits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # object key -> [bits that pass, bits tested]
@@ -407,74 +519,83 @@ def _compatible(t: ClusterObject, y: ClusterObject) -> bool:
     return ext1_c(y, t).is_trivial and ext1_c(t, y).is_trivial
 
 
-def _within_bound(m: ZRep, bound: int) -> bool:
-    return max(rep.dim_vector(m), default=0) <= bound
+def _within_bound(obj: ClusterObject, bound: int) -> bool:
+    return max(obj.dim_c(), default=0) <= bound
 
 
 def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
     """Shifted projectives plus the translate closure of the projective
     and injective lattices within the bound.
 
-    Each orbit is walked once: backward from every injective lattice
-    first, and forward from a projective only when no backward walk
-    reached it.  A walk ends at a projective or before its first
-    translate past the bound, which the Coxeter transform of the last
-    dimension vector predicts, so no translate past the bound is built
-    and the pool is closed under tau within the bound;
-    tau is the composite of the sink reflections, so transporting pool
-    modules through them adds nothing.  For Dynkin quivers the result is
-    the complete list of rigid indecomposables; otherwise the
-    completeness flag stays off and the pool can still grow through
-    mutation cones.
+    Each orbit is walked once, on dimension vectors: backward from every
+    injective lattice first, and forward from a projective only when no
+    backward walk reached it.  A walk ends at a projective or before its
+    first translate past the bound, which the Coxeter transform of the
+    last dimension vector predicts, so the pool is closed under tau
+    within the bound; tau is the composite of the sink reflections, so
+    transporting pool modules through them adds nothing.  For Dynkin
+    quivers the result is the complete list of rigid indecomposables;
+    otherwise the completeness flag stays off and the pool can still
+    grow through mutation cones.
 
     Every lattice gets the orbit coordinate its walk reached it at: from
     P_i on a forward walk or on a backward walk that closed at P_i, and
-    from I_j on a backward walk that stayed open.  An open orbit is
-    infinite only on a connected non-Dynkin quiver, where preinjectives
-    never meet preprojectives; elsewhere (a Dynkin orbit cut by the
-    bound, a disconnected quiver) its backward walk leaves no coordinate.
+    from I_j on a backward walk that stayed open.  Its module is built
+    only when read (ClusterObject.module), by the walk that reached it:
+    tau^b I_j backward from the injective, or tau^-a P_i forward.  An
+    open orbit is infinite only on a connected non-Dynkin quiver, where
+    preinjectives never meet preprojectives; elsewhere (a Dynkin orbit
+    cut by the bound, a disconnected quiver) its backward walk leaves no
+    coordinate and builds its modules as it goes.  A walk with
+    coordinates that the bound stops leaves the translate it stopped
+    before, the first past the bound, in pool.frontier, where mutate
+    looks for a partner past the bound before it builds a cone.
     """
     validate(q)
     if dim_bound < 1:
         raise PreconditionViolated("dim_bound must be at least 1")
     pool = RigidPool(q, dim_bound, complete=is_dynkin(q))
     open_is_infinite = not pool.complete and is_connected(q)
+    frontier = []
     for i in q.vertices:
         pool.add(ClusterObject.sigma_projective(q, i), "projective")
     for i in q.vertices:
-        m = rep.projective(q, i)
-        if _within_bound(m, dim_bound):
-            pool.add(ClusterObject.from_module(m, ("P", i, 0)), "projective")
-    phi, phi_inv = coxeter_matrix(q), coxeter_inverse(q)
+        if max(rep.projective(q, i).gens) <= dim_bound:
+            pool.add(ClusterObject.at(q, ("P", i, 0)), "projective")
     # translate backward from injectives; reaching a projective closes the orbit
     closed = set()
     for j in q.vertices:
-        walk = [rep.injective_lattice(q, j)]
-        while (i := serre.projective_index_of(walk[-1])) is None:
-            if max(phi.mul_vec(walk[-1].gens)) > dim_bound:
-                break
-            walk.append(serre.tau(walk[-1]))
-        else:
+        dims, i = _backward_walk(q, j, dim_bound)
+        if i is not None:
             closed.add(i)
-        for b, m in enumerate(walk):
-            if i is not None:
-                coord = ("P", i, len(walk) - 1 - b)
-            else:
-                coord = ("I", j, b) if open_is_infinite else None
-            if b or _within_bound(m, dim_bound):
-                pool.add(ClusterObject.from_module(m, coord), "tau-orbit")
+            orbit = [ClusterObject.at(q, ("P", i, len(dims) - 1 - b), ("I", j, b))
+                     for b in range(len(dims))]
+        elif open_is_infinite:
+            orbit = [ClusterObject.at(q, ("I", j, b)) for b in range(len(dims))]
+            frontier.append(ClusterObject.at(q, ("I", j, len(dims))))
+        else:
+            m = rep.injective_lattice(q, j)
+            orbit = [ClusterObject.from_module(m)]
+            for _ in dims[1:]:
+                m = serre.tau(m)
+                orbit.append(ClusterObject.from_module(m))
+        for b, obj in enumerate(orbit):
+            if b or max(dims[0]) <= dim_bound:
+                pool.add(obj, "tau-orbit")
     # translate forward from the projectives of the open orbits
+    phi_inv = coxeter_inverse(q)
     for i in q.vertices:
         if i in closed:
             continue
-        m = rep.projective(q, i)
-        a = 0
-        while serre.injective_index_of(m) is None:
-            if max(phi_inv.mul_vec(m.gens)) > dim_bound:
+        dims, a = rep.projective(q, i).gens, 0
+        while serre.index_by_dims(q, dims, rep.injective_lattice) is None:
+            dims, a = phi_inv.mul_vec(dims), a + 1
+            obj = ClusterObject.at(q, ("P", i, a))
+            if max(dims) > dim_bound:
+                frontier.append(obj)
                 break
-            m = serre.tau_inv(m)
-            a += 1
-            pool.add(ClusterObject.from_module(m, ("P", i, a)), "tau-orbit")
+            pool.add(obj, "tau-orbit")
+    pool.frontier = tuple(frontier)
     return pool
 
 
@@ -668,12 +789,19 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
     against the leaving summand free of rank one and no extensions
     against the rest, read off the pool's partner rows
     (RigidPool.partners), which test each pair once over all mutations.
-    If the search fails on an all-module cluster the partner is
-    constructed by approximation and, when it lies within the pool's
-    dimension bound, inserted into the pool.  The new cluster is
-    certified by is_cluster_tilting, which reads the stored certificate
-    when the cluster was certified before.  Raises NotFoundWithinBound
-    rather than returning anything unverified or past the bound.
+    If the search fails on an all-module cluster, the same two tests
+    run on the pool's frontier, the first translates past the bound of
+    its open orbits.  An almost complete cluster-tilting object has
+    exactly two complements (Buan-Marsh-Reineke-Reiten-Todorov 2006), so
+    a frontier object past the bound that passes is the partner, and
+    it is refused without a construction; one that is compatible with
+    the rest but not at rank one from x contradicts that and raises
+    ConstructionFailed.  Otherwise the partner is constructed by
+    approximation and, when it lies within the pool's dimension bound,
+    inserted into the pool.  The new cluster is certified by
+    is_cluster_tilting, which reads the stored certificate when the
+    cluster was certified before.  Raises NotFoundWithinBound rather
+    than returning anything unverified or past the bound.
     """
     summands = tuple(summands)
     if not 0 <= k < len(summands):
@@ -692,8 +820,8 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
             raise NotFoundWithinBound(
                 f"no exchange partner for {x.describe()} in the pool "
                 f"(bound {pool.dim_bound}); constructive fallback needs all-module clusters")
-        y = mutate_construct(summands, k)
-        if not _within_bound(y.module, pool.dim_bound):
+        y = _frontier_partner(summands, k, pool) or mutate_construct(summands, k)
+        if not _within_bound(y, pool.dim_bound):
             raise NotFoundWithinBound(
                 f"exchange partner {y.describe()} of {x.describe()} lies past "
                 f"the bound {pool.dim_bound}")
@@ -704,6 +832,24 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
         raise ConstructionFailed(f"candidate fails the cluster-tilting check: {cert}")
     triangles = exchange_triangles(x, y, others)
     return new_summands, triangles
+
+
+def _frontier_partner(summands: tuple, k: int, pool: RigidPool) -> ClusterObject | None:
+    """The frontier object past the pool's bound that is the exchange
+    partner of the k-th summand, if any (see mutate)."""
+    x = summands[k]
+    others = summands[:k] + summands[k + 1:]
+    keys = {s.key() for s in summands}
+    for f in pool.frontier:
+        if f.key() in keys or _within_bound(f, pool.dim_bound):
+            continue
+        if all(_compatible(t, f) for t in others):
+            if not _rank_one(x, f):
+                raise ConstructionFailed(
+                    f"{f.describe()} is compatible with the complement of {x.describe()} "
+                    f"but Ext1({x.describe()}, {f.describe()}) = {ext1_c(x, f)}")
+            return f
+    return None
 
 
 def mutate_construct(summands, k: int) -> ClusterObject:
@@ -811,8 +957,7 @@ class ExchangeGraph:
 def exchange_graph(q: Quiver, dim_bound: int = 12, max_nodes: int = 10000) -> ExchangeGraph:
     """Breadth-first mutation closure of the initial projective cluster."""
     pool = build_pool(q, dim_bound)
-    initial = canonical_cluster(
-        ClusterObject.from_module(rep.projective(q, i), ("P", i, 0)) for i in q.vertices)
+    initial = canonical_cluster(ClusterObject.at(q, ("P", i, 0)) for i in q.vertices)
     ok, cert = is_cluster_tilting(initial)
     if not ok:
         raise ConstructionFailed(f"initial projective cluster is not tilting: {cert}")

@@ -308,7 +308,7 @@ def load_cluster(path: str, quiver: Quiver, pool=None):
 
 def describe_object(obj: ClusterObject) -> str:
     if obj.is_module:
-        return "M[" + ",".join(str(d) for d in rep.dim_vector(obj.module)) + "]"
+        return "M[" + ",".join(str(d) for d in obj.dim_c()) + "]"
     return f"SP{obj.shifted_projective}"
 
 

@@ -848,12 +848,14 @@ def base_change(m: ZRep, p: int) -> FieldRep:
     """Vertexwise tensor with the prime field F_p, or with Q when p == 0.
 
     Over Q the torsion dies, so the saturated cokernel of the relations
-    is an integral form of m tensor Q and its action matrices serve as is.
-    The result keeps the lattice it reduces: that integral form over Q,
-    over F_p m itself for a lattice, else the lattice of the reduced
-    matrices.
+    is an integral form of m tensor Q and its action matrices serve as is;
+    a lattice is its own.  The result keeps the lattice it reduces: m
+    itself for a lattice, else that integral form over Q and the lattice
+    of the reduced matrices over F_p.
     """
     q = m.quiver
+    if p == 0 and m.is_lattice:
+        return FieldRep(q, 0, m.gens, tuple(a.entries for a in m.actions), m)
     if p == 0:
         free = cokernel_rep(m, m, m.relations, saturate=True)
         return FieldRep(q, 0, free.gens, tuple(a.entries for a in free.actions), free)

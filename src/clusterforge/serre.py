@@ -56,15 +56,16 @@ class ShiftedModule:
 # ---------------------------------------------------------------------------
 # recognizing projectives and injective lattices
 
+def index_by_dims(q: Quiver, dims: tuple, lattice_at) -> int | None:
+    """The i with lattice_at(q, i) of dimension vector dims, if any."""
+    return next((i for i in q.vertices if lattice_at(q, i).gens == dims), None)
+
+
 def _index_by_dim(m: ZRep, lattice_at) -> int | None:
-    q = m.quiver
-    dim = rep.dim_vector(m)
-    for i in q.vertices:
-        if dim == lattice_at(q, i).gens:
-            if not rep.is_exceptional(m):
-                raise PreconditionViolated("recognition requires an exceptional module")
-            return i
-    return None
+    i = index_by_dims(m.quiver, rep.dim_vector(m), lattice_at)
+    if i is not None and not rep.is_exceptional(m):
+        raise PreconditionViolated("recognition requires an exceptional module")
+    return i
 
 
 def projective_index_of(m: ZRep) -> int | None:

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from clusterforge import clear_caches, zlinalg
+from clusterforge import clear_caches, cli, verify, zlinalg
 from clusterforge.errors import (
     BalanceUnsolvable,
     NotExceptional,
@@ -477,6 +477,7 @@ def test_generalized_catalan_numbers():
 
 
 E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+E7 = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
 
 
 def test_e6_exchange_graph_closes_on_the_catalan_count():
@@ -550,21 +551,28 @@ def test_exchange_graph_is_transitive_on_affine_quivers(q, bound, clusters):
     assert len(oracle_nodes) == clusters
 
 
-def test_orbit_walk_translates_each_module_once():
-    # building the pool walks every orbit once and Ext^1 reads only the
-    # first translate of its target, so tau runs once per non-projective
-    # module and tau_inv never runs on Dynkin quivers
+def test_orbit_walk_translates_each_module_once(count_calls):
+    # building the pool walks dimension vectors only and ext1_c reads the
+    # coordinates, so neither translates; reading the modules walks each
+    # orbit through pool modules, so translating every non-projective
+    # module afterwards runs tau once per non-projective module, and
+    # tau_inv never runs on Dynkin quivers
     clear_caches()
-    non_projective = 0
-    for q in (D4, A5_MIXED):
-        pool = build_pool(q, 12)
+    pools = [build_pool(q, 12) for q in (D4, A5_MIXED)]
+    for pool in pools:
         for x in pool.objects:
             for y in pool.objects:
                 ext1_c(x, y)
-        non_projective += sum(1 for o in pool.modules()
-                              if serre.projective_index_of(o.module) is None)
-    assert non_projective == 8 + 10
-    assert serre.tau.cache_info().misses == non_projective
+    tau = serre.tau
+    assert tau.cache_info().misses == serre.tau_inv.cache_info().misses == 0
+    translated = count_calls(serre, "tau")
+    non_projective = [o.module for pool in pools for o in pool.modules()
+                      if serre.projective_index_of(o.module) is None]
+    assert len(non_projective) == 8 + 10
+    assert {m for m, in translated} <= set(non_projective)
+    for m in non_projective:
+        tau(m)
+    assert tau.cache_info().misses == len(non_projective)
     assert serre.tau_inv.cache_info().misses == 0
 
 
@@ -626,8 +634,10 @@ def test_pool_is_closed_under_tau_within_the_bound(q, bound):
                          ids=["Kronecker", "A~(2,1)", "wild"])
 def test_pool_walks_build_no_translate_past_the_bound(q, bound, monkeypatch):
     # a walk compares the Coxeter transform of its last dimension vector
-    # with the bound before it translates, so every translate it builds
-    # is in bound and has the predicted dimension vector
+    # with the bound before it steps, and build_pool walks dimension
+    # vectors only; the modules, built when read, walk the same orbits,
+    # so every translate built is in bound and has the predicted
+    # dimension vector
     built = []
 
     def spy(translate, power):
@@ -640,7 +650,10 @@ def test_pool_walks_build_no_translate_past_the_bound(q, bound, monkeypatch):
     clear_caches()
     monkeypatch.setattr(serre, "tau", spy(serre.tau, 1))
     monkeypatch.setattr(serre, "tau_inv", spy(serre.tau_inv, -1))
-    build_pool(q, bound)
+    pool = build_pool(q, bound)
+    assert built == []
+    for obj in pool.modules():
+        obj.module
     assert {power for _, _, power in built} == {1, -1}
     for m, t, power in built:
         assert max(dim_vector(t)) <= bound, dim_vector(t)
@@ -737,25 +750,17 @@ def test_witnesses_are_computed_when_read(q, bound, max_nodes, edges, counts):
     assert _ses_certified.cache_info().misses > 0
 
 
-def test_exchange_graph_makes_no_dense_solve(monkeypatch):
+def test_exchange_graph_makes_no_dense_solve(count_calls):
     # a work count, not a time: on A4 and D4 every balance solve splits
-    # on unit pivots and no witness is certified, so the only dense
-    # eliminations left are the translate kernels, which track v_inv;
-    # a dense solve (u_inv) or an SES certification (U, in
-    # free_cokernel) shows here
-    tracked = []
-    inner = zlinalg._eliminate
-
-    def counted(mat, track=()):
-        tracked.append(tuple(track))
-        return inner(mat, track)
-
+    # on unit pivots, no witness is certified and no module is built, so
+    # no dense elimination is left: a dense solve (u_inv), an SES
+    # certification (U, in free_cokernel) or a translate kernel (v_inv)
+    # shows here
     clear_caches()
-    monkeypatch.setattr(zlinalg, "_eliminate", counted)
+    tracked = count_calls(zlinalg, "_eliminate")
     for q in (A4, D4):
         exchange_graph(q, 12)
-    assert tracked
-    assert not [t for t in tracked if "u_inv" in t or "U" in t]
+    assert tracked == []
 
 
 # (quiver, bound, node limit, whether the pool grows through mutation cones)
@@ -796,23 +801,16 @@ def test_partner_rows_equal_the_pool_scan(q, bound, max_nodes, grows, monkeypatc
             rebuilt.partners(node[k], node[:k] + node[k + 1:])
 
 
-def test_exchange_graph_work_counts(monkeypatch):
+def test_exchange_graph_work_counts(count_calls):
     # on A4 and D4 the partner rows test the pairs the pool scan tested,
     # each once, and each undirected edge is balanced once: the reverse
     # mutation reads the same middle-term entry.  Each of the 42 + 50
     # clusters is certified once, the other 278 of the 370 certificates
     # (one per mutation and one per initial cluster) are read back, and
     # each of the 14 + 16 pool objects has its suspension built once
-    balances, suspended = [], []
-    inner, suspend = cluster_module._balance_solution, cluster_module.suspension
-
-    def counted(target, complement):
-        balances.append(target)
-        return inner(target, complement)
-
     clear_caches()
-    monkeypatch.setattr(cluster_module, "_balance_solution", counted)
-    monkeypatch.setattr(cluster_module, "suspension", lambda x: suspended.append(x) or suspend(x))
+    balances = count_calls(cluster_module, "_balance_solution")
+    suspended = count_calls(cluster_module, "suspension")
     for q, undirected in ((A4, 84), (D4, 100)):
         before = _middle_terms.cache_info()
         g = exchange_graph(q, 12)
@@ -825,22 +823,100 @@ def test_exchange_graph_work_counts(monkeypatch):
     certificates = cluster_module._tilting_certificate.cache_info()
     assert (certificates.misses, certificates.hits) == (42 + 50, 278)
     assert len(balances) == 84 + 100
-    assert len(suspended) == len({id(x) for x in suspended}) == 14 + 16
+    assert len(suspended) == len({id(x) for x, in suspended}) == 14 + 16
 
 
 @pytest.mark.parametrize("q, bound, max_nodes, calls, work", (
-    (KRONECKER, 16, 1000, 4, 101_700),
-    (WILD, 6, 20, 89, 543_552),
+    (KRONECKER, 16, 1000, 0, 0),
+    (WILD, 6, 20, 87, 543_552),
 ), ids=["Kronecker@16", "1=>2->3@6/20"])
 def test_constructive_mutation_reads_hom_bases_off_the_presentations(
-        q, bound, max_nodes, calls, work, monkeypatch):
+        q, bound, max_nodes, calls, work, count_calls):
     # Hom bases are kernels of Hom(P., N); the summed rows x columns of
     # the matrices rep hands to kernel_basis were 404,100 and 8,724,213
-    # on the standard intertwining systems
+    # on the standard intertwining systems.  K2@16 now builds no cone:
+    # both of its partners past the bound are frontier objects
     clear_caches()
-    sizes = []
-    kernel = rep.kernel_basis
-    monkeypatch.setattr(rep, "kernel_basis", lambda m: sizes.append((m.rows, m.cols)) or kernel(m))
+    kernels = count_calls(rep, "kernel_basis")
     exchange_graph(q, bound, max_nodes)
-    assert len(sizes) == calls
-    assert sum(r * c for r, c in sizes) <= work
+    assert len(kernels) == calls
+    assert sum(m.rows * m.cols for m, in kernels) <= work
+
+
+def test_kronecker_construction_reads_hom_bases_off_the_presentations(count_calls):
+    # the cone K2@6 built before refusing M[6, 7]: mutating M[4, 5] next
+    # to M[5, 6] by approximation, with its Hom bases off the presented
+    # systems
+    pool = build_pool(KRONECKER, 16)
+    cluster = canonical_cluster([pool.by_key()[("M", (4, 5))], pool.by_key()[("M", (5, 6))]])
+    clear_caches()
+    kernels = count_calls(rep, "kernel_basis")
+    assert mutate_construct(cluster, 0).key() == ("M", (6, 7))
+    assert [(m.rows, m.cols) for m, in kernels] == [(18, 20)]
+
+
+@pytest.mark.parametrize("q, bound, max_nodes, refusals", (
+    (KRONECKER, 16, 1000, 2), (A_TILDE_2_1, 5, 10000, 6), (WILD, 6, 20, 2),
+), ids=["Kronecker@16", "A~(2,1)@5", "1=>2->3@6/20"])
+def test_frontier_refusals_are_the_constructed_partners(q, bound, max_nodes, refusals,
+                                                        count_calls):
+    # a frontier object that passes both partner tests is refused without
+    # a cone; the approximation construction on the same cluster and
+    # position builds a partner with its dimension vector, past the bound
+    frontier_partner = cluster_module._frontier_partner
+    asked = count_calls(cluster_module, "_frontier_partner")
+    exchange_graph(q, bound, max_nodes)
+    decided = [(summands, k, frontier_partner(summands, k, pool))
+               for summands, k, pool in asked]
+    decided = [(summands, k, f) for summands, k, f in decided if f is not None]
+    assert len(decided) == refusals
+    for summands, k, f in decided:
+        y = mutate_construct(summands, k)
+        assert y.key() == f.key()
+        assert max(y.dim_c()) > bound
+
+
+def _module_builds(count_calls) -> list:
+    """The calls that translate, present or recognize a module."""
+    clear_caches()
+    return [count_calls(serre, "tau"), count_calls(serre, "tau_inv"),
+            count_calls(rep, "_lattice_presentation"), count_calls(rep, "is_exceptional")]
+
+
+@pytest.mark.parametrize("q, bound, max_nodes", ((A4, 12, 10000), (D4, 12, 10000),
+                                                 (KRONECKER, 6, 8)),
+                         ids=["A4", "D4", "Kronecker@6/8"])
+def test_exchange_graph_builds_no_module(q, bound, max_nodes, count_calls):
+    # pool objects sit at orbit coordinates and the partner tests, the
+    # certificates, the balances and the suspensions read those, so the
+    # graph translates, presents and recognizes no module
+    built = _module_builds(count_calls)
+    exchange_graph(q, bound, max_nodes)
+    assert built == [[], [], [], []]
+
+
+def test_pool_command_builds_no_module(tmp_path, capsys, count_calls):
+    (tmp_path / "e6.quiver").write_text(
+        "clusterforge/1 quiver\nvertices 6\narrows [[1, 2], [2, 3], [3, 4], [4, 5], [3, 6]]\n")
+    built = _module_builds(count_calls)
+    assert cli.main(["pool", str(tmp_path / "e6.quiver"), "--dim-bound", "12"]) == 0
+    assert capsys.readouterr().out.startswith("pool 42 complete true\n")
+    assert built == [[], [], [], []]
+
+
+def test_e7_verify_builds_each_module_once(count_calls):
+    # verify reads every pool module; each is built once, by its walk
+    clear_caches()
+    walks = count_calls(cluster_module, "_walk_module")
+    assert verify.run_suite(E7, 12).ok
+    assert len(walks) == len(set(walks)) == 63
+
+
+def test_kronecker_at_80_refuses_both_partners_without_a_cone(count_calls):
+    # the two partners past the bound are frontier objects, so no
+    # approximation cone is built
+    constructions = count_calls(cluster_module, "mutate_construct")
+    g = exchange_graph(KRONECKER, 80, 1000)
+    assert len(g.nodes) == 161
+    assert g.truncations == (("not-found-within-bound", 2),)
+    assert constructions == []

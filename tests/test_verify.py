@@ -46,15 +46,15 @@ def test_rep_checks_reject_another_quiver():
     assert not report.ok
 
 
-def test_e7_verify_reduces_each_pair_on_the_presentations(monkeypatch):
+def test_e7_verify_reduces_each_pair_on_the_presentations(monkeypatch, count_calls):
     # each lattice is presented once, and the field checks read the
     # systems of the lattices they reduce, the pool's own, so they
     # present no lattice outside the pool; the minimal resolution fixes
     # the presented system sizes, so the totals do not depend on the
     # pivot order
     clear_caches()
-    presented, over_fields = [], []
-    present, field = rep._lattice_presentation, rep.field_hom_ext_dims
+    over_fields = []
+    field = rep.field_hom_ext_dims
 
     def read_over_field(m, n):
         before = len(presented)
@@ -62,15 +62,15 @@ def test_e7_verify_reduces_each_pair_on_the_presentations(monkeypatch):
         over_fields.append(presented[before:])
         return dims
 
-    monkeypatch.setattr(rep, "_lattice_presentation", lambda m: presented.append(m) or present(m))
+    presented = count_calls(rep, "_lattice_presentation")
     monkeypatch.setattr(rep, "field_hom_ext_dims", read_over_field)
     assert verify.run_suite(E7, 12).ok
     modules = [obj.module for obj in build_pool(E7, 12).modules()]
     assert len(modules) == 63
     assert len(over_fields) == 70 * 3
-    assert {m for new in over_fields for m in new} <= set(modules)
+    assert {m for new in over_fields for m, in new} <= set(modules)
     assert len(set(presented)) == len(presented)
-    assert set(modules) <= set(presented)
+    assert set(modules) <= {m for m, in presented}
 
     def totals(system) -> tuple:
         sizes = [system(m, n) for m in modules for n in modules]
@@ -80,7 +80,7 @@ def test_e7_verify_reduces_each_pair_on_the_presentations(monkeypatch):
     assert totals(oracles.standard_rows) == (25788, 26187)
 
 
-def test_e7_verify_reads_projective_translates_as_the_pool_projectives(monkeypatch):
+def test_e7_verify_reads_projective_translates_as_the_pool_projectives(count_calls):
     # AR duality pairs every pool lattice with the translates of the
     # others; a translate that is P_i is read as the pool's P_i, so Hom
     # into it is the pool pair already reduced, and only the 4 self-pairs
@@ -89,9 +89,7 @@ def test_e7_verify_reads_projective_translates_as_the_pool_projectives(monkeypat
     # read one self-pair system per pool object and prime, 70 x 3, all on
     # pool lattices
     clear_caches()
-    reduced = []
-    rows = rep._presented_rows
-    monkeypatch.setattr(rep, "_presented_rows", lambda m, n: reduced.append((m, n)) or rows(m, n))
+    reduced = count_calls(rep, "_presented_rows")
     assert verify.run_suite(E7, 12).ok
     modules = set(obj.module for obj in build_pool(E7, 12).modules())
     outside = [(m, n) for m, n in reduced if not {m, n} <= modules]
@@ -99,17 +97,20 @@ def test_e7_verify_reads_projective_translates_as_the_pool_projectives(monkeypat
     assert len(outside) == 4 and all(m is n for m, n in outside)
 
 
-def test_coordinate_free_ext1_reads_projective_translates_as_the_pool_projectives(monkeypatch):
+def test_coordinate_free_ext1_reads_projective_translates_as_the_pool_projectives(count_calls):
     # objects without orbit coordinates take the elimination branch of
-    # ext1_c, whose Hom(M, tau N) term then reads the pool's P_i
+    # ext1_c, whose Hom(M, tau N) term then reads the pool's P_i; the
+    # pool walks translate no orbit past a projective, so the 4
+    # translates that are P_i under another value are recognized here,
+    # each by the self-pair of is_exceptional
     clear_caches()
     lattices = [obj.module for obj in build_pool(E7, 12).modules()]
-    targets = []
-    hom = rep.hom_group
-    monkeypatch.setattr(rep, "hom_group", lambda m, n: targets.append(n) or hom(m, n))
+    homs = count_calls(rep, "hom_group")
     plain = [cluster.ClusterObject.from_module(m) for m in lattices]
+    assert all(obj.coord is None for obj in plain)
     x = plain[0]
     for y in plain:
         cluster.ext1_c(x, y)
-    assert len(targets) == 56
-    assert set(targets) <= set(lattices)
+    outside = [(m, n) for m, n in homs if n not in set(lattices)]
+    assert len(homs) == 56 + 4
+    assert len(outside) == 4 and all(m is n for m, n in outside)
