@@ -47,11 +47,13 @@ Presented modules, lattices read from files and mutation-cone partners
 carry no coordinate, nor does an orbit the bound cuts on a Dynkin or
 disconnected quiver; their pairs are computed by elimination.
 
-Partners past the bound.  The pool keeps the first translate past the
-bound of each orbit walk with coordinates that the bound stopped
-(RigidPool.frontier), and mutate tests those with the partner tests
-before it builds an approximation cone, so a partner on such an orbit is
-refused at the cost of integer arithmetic.
+Partners past the bound.  The pool's members are its objects and, for
+each orbit walk with coordinates that the bound stopped, the first
+translate past the bound (RigidPool.frontier).  mutate looks for the
+partner among all members with one search, the compatibility masks of
+the rest (RigidPool.partners), before it builds an approximation cone,
+so a partner on such an orbit is refused at the cost of integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -128,18 +130,13 @@ class ClusterObject:
                 raise PreconditionViolated("module objects must be exceptional")
 
     @staticmethod
-    def from_module(m: ZRep, coord: tuple | None = None) -> "ClusterObject":
-        """The object of m, carrying coord when given; coord must name a
-        translate with the dimension vector of the lattice m."""
+    def from_module(m: ZRep) -> "ClusterObject":
+        """The object of the exceptional module m, with no orbit coordinate."""
         if not m.is_lattice:
-            if coord is not None:
-                raise PreconditionViolated(f"{coord} is not the orbit coordinate of a lattice")
             return ClusterObject(m.quiver, presented=m)
         if not rep.is_exceptional(m):
             raise PreconditionViolated("module objects must be exceptional")
-        if coord is not None and _orbit_dim(m.quiver, coord) != m.gens:
-            raise PreconditionViolated(f"{coord} is not the orbit coordinate of {m.gens}")
-        return ClusterObject._lattice(m.quiver, m.gens, coord, m)
+        return ClusterObject._lattice(m.quiver, m.gens, None, m)
 
     @staticmethod
     def at(q: Quiver, coord: tuple, walk: tuple | None = None) -> "ClusterObject":
@@ -260,7 +257,7 @@ def _translate(x: ClusterObject, k: int) -> ClusterObject:
     """tau^k of the coordinate object x, for k = 1 or -1, built on read
     by x's walk one step further (P_i by rep.projective)."""
     coord = _translate_coord(x.coord, k)
-    if _is_projective_coord(coord) or isinstance(x.source, ZRep):
+    if _is_projective_coord(coord):
         return ClusterObject.at(x.quiver, coord)
     return ClusterObject.at(x.quiver, coord, _translate_coord(x.source, k))
 
@@ -416,18 +413,17 @@ class RigidPool:
 
     complete is True exactly for Dynkin quivers, where the translate
     orbits of the projectives exhaust the exceptional modules.  objects
-    stays sorted by key and grows only through add.  frontier holds, for
-    each orbit walk with coordinates that the bound stopped, the first
-    translate past the bound (see build_pool); those are not members.
+    stays sorted by key and grows only through add.
 
-    Partner rows.  Each member also holds a bit, in insertion order, that
-    stays when the pool grows.  For an object key the pool keeps two bit
-    rows over the members, filled lazily: the rank-one row of x, the
-    members y other than x with Ext^1_C(x, y) free of rank one, and the
-    compatible row of t, the members y with Ext^1_C(y, t) and
-    Ext^1_C(t, y) both trivial.  Each row remembers which members it has
-    tested, so a pair is tested at most once per row and a member added
-    later is tested when a row is first asked about it (see partners).
+    Members and masks.  The members are the objects and the frontier:
+    for each orbit walk with coordinates that the bound stopped, the
+    first translate past the bound (see build_pool).  Each member holds
+    a bit, in insertion order, that stays when the pool grows.  For an
+    object key t the pool keeps one compatibility mask, the bits of the
+    members y other than t with Ext^1_C(y, t) and Ext^1_C(t, y) both
+    trivial; it is filled on first use and extended to the members
+    enlisted since when next used, so each pair is tested once (see
+    partners).
     """
 
     quiver: Quiver
@@ -435,16 +431,25 @@ class RigidPool:
     objects: tuple = ()
     provenance: dict = field(default_factory=dict)
     complete: bool = False
-    frontier: tuple = ()
     _members: list = field(default_factory=list, init=False, repr=False, compare=False)
     _bits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # object key -> [bits that pass, bits tested]
-    _rank_one_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _compatible_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # object key -> (compatibility mask, members tested)
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for obj in self.objects:
             self._enlist(obj)
+
+    def __contains__(self, obj: ClusterObject) -> bool:
+        """Whether an object of the pool has the key of obj."""
+        key = obj.key()
+        i = bisect(self.objects, key, key=ClusterObject.key)
+        return i > 0 and self.objects[i - 1].key() == key
+
+    @property
+    def frontier(self) -> tuple:
+        """The members that are not objects, in insertion order."""
+        return tuple(y for y in self._members if y not in self)
 
     def by_key(self) -> dict:
         return {obj.key(): obj for obj in self.objects}
@@ -453,41 +458,39 @@ class RigidPool:
         return tuple(obj for obj in self.objects if obj.is_module)
 
     def add(self, obj: ClusterObject, tag: str) -> bool:
-        if not self._enlist(obj):
+        """Make obj an object unless one has its key; a frontier member
+        keeps its bit."""
+        if obj in self:
             return False
+        self._enlist(obj)
         key = obj.key()
         self.provenance[key] = tag
         i = bisect(self.objects, key, key=ClusterObject.key)
         self.objects = self.objects[:i] + (obj,) + self.objects[i:]
         return True
 
-    def _enlist(self, obj: ClusterObject) -> bool:
+    def _enlist(self, obj: ClusterObject) -> None:
         """Give obj the next bit unless a member has its key."""
-        if obj.key() in self._bits:
-            return False
-        self._bits[obj.key()] = len(self._members)
-        self._members.append(obj)
-        return True
+        if obj.key() not in self._bits:
+            self._bits[obj.key()] = len(self._members)
+            self._members.append(obj)
 
     def partners(self, x: ClusterObject, others) -> tuple:
-        """The members y other than x with Ext^1_C(x, y) free of rank one
-        and no Ext^1_C either way against any object of others.
+        """The members other than x and others with no Ext^1_C either way
+        against any object of others, in insertion order.
 
-        The rank-one row of x meets the compatible row of each t in
-        others in turn, and a row tests only the candidates still left
-        that it has not tested, so the pairs tested are those of a scan
-        of every member that stops at the first failing test.  The
-        members come in insertion order.
+        An almost complete cluster-tilting object has exactly two
+        complements (Buan-Marsh-Reineke-Reiten-Todorov 2006), so next to
+        a cluster-tilting others + (x,) this is the partner of x when it
+        is a member, and nothing otherwise.
         """
-        everyone = (1 << len(self._members)) - 1
-        own = self._bits.get(x.key())
-        if own is not None:
-            everyone ^= 1 << own
-        left = self._row(self._rank_one_rows, x, everyone, _rank_one)
+        left = (1 << len(self._members)) - 1
         for t in others:
             if not left:
                 break
-            left = self._row(self._compatible_rows, t, left, _compatible)
+            left &= self._mask(t)
+        if (own := self._bits.get(x.key())) is not None:
+            left &= ~(1 << own)
         found = []
         while left:
             low = left & -left
@@ -495,28 +498,19 @@ class RigidPool:
             left ^= low
         return tuple(found)
 
-    def _row(self, rows: dict, obj: ClusterObject, among: int, test) -> int:
-        """The bits among `among` of the members y with test(obj, y), testing
-        only those the row of obj has not tested yet."""
-        row = rows.get(obj.key())
-        if row is None:
-            row = rows[obj.key()] = [0, 0]
-        untested = among & ~row[1]
-        row[1] |= untested
-        while untested:
-            low = untested & -untested
-            if test(obj, self._members[low.bit_length() - 1]):
-                row[0] |= low
-            untested ^= low
-        return row[0] & among
-
-
-def _rank_one(x: ClusterObject, y: ClusterObject) -> bool:
-    return ext1_c(x, y) == RANK_ONE
-
-
-def _compatible(t: ClusterObject, y: ClusterObject) -> bool:
-    return ext1_c(y, t).is_trivial and ext1_c(t, y).is_trivial
+    def _mask(self, t: ClusterObject) -> int:
+        """The compatibility mask of t, tested against the members
+        enlisted since it was last asked for."""
+        key = t.key()
+        mask, tested = self._masks.get(key, (0, 0))
+        if tested < len(self._members):
+            own = self._bits.get(key)
+            for bit in range(tested, len(self._members)):
+                y = self._members[bit]
+                if bit != own and ext1_c(y, t).is_trivial and ext1_c(t, y).is_trivial:
+                    mask |= 1 << bit
+            self._masks[key] = mask, len(self._members)
+        return mask
 
 
 def _within_bound(obj: ClusterObject, bound: int) -> bool:
@@ -547,16 +541,16 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
     preinjectives never meet preprojectives; elsewhere (a Dynkin orbit
     cut by the bound, a disconnected quiver) its backward walk leaves no
     coordinate and builds its modules as it goes.  A walk with
-    coordinates that the bound stops leaves the translate it stopped
-    before, the first past the bound, in pool.frontier, where mutate
-    looks for a partner past the bound before it builds a cone.
+    coordinates that the bound stops enlists the translate it stopped
+    before, the first past the bound, as a member that is not an object
+    (pool.frontier), so mutate's partner search meets a partner past the
+    bound there before it builds a cone.
     """
     validate(q)
     if dim_bound < 1:
         raise PreconditionViolated("dim_bound must be at least 1")
     pool = RigidPool(q, dim_bound, complete=is_dynkin(q))
     open_is_infinite = not pool.complete and is_connected(q)
-    frontier = []
     for i in q.vertices:
         pool.add(ClusterObject.sigma_projective(q, i), "projective")
     for i in q.vertices:
@@ -572,7 +566,7 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
                      for b in range(len(dims))]
         elif open_is_infinite:
             orbit = [ClusterObject.at(q, ("I", j, b)) for b in range(len(dims))]
-            frontier.append(ClusterObject.at(q, ("I", j, len(dims))))
+            pool._enlist(ClusterObject.at(q, ("I", j, len(dims))))
         else:
             m = rep.injective_lattice(q, j)
             orbit = [ClusterObject.from_module(m)]
@@ -592,10 +586,9 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
             dims, a = phi_inv.mul_vec(dims), a + 1
             obj = ClusterObject.at(q, ("P", i, a))
             if max(dims) > dim_bound:
-                frontier.append(obj)
+                pool._enlist(obj)
                 break
             pool.add(obj, "tau-orbit")
-    pool.frontier = tuple(frontier)
     return pool
 
 
@@ -785,42 +778,42 @@ def _ses_certified(tail: ClusterObject, head: ClusterObject, middle: tuple) -> b
 def mutate(summands, k: int, pool: RigidPool) -> tuple:
     """Replace the k-th summand by its unique exchange partner.
 
-    Pool search first: the partner is the unique pool object with Ext^1
-    against the leaving summand free of rank one and no extensions
-    against the rest, read off the pool's partner rows
-    (RigidPool.partners), which test each pair once over all mutations.
-    If the search fails on an all-module cluster, the same two tests
-    run on the pool's frontier, the first translates past the bound of
-    its open orbits.  An almost complete cluster-tilting object has
-    exactly two complements (Buan-Marsh-Reineke-Reiten-Todorov 2006), so
-    a frontier object past the bound that passes is the partner, and
-    it is refused without a construction; one that is compatible with
-    the rest but not at rank one from x contradicts that and raises
-    ConstructionFailed.  Otherwise the partner is constructed by
-    approximation and, when it lies within the pool's dimension bound,
-    inserted into the pool.  The new cluster is certified by
-    is_cluster_tilting, which reads the stored certificate when the
-    cluster was certified before.  Raises NotFoundWithinBound rather
-    than returning anything unverified or past the bound.
+    Pool search first: RigidPool.partners intersects the compatibility
+    masks of the rest over the pool's members, the objects and the
+    frontier, and one member is left when the partner is among them.
+    That survivor is certified by one test, Ext^1_C against the leaving
+    summand free of rank one; a second survivor or a failed test raises
+    ConstructionFailed.  A survivor that is not a pool object, the first
+    translate past the bound of an open orbit, is refused without a
+    construction.  With no survivor the partner of an all-module
+    cluster is constructed by approximation and, when it lies within
+    the pool's dimension bound, inserted into the pool.  The new cluster
+    is certified by is_cluster_tilting, which reads the stored
+    certificate when the cluster was certified before.  Raises
+    NotFoundWithinBound rather than returning anything unverified or
+    past the bound.
     """
     summands = tuple(summands)
     if not 0 <= k < len(summands):
         raise PreconditionViolated(f"position {k} out of range")
     x = summands[k]
     others = summands[:k] + summands[k + 1:]
-    candidates = pool.partners(x, others)
-    if len(candidates) > 1:
+    found = pool.partners(x, others)
+    if len(found) > 1:
         raise ConstructionFailed(
-            f"pool offers {len(candidates)} exchange partners for {x.describe()}; "
+            f"pool offers {len(found)} exchange partners for {x.describe()}; "
             "the pool is inconsistent")
-    if candidates:
-        y = candidates[0]
-    else:
-        if not all(s.is_module for s in summands):
-            raise NotFoundWithinBound(
-                f"no exchange partner for {x.describe()} in the pool "
-                f"(bound {pool.dim_bound}); constructive fallback needs all-module clusters")
-        y = _frontier_partner(summands, k, pool) or mutate_construct(summands, k)
+    held = bool(found) and found[0] in pool
+    if not held and not all(s.is_module for s in summands):
+        raise NotFoundWithinBound(
+            f"no exchange partner for {x.describe()} in the pool "
+            f"(bound {pool.dim_bound}); constructive fallback needs all-module clusters")
+    y = found[0] if found else mutate_construct(summands, k)
+    if ext1_c(x, y) != RANK_ONE:
+        raise ConstructionFailed(
+            f"{y.describe()} is compatible with the complement of {x.describe()} "
+            f"but Ext1({x.describe()}, {y.describe()}) = {ext1_c(x, y)}")
+    if not held:
         if not _within_bound(y, pool.dim_bound):
             raise NotFoundWithinBound(
                 f"exchange partner {y.describe()} of {x.describe()} lies past "
@@ -832,24 +825,6 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
         raise ConstructionFailed(f"candidate fails the cluster-tilting check: {cert}")
     triangles = exchange_triangles(x, y, others)
     return new_summands, triangles
-
-
-def _frontier_partner(summands: tuple, k: int, pool: RigidPool) -> ClusterObject | None:
-    """The frontier object past the pool's bound that is the exchange
-    partner of the k-th summand, if any (see mutate)."""
-    x = summands[k]
-    others = summands[:k] + summands[k + 1:]
-    keys = {s.key() for s in summands}
-    for f in pool.frontier:
-        if f.key() in keys or _within_bound(f, pool.dim_bound):
-            continue
-        if all(_compatible(t, f) for t in others):
-            if not _rank_one(x, f):
-                raise ConstructionFailed(
-                    f"{f.describe()} is compatible with the complement of {x.describe()} "
-                    f"but Ext1({x.describe()}, {f.describe()}) = {ext1_c(x, f)}")
-            return f
-    return None
 
 
 def mutate_construct(summands, k: int) -> ClusterObject:
@@ -955,7 +930,10 @@ class ExchangeGraph:
 
 
 def exchange_graph(q: Quiver, dim_bound: int = 12, max_nodes: int = 10000) -> ExchangeGraph:
-    """Breadth-first mutation closure of the initial projective cluster."""
+    """Breadth-first mutation closure of the initial projective cluster,
+    holding at most max_nodes clusters."""
+    if max_nodes < 1:
+        raise PreconditionViolated("max_nodes must be at least 1")
     pool = build_pool(q, dim_bound)
     initial = canonical_cluster(ClusterObject.at(q, ("P", i, 0)) for i in q.vertices)
     ok, cert = is_cluster_tilting(initial)

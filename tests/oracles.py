@@ -6,10 +6,11 @@ and cluster counts from exhaustive enumeration of maximal pairwise
 compatible subsets of a pool, or from the closed-form finite-type
 counts of Fomin-Zelevinsky (Cluster algebras II, 2003) and the
 generalized Catalan numbers over the exponents, and exchange
-partners from a scan of every pool object.  Morphisms in
-the cluster category come from the orbit formula itself, summed over
-the f_apply translates of the target, and projectives and injective
-lattices are recognized by an explicit isomorphism.  Hom and Ext^1 of
+partners from a scan of every pool member, the objects and the
+frontier, with the rank-one test the pool's search leaves to mutate.
+Morphisms in the cluster category come from the orbit formula itself,
+summed over the f_apply translates of the target, and projectives and
+injective lattices are recognized by an explicit isomorphism.  Hom and Ext^1 of
 two lattices over Z, F_p and Q are the kernel and the cokernel of the
 standard intertwining rows, built from the action matrices alone.
 """

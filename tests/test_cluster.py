@@ -5,6 +5,7 @@ import pytest
 from clusterforge import clear_caches, cli, verify, zlinalg
 from clusterforge.errors import (
     BalanceUnsolvable,
+    ConstructionFailed,
     NotExceptional,
     NotFoundWithinBound,
     PreconditionViolated,
@@ -334,6 +335,38 @@ def test_kronecker_unreachable_is_loud():
         mutate(cluster, k, pool)
 
 
+def test_two_survivors_raise_without_a_construction(count_calls):
+    # P_2 and S_1 of A2 are no cluster: both P_1 and sigma P_2 are
+    # compatible with S_1, so the search leaves two members
+    constructions = count_calls(cluster_module, "mutate_construct")
+    pool = build_pool(A2, 5)
+    summands = (co(projective(A2, 2)), co(simple(A2, 1)))
+    assert {y.key() for y in pool.partners(summands[0], summands[1:])} == {
+        ("M", (1, 1)), ("S", (2,))}
+    with pytest.raises(ConstructionFailed, match="the pool is inconsistent"):
+        mutate(summands, 0, pool)
+    assert constructions == []
+
+
+def test_a_survivor_off_rank_one_raises_without_a_construction(count_calls):
+    # P_2 and S_1 of A3 are not compatible, so P_3 next to them is no
+    # cluster: the one member left, P_1, has Ext^1_C(P_3, P_1) = 0
+    constructions = count_calls(cluster_module, "mutate_construct")
+    pool = build_pool(A3, 6)
+    summands = tuple(pool.by_key()[("M", d)] for d in ((0, 0, 1), (0, 1, 1), (1, 0, 0)))
+    assert [y.key() for y in pool.partners(summands[0], summands[1:])] == [("M", (1, 1, 1))]
+    with pytest.raises(ConstructionFailed, match=r"but Ext1\(M\[0, 0, 1\], M\[1, 1, 1\]\) = 0"):
+        mutate(summands, 0, pool)
+    assert constructions == []
+
+
+def test_exchange_graph_needs_one_node():
+    for max_nodes in (0, -3):
+        with pytest.raises(PreconditionViolated, match="max_nodes must be at least 1"):
+            exchange_graph(A4, 12, max_nodes)
+    assert len(exchange_graph(A4, 12, 1).nodes) == 1
+
+
 def test_bijection_mod_p():
     pool = build_pool(A2, 5)
     for p in (2, 3):
@@ -600,8 +633,6 @@ def test_presented_module_never_takes_the_coordinate_path():
     s1 = co(presented)
     i1 = pool.by_key()[s1.key()]
     assert s1 != i1 and s1.coord is None and i1.coord is not None
-    with pytest.raises(PreconditionViolated):
-        ClusterObject.from_module(presented, i1.coord)
     clear_caches()
     for y in pool.modules():
         ext1_c(i1, y)
@@ -771,16 +802,17 @@ PARTNER_GRAPHS = ((A4, 12, 10000, False), (D4, 12, 10000, False), (KRONECKER, 16
 @pytest.mark.parametrize("q, bound, max_nodes, grows", PARTNER_GRAPHS,
                          ids=["A4", "D4", "Kronecker-16", "A~(2,1)", "wild"])
 def test_partner_rows_equal_the_pool_scan(q, bound, max_nodes, grows, monkeypatch):
-    # at every mutation the partner rows give what a scan of every pool
-    # object gives, as the pool grows; so, through the same check, does a
-    # pool rebuilt from its objects alone, whose bits follow key order
-    rows = RigidPool.partners
+    # at every mutation the compatibility masks give what a scan of every
+    # pool member, the objects and the frontier, gives, as the pool grows;
+    # so, through the same check, does a pool rebuilt from its objects
+    # alone, whose bits follow key order
+    search = RigidPool.partners
     sizes = []
 
     def checked(pool, x, others):
-        found = rows(pool, x, others)
-        scan = oracles.partner_scan(pool.objects, x, others)
-        assert sorted(y.key() for y in found) == [y.key() for y in scan], x.describe()
+        found = search(pool, x, others)
+        scan = oracles.partner_scan(pool.objects + pool.frontier, x, others)
+        assert sorted(y.key() for y in found) == sorted(y.key() for y in scan), x.describe()
         sizes.append(len(pool.objects))
         return found
 
@@ -802,8 +834,9 @@ def test_partner_rows_equal_the_pool_scan(q, bound, max_nodes, grows, monkeypatc
 
 
 def test_exchange_graph_work_counts(count_calls):
-    # on A4 and D4 the partner rows test the pairs the pool scan tested,
-    # each once, and each undirected edge is balanced once: the reverse
+    # on A4 and D4 the compatibility masks test each pair of distinct
+    # objects once, and the survivors' rank-one tests read groups already
+    # computed; each undirected edge is balanced once: the reverse
     # mutation reads the same middle-term entry.  Each of the 42 + 50
     # clusters is certified once, the other 278 of the 370 certificates
     # (one per mutation and one per initial cluster) are read back, and
@@ -819,7 +852,7 @@ def test_exchange_graph_work_counts(count_calls):
         assert after.misses - before.misses == after.hits - before.hits == undirected
     lookups = ext1_c.cache_info()
     assert lookups.misses == 452
-    assert lookups.hits + lookups.misses == 2925
+    assert lookups.hits + lookups.misses == 2874
     certificates = cluster_module._tilting_certificate.cache_info()
     assert (certificates.misses, certificates.hits) == (42 + 50, 278)
     assert len(balances) == 84 + 100
@@ -859,19 +892,29 @@ def test_kronecker_construction_reads_hom_bases_off_the_presentations(count_call
     (KRONECKER, 16, 1000, 2), (A_TILDE_2_1, 5, 10000, 6), (WILD, 6, 20, 2),
 ), ids=["Kronecker@16", "A~(2,1)@5", "1=>2->3@6/20"])
 def test_frontier_refusals_are_the_constructed_partners(q, bound, max_nodes, refusals,
-                                                        count_calls):
-    # a frontier object that passes both partner tests is refused without
-    # a cone; the approximation construction on the same cluster and
-    # position builds a partner with its dimension vector, past the bound
-    frontier_partner = cluster_module._frontier_partner
-    asked = count_calls(cluster_module, "_frontier_partner")
-    exchange_graph(q, bound, max_nodes)
-    decided = [(summands, k, frontier_partner(summands, k, pool))
-               for summands, k, pool in asked]
-    decided = [(summands, k, f) for summands, k, f in decided if f is not None]
-    assert len(decided) == refusals
-    for summands, k, f in decided:
-        y = mutate_construct(summands, k)
+                                                        count_calls, monkeypatch):
+    # an all-module cluster whose partner search leaves a frontier member
+    # is refused without a cone; the approximation construction on the
+    # same cluster and position builds a partner with its dimension
+    # vector, past the bound
+    search = RigidPool.partners
+    met = []
+
+    def recorded(pool, x, others):
+        found = search(pool, x, others)
+        if found and found[0] not in pool and all(s.is_module for s in (x, *others)):
+            met.append(((x, *others), found[0]))
+        return found
+
+    monkeypatch.setattr(RigidPool, "partners", recorded)
+    constructions = count_calls(cluster_module, "mutate_construct")
+    g = exchange_graph(q, bound, max_nodes)
+    assert len(met) == refusals
+    assert dict(g.truncations)["not-found-within-bound"] >= refusals
+    built = {(c[k], *c[:k], *c[k + 1:]) for c, k in constructions}
+    assert not built & {summands for summands, _ in met}
+    for summands, f in met:
+        y = mutate_construct(summands, 0)
         assert y.key() == f.key()
         assert max(y.dim_c()) > bound
 

@@ -262,6 +262,13 @@ def test_cli_graph_formats(workdir, capsys):
     assert capsys.readouterr().out.count(" -- ") == 5
 
 
+def test_cli_graph_refuses_a_node_limit_below_one(workdir, capsys):
+    assert main(["graph", str(workdir / "a2.quiver"), "--max-nodes", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: PreconditionViolated: max_nodes must be at least 1\n"
+
+
 def test_cli_graph_determinism(workdir, capsys):
     quiver = str(workdir / "a2.quiver")
     main(["graph", quiver, "--dim-bound", "5", "--format", "structured"])
