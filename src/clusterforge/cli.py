@@ -120,6 +120,8 @@ def _is_prime(p: int) -> bool:
 
 
 def _primes_or_default(primes):
+    """The primes given, each checked and kept at its first occurrence."""
+    primes = tuple(dict.fromkeys(primes))
     for p in primes:
         if p >= _EXACT_BELOW:
             raise FormatError(f"primes from {_EXACT_BELOW} on are not supported")

@@ -86,6 +86,7 @@ from .zlinalg import (
     FinAbGroup,
     IntMatrix,
     cokernel_structure,
+    free_group,
     is_split_injective,
     solve_with_rank,
 )
@@ -334,25 +335,25 @@ def ext1_c(x: ClusterObject, y: ClusterObject) -> FinAbGroup:
     pair is computed by elimination, with a translate that is P_i read
     as rep.projective(q, i) (serre.tau_canonical).
     """
-    if x.quiver != y.quiver:
+    if x.quiver is not y.quiver and x.quiver != y.quiver:
         raise DimensionMismatch("objects live over different quivers")
     q = x.quiver
     if not x.is_module:
         if not y.is_module:
-            return FinAbGroup(0)
+            return free_group(0)
         i = x.shifted_projective
         if y.dims is not None:
-            return FinAbGroup(y.dims[i - 1])
+            return free_group(y.dims[i - 1])
         return rep.hom_group(rep.projective(q, i), y.module).group
     if not y.is_module:
         i = y.shifted_projective
         if x.dims is not None:
-            return FinAbGroup(x.dims[i - 1])
+            return free_group(x.dims[i - 1])
         return rep.hom_group(x.module, rep.injective_lattice(q, i)).group
     if x.coord is not None and y.coord is not None:
-        return FinAbGroup(_ext1_rank(x, y))
+        return free_group(_ext1_rank(x, y))
     m, n = x.module, y.module
-    total = FinAbGroup(0) if serre.projective_index_of(m) is not None else rep.ext1_group(m, n)
+    total = free_group(0) if serre.projective_index_of(m) is not None else rep.ext1_group(m, n)
     if serre.projective_index_of(n) is None:
         total = total.direct_sum(rep.hom_group(m, serre.tau_canonical(n)).group)
     return total

@@ -10,6 +10,7 @@ cycles (in particular loops) are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import CyclicQuiver, DimensionMismatch
 from .memo import hash_once, memo
@@ -50,8 +51,12 @@ class Quiver:
     def opposite(self) -> "Quiver":
         return Quiver(self.n, tuple((t, s) for s, t in self.arrows))
 
+    @memo
     def reflected(self, v: int) -> "Quiver":
-        """Reverse every arrow incident to v, keeping arrow indices stable."""
+        """Reverse every arrow incident to v, keeping arrow indices stable.
+
+        Built once per orientation and vertex: a translate walks through
+        the same n orientations at every step."""
         return Quiver(self.n, tuple((t, s) if s == v or t == v else (s, t)
                                     for s, t in self.arrows))
 
@@ -120,7 +125,7 @@ def euler_form(q: Quiver, d, e) -> int:
     """<d, e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j."""
     if len(d) != q.n or len(e) != q.n:
         raise DimensionMismatch("dimension vector length does not match quiver")
-    return sum(x * y for x, y in zip(d, e)) - sum(d[s - 1] * e[t - 1] for s, t in q.arrows)
+    return sum(map(mul, d, e)) - sum([d[s - 1] * e[t - 1] for s, t in q.arrows])
 
 
 def _euler_inverse(q: Quiver) -> IntMatrix:

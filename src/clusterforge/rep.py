@@ -48,6 +48,7 @@ from .zlinalg import (
     block_diag,
     column_span_basis,
     free_cokernel,
+    free_group,
     is_split_injective,
     kernel_basis,
     kernel_rank_cokernel,
@@ -539,7 +540,7 @@ def _lattice_hom_ext(m: ZRep, n: ZRep) -> tuple:
     """
     nullity, ext = kernel_rank_cokernel(*_presented_rows(m, n))
     make_basis = (lambda: _lift(m, n, _cycles(m._presentation, n, 0))) if nullity else tuple
-    return Hom(FinAbGroup(nullity), make_basis), ext
+    return Hom(free_group(nullity), make_basis), ext
 
 
 @memo
@@ -553,7 +554,7 @@ def hom_group(m: ZRep, n: ZRep) -> Hom:
     taken modulo those relations.  The basis lifts the cycles to
     vertexwise maps on first read.
     """
-    if n.quiver != m.quiver:
+    if n.quiver is not m.quiver and n.quiver != m.quiver:
         raise DimensionMismatch("representations live over different quivers")
     if m.is_lattice and n.is_lattice:
         return _lattice_hom_ext(m, n)[0]
@@ -572,7 +573,7 @@ def ext1_group(m: ZRep, n: ZRep) -> FinAbGroup:
     degree-one homology with n's relations as extra columns.  The test
     suite cross-checks the lattice route against the minimal resolution.
     """
-    if n.quiver != m.quiver:
+    if n.quiver is not m.quiver and n.quiver != m.quiver:
         raise DimensionMismatch("representations live over different quivers")
     if m.is_lattice and n.is_lattice:
         return _lattice_hom_ext(m, n)[1]
@@ -826,7 +827,7 @@ def is_exceptional(m: ZRep) -> bool:
     """Rigid with endomorphism group free of rank one."""
     if not is_rigid(m):
         return False
-    return hom_group(m, m).group == FinAbGroup(1)
+    return hom_group(m, m).group == free_group(1)
 
 
 # ---------------------------------------------------------------------------
@@ -847,15 +848,19 @@ class FieldRep:
 def base_change(m: ZRep, p: int) -> FieldRep:
     """Vertexwise tensor with the prime field F_p, or with Q when p == 0.
 
-    Over Q the torsion dies, so the saturated cokernel of the relations
-    is an integral form of m tensor Q and its action matrices serve as is;
-    a lattice is its own.  The result keeps the lattice it reduces: m
-    itself for a lattice, else that integral form over Q and the lattice
-    of the reduced matrices over F_p.
+    A lattice has no relations, so its reduction keeps its generators
+    and takes its action entries mod p, or as they are over Q.  Over Q
+    the torsion dies, so the saturated cokernel of the relations is an
+    integral form of m tensor Q and its action matrices serve as is.
+    The result keeps the lattice it reduces: m itself for a lattice,
+    else that integral form over Q and the lattice of the reduced
+    matrices over F_p.
     """
     q = m.quiver
-    if p == 0 and m.is_lattice:
-        return FieldRep(q, 0, m.gens, tuple(a.entries for a in m.actions), m)
+    if m.is_lattice:
+        actions = tuple(tuple(tuple(x % p for x in row) for row in a.entries) if p else a.entries
+                        for a in m.actions)
+        return FieldRep(q, p, m.gens, actions, m)
     if p == 0:
         free = cokernel_rep(m, m, m.relations, saturate=True)
         return FieldRep(q, 0, free.gens, tuple(a.entries for a in free.actions), free)
@@ -876,7 +881,7 @@ def base_change(m: ZRep, p: int) -> FieldRep:
             cols.append([vec[r] for r in bases[tv][2]])
         actions.append(tuple(tuple(cols[c][r] for c in range(dims[su]))
                              for r in range(dims[tv])))
-    lattice = m if m.is_lattice else _lattice(q, dims, tuple(
+    lattice = _lattice(q, dims, tuple(
         _matrix(dims[t - 1], dims[s - 1], a) for a, (s, t) in zip(actions, q.arrows)))
     return FieldRep(q, p, dims, tuple(actions), lattice)
 

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .memo import memo
 from .quiver import Quiver, validate
-from .zlinalg import IntMatrix, cokernel_structure, free_cokernel, kernel_basis
+from .zlinalg import IntMatrix, _matrix, cokernel_structure, free_cokernel, kernel_basis
 from . import rep
 from .rep import ZRep
 
@@ -155,7 +155,7 @@ def reflect(q: Quiver, m: ZRep, vertex: int) -> tuple:
     a failing exactness check means the input had a simple summand (or
     a torsion obstruction) at the vertex and raises SimpleAtVertex.
     """
-    if m.quiver != q:
+    if m.quiver is not q and m.quiver != q:
         raise PreconditionViolated("module does not live over the given quiver")
     if not m.is_lattice:
         raise PreconditionViolated("reflection functors act on lattices")
@@ -167,31 +167,24 @@ def reflect(q: Quiver, m: ZRep, vertex: int) -> tuple:
 
 
 def _reflect_sink(q: Quiver, m: ZRep, k: int) -> tuple:
+    # the stacked map [M_a for a into k], its rows read off the action rows
     incoming = q.arrows_into(k)
-    blocks = [m.actions[a] for a in incoming]
-    stacked = IntMatrix.zero(m.gens[k - 1], 0)
-    for b in blocks:
-        stacked = stacked.hstack(b)
+    offsets = {}
+    at = 0
+    for a in incoming:
+        offsets[a] = at
+        at += m.gens[q.arrows[a][0] - 1]
+    rows = zip(*(m.actions[a].entries for a in incoming)) if incoming else [()] * m.gens[k - 1]
+    stacked = _matrix(m.gens[k - 1], at, tuple(sum(row, ()) for row in rows))
     if not cokernel_structure(stacked).is_trivial:
         raise SimpleAtVertex(f"total map into sink {k} is not surjective")
     kb = kernel_basis(stacked)
     new_q = q.reflected(k)
     gens = tuple(kb.cols if v == k else m.gens[v - 1] for v in q.vertices)
-    offsets = {}
-    at = 0
-    for a in incoming:
-        s = q.arrows[a][0]
-        offsets[a] = at
-        at += m.gens[s - 1]
-    actions = []
-    for a, (s, t) in enumerate(q.arrows):
-        if t == k:
-            block = kb.submatrix(range(offsets[a], offsets[a] + m.gens[s - 1]),
-                                 range(kb.cols))
-            actions.append(block)
-        else:
-            actions.append(m.actions[a])
-    return new_q, rep._lattice(new_q, gens, tuple(actions))
+    actions = tuple(_matrix(m.gens[s - 1], kb.cols,
+                            kb.entries[offsets[a]:offsets[a] + m.gens[s - 1]])
+                    if t == k else m.actions[a] for a, (s, t) in enumerate(q.arrows))
+    return new_q, rep._lattice(new_q, gens, actions)
 
 
 def _reflect_source(q: Quiver, m: ZRep, k: int) -> tuple:

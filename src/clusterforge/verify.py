@@ -59,17 +59,17 @@ def _euler_pairing(q, objects) -> CheckResult:
     # lattice's presentation into the other, whose columns minus rows is
     # still the Euler form, so there the check is tautological.
     bad = []
-    for x in objects:
-        for y in objects:
-            m, n = x.module, y.module
-            if x.coord is not None and y.coord is not None:
-                hom = cluster._hom_rank(q, x.coord, y.coord)
+    read = [(x.coord, x.module, rep.dim_vector(x.module)) for x in objects]
+    for cx, m, dm in read:
+        for cy, n, dn in read:
+            if cx is not None and cy is not None:
+                hom = cluster._hom_rank(q, cx, cy)
             else:
                 hom = rep.hom_group(m, n).free_rank
             lhs = hom - rep.ext1_group(m, n).free_rank
-            rhs = euler_form(q, rep.dim_vector(m), rep.dim_vector(n))
+            rhs = euler_form(q, dm, dn)
             if lhs != rhs:
-                bad.append(f"{rep.dim_vector(m)} vs {rep.dim_vector(n)}: {lhs} != {rhs}")
+                bad.append(f"{dm} vs {dn}: {lhs} != {rhs}")
     return CheckResult("euler-pairing", not bad, "; ".join(bad[:3]))
 
 
@@ -78,10 +78,11 @@ def _ext_torsion_free(pool) -> CheckResult:
     # coordinates, so module pairs read the torsion off the Smith form of
     # their module Ext^1; pairs with a suspended projective read ext1_c
     bad = []
-    for x in pool.objects:
-        for y in pool.objects:
-            if x.is_module and y.is_module:
-                g = rep.ext1_group(x.module, y.module)
+    read = [(x, x.module) for x in pool.objects]
+    for x, m in read:
+        for y, n in read:
+            if m is not None and n is not None:
+                g = rep.ext1_group(m, n)
             else:
                 g = cluster.ext1_c(x, y)
             if g.torsion:
@@ -102,11 +103,11 @@ def _two_cy_symmetry(pool) -> CheckResult:
 
 def _ext_decomposition(pool) -> CheckResult:
     bad = []
-    for x in pool.modules():
-        for y in pool.modules():
+    read = [(x, x.module) for x in pool.modules()]
+    for x, m in read:
+        for y, n in read:
             lhs = cluster.ext1_c(x, y).free_rank
-            rhs = rep.ext1_group(x.module, y.module).free_rank \
-                + rep.ext1_group(y.module, x.module).free_rank
+            rhs = rep.ext1_group(m, n).free_rank + rep.ext1_group(n, m).free_rank
             if lhs != rhs:
                 bad.append(f"{x.describe()}/{y.describe()}: {lhs} != {rhs}")
     return CheckResult("ext-decomposition", not bad, "; ".join(bad[:3]))

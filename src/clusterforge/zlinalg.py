@@ -48,7 +48,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NoSolution
-from .memo import hash_once
+from .memo import hash_once, memo
 
 
 @hash_once
@@ -691,6 +691,13 @@ class FinAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
+@memo
+def free_group(rank: int) -> FinAbGroup:
+    """Z^rank, one value per rank: the Hom and Ext^1 groups between
+    lattices are nearly all free, and share these values."""
+    return FinAbGroup(rank)
+
+
 def group_from_factors(free_rank: int, factors: Iterable[int]) -> FinAbGroup:
     """Normalize arbitrary cyclic orders into an invariant factor chain."""
     from math import gcd
@@ -724,7 +731,8 @@ def kernel_rank_cokernel(rows: list, cols: int) -> tuple:
     of the matrix with `cols` columns and the sparse `rows` of
     `smith_invariants`, which are reduced in place."""
     r, torsion = smith_invariants(rows)
-    return cols - r, FinAbGroup(len(rows) - r, torsion)
+    free = len(rows) - r
+    return cols - r, FinAbGroup(free, torsion) if torsion else free_group(free)
 
 
 def subquotient_structure(span: IntMatrix, relations: IntMatrix) -> FinAbGroup:

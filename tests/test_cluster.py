@@ -947,12 +947,26 @@ def test_pool_command_builds_no_module(tmp_path, capsys, count_calls):
     assert built == [[], [], [], []]
 
 
-def test_e7_verify_builds_each_module_once(count_calls):
-    # verify reads every pool module; each is built once, by its walk
+def test_e7_verify_builds_each_module_once(count_calls, monkeypatch):
+    # verify reads every pool module; each is built once, by its walk,
+    # whose sink reflections build each orientation they pass once
     clear_caches()
     walks = count_calls(cluster_module, "_walk_module")
+    orientations = []
+    checked = Quiver.__post_init__
+
+    def counted(q):
+        checked(q)
+        orientations.append(q.arrows)
+
+    monkeypatch.setattr(Quiver, "__post_init__", counted)
     assert verify.run_suite(E7, 12).ok
     assert len(walks) == len(set(walks)) == 63
+    assert len(orientations) == len(set(orientations)) == E7.n
+    # the free ext1_c groups of the pool are the interned ones
+    pool = build_pool(E7, 12)
+    groups = [ext1_c(x, y) for x in pool.objects for y in pool.objects]
+    assert all(g is zlinalg.free_group(g.free_rank) for g in groups)
 
 
 def test_kronecker_at_80_refuses_both_partners_without_a_cone(count_calls):

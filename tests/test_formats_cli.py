@@ -190,6 +190,18 @@ def test_cli_ext_and_hom(workdir, capsys):
     assert capsys.readouterr().out == "mod 2: 1\n"
 
 
+def test_cli_repeated_primes_count_once(workdir, capsys):
+    # a prime given twice is reduced and printed once, at its first place
+    quiver, m, s2 = (str(workdir / name) for name in ("a2.quiver", "m.rep", "s2.rep"))
+    for command, args in (("ext", (m, s2)), ("hom", (m, m))):
+        assert main([command, quiver, *args, "--prime", "3", "--prime", "2",
+                     "--prime", "3", "--prime", "2"]) == 0
+        assert capsys.readouterr().out == "mod 3: 0\nmod 2: 1\n"
+    assert main(["verify", quiver, "--dim-bound", "5", "--prime", "2", "--prime", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS bijection-mod-2") == 1 and "FAIL" not in out
+
+
 def test_prime_check_matches_trial_division():
     trial = [p for p in range(3000) if p > 1 and all(p % d for d in range(2, p))]
     assert [p for p in range(-5, 3000) if _is_prime(p)] == trial

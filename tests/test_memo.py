@@ -1,4 +1,4 @@
-from clusterforge import clear_caches, cluster, quiver, rep, serre
+from clusterforge import clear_caches, cluster, quiver, rep, serre, zlinalg
 from clusterforge.cluster import build_pool, exchange_graph
 from clusterforge.memo import TABLES
 from clusterforge.quiver import Quiver
@@ -7,7 +7,7 @@ A3 = Quiver(3, ((1, 2), (2, 3)))
 
 
 def _module_tables():
-    return {fn for module in (quiver, rep, serre, cluster)
+    return {fn for module in (zlinalg, quiver, rep, serre, cluster)
             for fn in vars(module).values() if callable(fn) and hasattr(fn, "cache_info")}
 
 
@@ -16,9 +16,10 @@ def test_every_table_is_registered():
     names = [f"{t.__module__.rpartition('.')[2]}.{t.__name__}" for t in TABLES]
     assert sorted(names) == [
         "cluster._middle_terms", "cluster._orbit_dim", "cluster._ses_certified",
-        "cluster._tilting_certificate", "cluster.ext1_c", "quiver.coxeter_inverse", "quiver.coxeter_matrix", "rep._lattice_hom_ext", "rep.ext1_group",
+        "cluster._tilting_certificate", "cluster.ext1_c", "quiver.coxeter_inverse", "quiver.coxeter_matrix",
+        "quiver.reflected", "rep._lattice_hom_ext", "rep.ext1_group",
         "rep.hom_group", "rep.injective_lattice", "rep.is_exceptional", "rep.paths_from",
-        "rep.projective", "serre.tau", "serre.tau_inv"]
+        "rep.projective", "serre.tau", "serre.tau_inv", "zlinalg.free_group"]
 
 
 def test_clear_caches_empties_every_table():

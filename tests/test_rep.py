@@ -350,6 +350,28 @@ def test_base_change_examples():
     assert base_change(projective(A2, 1), 0).actions == (((1,),),)
 
 
+@pytest.mark.parametrize("q", (A3, KRONECKER, D4, A_TILDE_2_1),
+                         ids=["A3", "Kronecker", "D4", "A~(2,1)"])
+def test_base_change_of_a_lattice(q):
+    # a lattice keeps its generators and its action entries, mod p over
+    # F_p, and is the lattice it reduces; a copy with a zero relation,
+    # no lattice, reduces by elimination to the same space and matrices
+    rng = random.Random(11)
+    for _ in range(25):
+        m = random_presented(q, rng, lattice=True)
+        v = rng.choice([v for v in q.vertices if m.gens[v - 1]] or [None])
+        zero_relation = None if v is None else ZRep(q, m.gens, tuple(
+            IntMatrix.zero(g, int(w == v)) for w, g in zip(q.vertices, m.gens)), m.actions)
+        for p in (0, 2, 3, 5):
+            f = base_change(m, p)
+            assert f.dims == m.gens and f.lattice is m
+            assert f.actions == tuple(tuple(tuple(x % p if p else x for x in row)
+                                            for row in a.entries) for a in m.actions)
+            if zero_relation is not None:
+                g = base_change(zero_relation, p)
+                assert (g.dims, g.actions) == (f.dims, f.actions)
+
+
 def test_field_dims_examples():
     s1, s2, p1 = simple(A2, 1), simple(A2, 2), projective(A2, 1)
     assert field_hom_ext_dims(base_change(s1, 2), base_change(s2, 2)) == (0, 1)

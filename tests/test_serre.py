@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from clusterforge import clear_caches, rep
@@ -243,3 +245,31 @@ def test_reflected_lattices_equal_checked_ones(q, bound):
             checked = ZRep(t.quiver, t.gens, t.relations, t.actions)
             assert t == checked and hash(t) == hash(checked)
             assert repr(t) == repr(checked)
+
+
+E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+A_TILDE_2_1 = Quiver(3, ((1, 2), (2, 3), (1, 3)))
+
+# sha256 of repr((gens, action entries)) of every pool module in pool
+# order, each built by its orbit walk of sink reflections on first read
+ORBIT_MODULE_DIGESTS = (
+    (E6, 12, 36, "b1230bef84b39a63834d5ae3cd8d0ebfdc312366b5c7f442a81756486a7343e1"),
+    (E7, 12, 63, "451a4697b893c4f3abbd72e225a989bb6b95a8618f1b934139534ecc371d6c23"),
+    (KRONECKER, 6, 12, "b94adf7f5fe0ee1615492d1df7c54b42a9b96fe9371cbd9fe6e5b4bab7369bb7"),
+    (A_TILDE_2_1, 5, 20, "37471971a9521f29ccdad60b32e61c796258cf870839ed6fcb7281023bdd981a"),
+)
+
+
+@pytest.mark.parametrize("q, bound, count, digest", ORBIT_MODULE_DIGESTS,
+                         ids=["E6", "E7", "Kronecker", "A~(2,1)"])
+def test_orbit_module_bases_are_pinned(q, bound, count, digest):
+    # the printed bases of tau, pool and mutate go through these lattices,
+    # so a change to the reflections must leave every basis as it is
+    clear_caches()
+    h = hashlib.sha256()
+    objects = build_pool(q, bound).modules()
+    for obj in objects:
+        m = obj.module
+        h.update(repr((m.gens, tuple(a.entries for a in m.actions))).encode())
+    assert len(objects) == count and all(obj.coord is not None for obj in objects)
+    assert h.hexdigest() == digest
