@@ -47,6 +47,14 @@ Presented modules, lattices read from files and mutation-cone partners
 carry no coordinate, nor does an orbit the bound cuts on a Dynkin or
 disconnected quiver; their pairs are computed by elimination.
 
+Exchange matrices.  Each cluster a mutation meets carries its exchange
+matrix, kept in the pool: the projective cluster's is read off the
+arrows of the quiver, mutate carries the Fomin-Zelevinsky mutation of a
+cluster's matrix to the cluster it reaches, and a cluster that arrives
+alone gets its class matrix from one integer solve.  The middle terms
+of the exchange triangles are read off the column of the leaving
+summand.
+
 Partners past the bound.  The pool's members are its objects and, for
 each orbit walk with coordinates that the bound stopped, the first
 translate past the bound (RigidPool.frontier).  mutate looks for the
@@ -67,6 +75,7 @@ from .errors import (
     BalanceUnsolvable,
     ConstructionFailed,
     DimensionMismatch,
+    NoSolution,
     NotASummand,
     NotFoundWithinBound,
     PreconditionViolated,
@@ -88,7 +97,7 @@ from .zlinalg import (
     cokernel_structure,
     free_group,
     is_split_injective,
-    solve_with_rank,
+    solve_matrix,
 )
 from . import rep, serre
 from .rep import ZRep
@@ -191,6 +200,7 @@ class ClusterObject:
         """The suspension of this object, built once and kept on it."""
         return suspension(self)
 
+    @once
     def dim_c(self) -> tuple:
         """Class in the dimension bookkeeping, with dim(sigma P_i) = -dim P_i."""
         if self.dims is not None:
@@ -416,6 +426,12 @@ class RigidPool:
     orbits of the projectives exhaust the exceptional modules.  objects
     stays sorted by key and grows only through add.
 
+    Exchange matrices.  The pool also keeps the exchange matrix B_T of
+    each canonical cluster a mutation met, rows and columns in summand
+    order (exchange_matrix): mutate carries it to the cluster it
+    reaches, so the matrices of an exchange graph come from the one of
+    its projective cluster.
+
     Members and masks.  The members are the objects and the frontier:
     for each orbit walk with coordinates that the bound stopped, the
     first translate past the bound (see build_pool).  Each member holds
@@ -436,6 +452,8 @@ class RigidPool:
     _bits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # object key -> (compatibility mask, members tested)
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # canonical cluster -> its exchange matrix
+    _exchange: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for obj in self.objects:
@@ -498,6 +516,20 @@ class RigidPool:
             found.append(self._members[low.bit_length() - 1])
             left ^= low
         return tuple(found)
+
+    def exchange_matrix(self, seed: tuple) -> tuple:
+        """B_T of the canonical cluster seed: the matrix carried to it,
+        else its class matrix, kept from then on."""
+        b = self._exchange.get(seed)
+        if b is None:
+            b = self._exchange[seed] = _class_matrix(seed)
+        return b
+
+    def carry(self, seed: tuple, make) -> None:
+        """Keep make() as B_T of the canonical cluster seed unless a
+        matrix is kept for it already."""
+        if seed not in self._exchange:
+            self._exchange[seed] = make()
 
     def _mask(self, t: ClusterObject) -> int:
         """The compatibility mask of t, tested against the members
@@ -630,7 +662,46 @@ def _tilting_certificate(summands: tuple) -> tuple:
 
 
 def canonical_cluster(summands) -> tuple:
-    return tuple(sorted(summands, key=lambda o: o.key()))
+    return tuple(sorted(summands, key=ClusterObject.key))
+
+
+# ---------------------------------------------------------------------------
+# exchange matrices
+
+def _arrow_matrix(q: Quiver, order) -> tuple:
+    """B_T of the projective cluster, rows and columns in the vertex
+    order given: each arrow s -> t of q gives an arrow P_t -> P_s of
+    End(T), so b(P_t, P_s) counts it and b(P_s, P_t) is its negative."""
+    at = {v: i for i, v in enumerate(order)}
+    b = [[0] * q.n for _ in range(q.n)]
+    for s, t in q.arrows:
+        b[at[t]][at[s]] += 1
+        b[at[s]][at[t]] -= 1
+    return tuple(map(tuple, b))
+
+
+def _class_matrix(seed) -> tuple:
+    """B_T of the seed, rows and columns in its order, from its classes.
+
+    With D_T the columns dim_c T_i and C the columns dim P_j, the index
+    of T_i over the projective cluster is the column i of G = C^-1 D_T,
+    and the indices of a cluster form a Z-basis, so D_T is unimodular.
+    B_T = G^-1 B_Q G^-T with G^-1 = D_T^-1 C and B_Q the matrix of the
+    projective cluster (the g- and c-vector duality of Nakanishi-
+    Zelevinsky), one integer solve.  PreconditionViolated when the seed
+    has not n summands or its classes are no basis.
+    """
+    q = seed[0].quiver
+    if len(seed) != q.n:
+        raise PreconditionViolated(f"a seed has {q.n} summands, not {len(seed)}")
+    classes = IntMatrix(q.n, q.n, tuple(zip(*(s.dim_c() for s in seed))))
+    cartan = IntMatrix(q.n, q.n, tuple(zip(*(rep.projective(q, i).gens for i in q.vertices))))
+    try:
+        g = solve_matrix(classes, cartan)
+    except NoSolution:
+        raise PreconditionViolated("the summand classes are no basis: not a seed") from None
+    b_q = IntMatrix(q.n, q.n, _arrow_matrix(q, q.vertices))
+    return g.mul(b_q).mul(g.transpose()).entries
 
 
 @dataclass(frozen=True)
@@ -664,56 +735,52 @@ class ExchangeTriangleData:
 RANK_ONE = FinAbGroup(1)
 
 
-def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> ExchangeTriangleData:
+def exchange_triangles(x: ClusterObject, y: ClusterObject, complement,
+                       b_x: tuple | None = None) -> ExchangeTriangleData:
     """Middle terms of both exchange triangles for the pair (x, y).
 
-    The triangle collapses to a zero middle term exactly when the
-    suspension of one end (ClusterObject.suspended) is isomorphic to
-    the other.  Otherwise the multiset is the unique non-negative
-    solution of the dimension balance over the complement (the
-    complement's classes are linearly independent); both triangles
-    balance dim x + dim y, so one solution serves the pair, memoized
-    with the pair in key order so that the reverse mutation reads it
-    swapped (see _middle_terms).  How each middle term is certified, for
-    all-module triangles by a short exact sequence whose first map is
-    the one Hom-basis approximation of the tail (see _ses_certified), is
-    computed and memoized when its witness is first read.
+    complement + (x,) must be a seed; b_x holds its exchange-matrix
+    entries b_cx for c in complement, read off the class matrix when not
+    given (_class_matrix, which raises PreconditionViolated on no seed).
+    The candidates are E_B, c taken [b_cx]+ times, and E'_B, c taken
+    [-b_cx]+ times (Buan-Marsh-Reiten, Cluster-tilted algebras, 2007).  A
+    triangle collapses to a zero middle term exactly when the suspension
+    of one end (ClusterObject.suspended) is isomorphic to the other;
+    otherwise its middle term is the candidate whose classes sum to
+    dim x + dim y, as one exchange triangle lifts to a sequence on the
+    fundamental domain, where classes add up.  BalanceUnsolvable is
+    raised unless exactly one candidate balances.  A middle term's
+    witness, for all-module triangles a short exact sequence whose first
+    map is the one Hom-basis approximation of the tail (_ses_certified),
+    is computed and memoized when first read.
     """
     if ext1_c(x, y) != RANK_ONE:
         raise PreconditionViolated("exchange triangles need Ext1 free of rank one")
     complement = tuple(complement)
-    if x.key() <= y.key():
-        e, e_prime = _middle_terms(x, y, complement)
-    else:
-        e_prime, e = _middle_terms(y, x, complement)
-    return ExchangeTriangleData(x=x, y=y, e=e, e_prime=e_prime)
-
-
-@memo
-def _middle_terms(x: ClusterObject, y: ClusterObject, complement: tuple) -> tuple:
-    """(E, E'), the middle multisets of y -> E -> x -> sigma y and
-    x -> E' -> y -> sigma x.
-
-    A middle term is empty when the suspension of its tail is its head,
-    and otherwise read off the unique solution of dim E = dim x + dim y
-    over the complement, the same balance for both triangles, so it is
-    solved at most once; the multisets alone are returned, their
-    witnesses are left to _witness.  Memoized because exchange_graph
-    meets every undirected edge from both ends, over the same canonical
-    complement; exchange_triangles passes the pair in key order.
-    """
+    if b_x is None:
+        b = _class_matrix(complement + (x,))
+        b_x = tuple(row[-1] for row in b[:-1])
     e_empty = y.suspended().key() == x.key()
     e_prime_empty = x.suspended().key() == y.key()
     if e_empty and e_prime_empty:
-        return (), ()
-    target = tuple(a + b for a, b in zip(x.dim_c(), y.dim_c()))
-    sol = _balance_solution(target, complement)
-    if sol is None:
+        return ExchangeTriangleData(x=x, y=y, e=(), e_prime=())
+    target = [a + b for a, b in zip(x.dim_c(), y.dim_c())]
+    # the classes of E_B and E'_B
+    sums = {1: [0] * len(target), -1: [0] * len(target)}
+    for c, b in zip(complement, b_x):
+        if b:
+            side = 1 if b > 0 else -1
+            sums[side] = [t + side * b * d for t, d in zip(sums[side], c.dim_c())]
+    balanced = [side for side in (1, -1) if sums[side] == target]
+    if not any(b_x):
+        balanced = balanced[:1]  # E_B and E'_B are both empty
+    if len(balanced) != 1:
         raise BalanceUnsolvable(
-            f"no middle term over the complement balances {target}")
-    middle = (obj for obj, m in zip(complement, sol) for _ in range(m))
-    middle = tuple(sorted(middle, key=lambda o: o.key()))
-    return (() if e_empty else middle), (() if e_prime_empty else middle)
+            f"{len(balanced)} middle terms of the exchange matrix balance {tuple(target)}")
+    side = balanced[0]
+    middle = canonical_cluster([c for c, b in zip(complement, b_x) for _ in range(side * b)])
+    return ExchangeTriangleData(x=x, y=y, e=() if e_empty else middle,
+                                e_prime=() if e_prime_empty else middle)
 
 
 def _witness(tail: ClusterObject, head: ClusterObject, middle: tuple) -> str:
@@ -730,24 +797,6 @@ def _witness(tail: ClusterObject, head: ClusterObject, middle: tuple) -> str:
             and _ses_certified(tail, head, middle)):
         return "ses"
     return "balance"
-
-
-def _balance_solution(target, complement) -> tuple | None:
-    """The multiplicities m >= 0 with sum of m_c dim_c(c) equal to target.
-
-    The classes of a cluster-tilting complement are linearly
-    independent, so the integer system has at most one solution;
-    None when it has none or the solution has a negative entry.
-    """
-    n = len(target)
-    dims = [c.dim_c() for c in complement]
-    matrix = IntMatrix(n, len(dims), tuple(tuple(d[i] for d in dims) for i in range(n)))
-    r, sol = solve_with_rank(matrix, target)
-    if r < matrix.cols:
-        raise PreconditionViolated("complement classes are linearly dependent")
-    if sol is None or any(m < 0 for m in sol):
-        return None
-    return sol
 
 
 @memo
@@ -790,9 +839,11 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
     cluster is constructed by approximation and, when it lies within
     the pool's dimension bound, inserted into the pool.  The new cluster
     is certified by is_cluster_tilting, which reads the stored
-    certificate when the cluster was certified before.  Raises
-    NotFoundWithinBound rather than returning anything unverified or
-    past the bound.
+    certificate when the cluster was certified before.  The exchange
+    triangles are read off the cluster's exchange matrix, the one the
+    pool carried to it or else its class matrix, and the pool carries
+    its mutation to the new cluster.  Raises NotFoundWithinBound rather
+    than returning anything unverified or past the bound.
     """
     summands = tuple(summands)
     if not 0 <= k < len(summands):
@@ -824,8 +875,30 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
     ok, cert = is_cluster_tilting(new_summands)
     if not ok:
         raise ConstructionFailed(f"candidate fails the cluster-tilting check: {cert}")
-    triangles = exchange_triangles(x, y, others)
+    seed = canonical_cluster(summands)
+    b = pool.exchange_matrix(seed)
+    i = seed.index(x)
+    complement = seed[:i] + seed[i + 1:]
+    triangles = exchange_triangles(x, y, complement, tuple([row[i] for row in b[:i] + b[i + 1:]]))
+    pool.carry(new_summands, lambda: _carried(b, i, new_summands.index(y)))
     return new_summands, triangles
+
+
+def _carried(b: tuple, i: int, j: int) -> tuple:
+    """The Fomin-Zelevinsky mutation mu_i(b) (Cluster algebras I, 2002)
+    with row and column i moved to j: the matrix of the cluster where the
+    partner of the i-th summand lands at position j.  Row and column i
+    change sign, and every other b_rc gains (|b_ri| b_ic + b_ri |b_ic|) / 2."""
+    order = [r for r in range(len(b)) if r != i]
+    order.insert(j, i)
+    b_i = b[i]
+
+    def entry(r, c):
+        if r == i or c == i:
+            return -b[r][c]
+        return b[r][c] + (abs(b[r][i]) * b_i[c] + b[r][i] * abs(b_i[c])) // 2
+
+    return tuple(tuple(entry(r, c) for c in order) for r in order)
 
 
 def mutate_construct(summands, k: int) -> ClusterObject:
@@ -925,6 +998,7 @@ class ExchangeGraph:
     truncated: bool = False
     truncation_reason: str = ""
     truncations: tuple = ()  # sorted (cause, count): node-limit, not-found-within-bound
+    exchange_matrices: tuple = ()  # B_T of each node, rows and columns in its order
 
     def degree(self, i: int) -> int:
         return sum(1 for e in self.edges if e[0] == i)
@@ -932,14 +1006,21 @@ class ExchangeGraph:
 
 def exchange_graph(q: Quiver, dim_bound: int = 12, max_nodes: int = 10000) -> ExchangeGraph:
     """Breadth-first mutation closure of the initial projective cluster,
-    holding at most max_nodes clusters."""
+    holding at most max_nodes clusters.  The projective cluster's
+    exchange matrix is read off the arrows of q, and mutate carries it
+    along every edge, so no class matrix is computed."""
     if max_nodes < 1:
         raise PreconditionViolated("max_nodes must be at least 1")
     pool = build_pool(q, dim_bound)
-    initial = canonical_cluster(ClusterObject.at(q, ("P", i, 0)) for i in q.vertices)
+    # the pool's own P_i where it holds them, so each object of a node
+    # is one value, whose suspension is built once
+    projectives = (ClusterObject.at(q, ("P", i, 0)) for i in q.vertices)
+    held = pool.by_key()
+    initial = canonical_cluster(held.get(p.key(), p) for p in projectives)
     ok, cert = is_cluster_tilting(initial)
     if not ok:
         raise ConstructionFailed(f"initial projective cluster is not tilting: {cert}")
+    pool.carry(initial, lambda: _arrow_matrix(q, [s.coord[1] for s in initial]))
     nodes = [initial]
     index = {tuple(s.key() for s in initial): 0}
     edges = []
@@ -966,7 +1047,8 @@ def exchange_graph(q: Quiver, dim_bound: int = 12, max_nodes: int = 10000) -> Ex
                 frontier.append(index[nkey])
             edges.append((current, k, index[nkey], triangles))
     return ExchangeGraph(q, tuple(nodes), tuple(edges), bool(causes), reason,
-                         tuple(sorted(causes.items())))
+                         tuple(sorted(causes.items())),
+                         tuple(pool.exchange_matrix(node) for node in nodes))
 
 
 # ---------------------------------------------------------------------------

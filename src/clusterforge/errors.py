@@ -63,7 +63,8 @@ class ConstructionFailed(ClusterForgeError):
 
 
 class BalanceUnsolvable(ClusterForgeError):
-    """No middle-term multiset satisfies the exchange balance equation."""
+    """Not exactly one middle term read off the exchange matrix balances
+    the classes of the exchange pair."""
 
 
 class FormatError(ClusterForgeError):

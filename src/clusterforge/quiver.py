@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import CyclicQuiver, DimensionMismatch
-from .memo import hash_once, memo
+from .memo import _ONCE, hash_once, memo, once
 from .zlinalg import IntMatrix
 
 
@@ -48,8 +48,13 @@ class Quiver:
     def is_source(self, v: int) -> bool:
         return not self.arrows_into(v)
 
+    @once
     def opposite(self) -> "Quiver":
-        return Quiver(self.n, tuple((t, s) for s, t in self.arrows))
+        """Every arrow reversed, built once per quiver; the opposite's
+        own opposite is this quiver, so a double dual is back on it."""
+        op = Quiver(self.n, tuple((t, s) for s, t in self.arrows))
+        op.__dict__[_ONCE + "opposite"] = self
+        return op
 
     @memo
     def reflected(self, v: int) -> "Quiver":

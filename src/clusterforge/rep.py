@@ -269,8 +269,7 @@ def dualize(m: ZRep) -> ZRep:
     """The Z-dual lattice over the opposite quiver (lattices only)."""
     if not m.is_lattice:
         raise PreconditionViolated("dualize is only defined for lattices")
-    qop = m.quiver.opposite()
-    return make_lattice(qop, m.gens, tuple(a.transpose() for a in m.actions))
+    return _lattice(m.quiver.opposite(), m.gens, tuple(a.transpose() for a in m.actions))
 
 
 # ---------------------------------------------------------------------------

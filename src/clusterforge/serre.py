@@ -40,7 +40,7 @@ from .errors import (
 )
 from .memo import memo
 from .quiver import Quiver, validate
-from .zlinalg import IntMatrix, _matrix, cokernel_structure, free_cokernel, kernel_basis
+from .zlinalg import IntMatrix, _matrix, free_cokernel, surjection_kernel_basis
 from . import rep
 from .rep import ZRep
 
@@ -87,16 +87,18 @@ def tau(m: ZRep) -> ZRep:
 
     tau is the Coxeter functor C+: the sink reflections at every vertex
     of a topological order, last first, which walk through intermediate
-    orientations back to the quiver of m.
+    orientations back to the orientation of m.  The translate is put on
+    m.quiver itself, so memo lookups and quiver checks against it meet
+    the identical quiver.
     """
     if not m.is_lattice or not rep.is_exceptional(m):
         raise NotExceptional("tau is only defined on exceptional lattices")
     if projective_index_of(m) is not None:
         raise IsProjective("tau is undefined on projectives")
-    q = m.quiver
+    q, t = m.quiver, m
     for v in reversed(validate(q)):
-        q, m = reflect(q, m, v)
-    return m
+        q, t = reflect(q, t, v)
+    return rep._lattice(m.quiver, t.gens, t.actions)
 
 
 def tau_canonical(m: ZRep) -> ZRep:
@@ -176,9 +178,9 @@ def _reflect_sink(q: Quiver, m: ZRep, k: int) -> tuple:
         at += m.gens[q.arrows[a][0] - 1]
     rows = zip(*(m.actions[a].entries for a in incoming)) if incoming else [()] * m.gens[k - 1]
     stacked = _matrix(m.gens[k - 1], at, tuple(sum(row, ()) for row in rows))
-    if not cokernel_structure(stacked).is_trivial:
+    kb = surjection_kernel_basis(stacked)
+    if kb is None:
         raise SimpleAtVertex(f"total map into sink {k} is not surjective")
-    kb = kernel_basis(stacked)
     new_q = q.reflected(k)
     gens = tuple(kb.cols if v == k else m.gens[v - 1] for v in q.vertices)
     actions = tuple(_matrix(m.gens[s - 1], kb.cols,

@@ -16,7 +16,7 @@ which otherwise only reduces the residuals below.  It updates only the
 transforms (of M = U S V) the caller reads:
 
 - `snf`: all four, U, u_inv, V and v_inv;
-- `kernel_basis`: v_inv;
+- `kernel_basis` and `surjection_kernel_basis`: v_inv;
 - `column_span_basis`: U;
 - `free_cokernel`: U and u_inv.
 
@@ -33,11 +33,14 @@ index sends each pivot only to the rows holding its column.
   `kernel_rank_cokernel`, and over F_p the field Hom dimensions) and
   reduces the residual untracked.  Smith invariants are unique, so
   this agrees exactly with the dense route.
-- `solve`, `solve_matrix` and `solve_with_rank` carry the right-hand
-  sides through the same row operations, solve the residual with u_inv
-  and v_inv tracked, and back-substitute through the kept pivot rows.
-  The rank and whether a solution exists agree with the dense route,
-  and so does the solution whenever the columns are independent.
+- `solve` and `solve_matrix` carry the right-hand sides through the
+  same row operations, solve the residual with u_inv and v_inv
+  tracked, and back-substitute through the kept pivot rows.  Whether a
+  solution exists agrees with the dense route, and so does the
+  solution whenever the columns are independent.  Exchange triangles
+  solve only for the class matrix of a cluster that arrives alone
+  (`cluster._class_matrix`); exchange graphs carry their exchange
+  matrices and solve nothing for them.
 """
 
 from __future__ import annotations
@@ -514,8 +517,22 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     the trailing columns of v_inv, the only transform tracked.
     """
     diagonal, t = _eliminate(m, ("v_inv",))
-    vi = t["v_inv"]
+    return _kernel_columns(m, _rank(diagonal), t["v_inv"])
+
+
+def surjection_kernel_basis(m: IntMatrix) -> IntMatrix | None:
+    """kernel_basis(m) when m maps onto Z^rows, None otherwise, from the
+    one elimination: m is onto exactly when its rank is the row count and
+    every invariant factor is 1."""
+    diagonal, t = _eliminate(m, ("v_inv",))
     r = _rank(diagonal)
+    if r < m.rows or any(d != 1 and d != -1 for d in diagonal[:r]):
+        return None
+    return _kernel_columns(m, r, t["v_inv"])
+
+
+def _kernel_columns(m: IntMatrix, r: int, vi: list) -> IntMatrix:
+    """The trailing columns of v_inv past the rank r, sign-normalized."""
     signs = []
     for j in range(r, m.cols):
         lead = next((row[j] for row in vi if row[j]), 0)
@@ -532,31 +549,19 @@ def solve(m: IntMatrix, b: Sequence[int]) -> tuple:
     return solve_matrix(m, IntMatrix.column(b)).col(0)
 
 
-def solve_with_rank(m: IntMatrix, b: Sequence[int]) -> tuple:
-    """(rank of m, some integer solution x of m x = b or None).
-
-    Both come from one elimination, for callers that must check the
-    rank before they trust a solution.
-    """
-    if len(b) != m.rows:
-        raise DimensionMismatch("right-hand side has wrong length")
-    r, x = _solve(m, IntMatrix.column(b))
-    return r, (None if x is None else x.col(0))
-
-
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Integer solution X of m X = b (columnwise), or NoSolution."""
     if b.rows != m.rows:
         raise DimensionMismatch("right-hand side has wrong row count")
-    x = _solve(m, b)[1]
+    x = _solve(m, b)
     if x is None:
         raise NoSolution("the system is not solvable over Z")
     return x
 
 
-def _solve(m: IntMatrix, b: IntMatrix) -> tuple:
-    """(rank of m, X with m X = b or None when there is none), every
-    column of b in one pass.
+def _solve(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """X with m X = b, or None when there is none, every column of b in
+    one pass.
 
     The rows of m carry those of b as extra entries in the negative
     columns -1, -2, ..., doubled: twice an integer is never a unit, so
@@ -573,7 +578,7 @@ def _solve(m: IntMatrix, b: IntMatrix) -> tuple:
         entries.update((-1 - j, 2 * a) for j, a in enumerate(rhs) if a)
         rows.append(entries)
     pivots = []
-    r, live = _unit_pivots(rows, 0, pivots)
+    live = _unit_pivots(rows, 0, pivots)[1]
     x = [[0] * k for _ in range(m.cols)]
     if live:
         cols = sorted({c for row in live for c in row if c >= 0})
@@ -581,12 +586,10 @@ def _solve(m: IntMatrix, b: IntMatrix) -> tuple:
                            tuple(tuple(row.get(c, 0) for c in cols) for row in live))
         rhs = _matrix(len(live), k,
                       tuple(tuple(row.get(-1 - j, 0) // 2 for j in range(k)) for row in live))
-        reduced = _eliminate(residual, ("u_inv", "v_inv"))
-        r += _rank(reduced[0])
         try:
-            y = _solve_reduced(residual, reduced, rhs)
+            y = _solve_reduced(residual, _eliminate(residual, ("u_inv", "v_inv")), rhs)
         except NoSolution:
-            return r, None
+            return None
         for c, values in zip(cols, y.entries):
             x[c] = values
     for col, rest in reversed(pivots):
@@ -597,7 +600,7 @@ def _solve(m: IntMatrix, b: IntMatrix) -> tuple:
             else:
                 value = [v - a * w for v, w in zip(value, x[c])]
         x[col] = value
-    return r, _wrap(x, k)
+    return _wrap(x, k)
 
 
 def _solve_reduced(m: IntMatrix, reduced: tuple, b: IntMatrix) -> IntMatrix:

@@ -8,6 +8,9 @@ counts of Fomin-Zelevinsky (Cluster algebras II, 2003) and the
 generalized Catalan numbers over the exponents, and exchange
 partners from a scan of every pool member, the objects and the
 frontier, with the rank-one test the pool's search leaves to mutate.
+Exchange matrices mutate by the Fomin-Zelevinsky rule written out on
+lists, and exchange-triangle middle terms come from the balance
+dim E = dim x + dim y over the complement, solved over the rationals.
 Morphisms in the cluster category come from the orbit formula itself,
 summed over the f_apply translates of the target, and projectives and
 injective lattices are recognized by an explicit isomorphism.  Hom and Ext^1 of
@@ -15,9 +18,11 @@ two lattices over Z, F_p and Q are the kernel and the cokernel of the
 standard intertwining rows, built from the action matrices alone.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from clusterforge.cluster import ClusterObject, ext1_c
+from clusterforge.errors import PreconditionViolated
 from clusterforge.rep import (
     are_isomorphic_exceptional,
     ext1_group,
@@ -142,6 +147,69 @@ def partner_scan(objects, x, others):
     way against any of others."""
     return [y for y in objects if y.key() != x.key() and ext1_c(x, y) == FinAbGroup(1)
             and all(ext1_c(y, t).is_trivial and ext1_c(t, y).is_trivial for t in others)]
+
+
+def fz_mutate(b, k):
+    """Fomin-Zelevinsky matrix mutation mu_k (Cluster algebras I, 2002):
+    b'_ij = -b_ij if i or j is k, and otherwise b_ij + b_ik b_kj when
+    b_ik and b_kj are both positive, b_ij - b_ik b_kj when both are
+    negative, and b_ij unchanged when their signs differ."""
+    n = len(b)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if k in (i, j):
+                out[i][j] = -b[i][j]
+            elif b[i][k] > 0 and b[k][j] > 0:
+                out[i][j] = b[i][j] + b[i][k] * b[k][j]
+            elif b[i][k] < 0 and b[k][j] < 0:
+                out[i][j] = b[i][j] - b[i][k] * b[k][j]
+            else:
+                out[i][j] = b[i][j]
+    return out
+
+
+def balance_solution(target, complement):
+    """The multiplicities m >= 0 with sum of m_c dim_c(c) equal to target.
+
+    Gaussian elimination over Q; PreconditionViolated when the classes
+    of the complement are linearly dependent, and None when the unique
+    rational solution is missing, fractional or has a negative entry.
+    """
+    n, cols = len(target), len(complement)
+    rows = [[Fraction(c.dim_c()[v]) for c in complement] + [Fraction(target[v])]
+            for v in range(n)]
+    pivots = []
+    r = 0
+    for col in range(cols):
+        pivot = next((i for i in range(r, n) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [a / rows[r][col] for a in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][col]:
+                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    if r < cols:
+        raise PreconditionViolated("complement classes are linearly dependent")
+    if any(row[-1] for row in rows[r:]):
+        return None
+    sol = tuple(rows[i][-1] for i in range(cols))
+    if any(m < 0 or m.denominator != 1 for m in sol):
+        return None
+    return tuple(int(m) for m in sol)
+
+
+def balanced_middle(x, y, complement):
+    """The middle multiset, in key order, that balances dim x + dim y."""
+    target = tuple(a + b for a, b in zip(x.dim_c(), y.dim_c()))
+    sol = balance_solution(target, complement)
+    if sol is None:
+        return None
+    return tuple(sorted((c for c, m in zip(complement, sol) for _ in range(m)),
+                        key=ClusterObject.key))
 
 
 def index_by_isomorphism(m, lattice_at):

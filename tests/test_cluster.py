@@ -26,8 +26,7 @@ from clusterforge.serre import ShiftedModule, f_apply, tau_inv
 from clusterforge.cluster import (
     ClusterObject,
     RigidPool,
-    _balance_solution,
-    _middle_terms,
+    _class_matrix,
     _ses_certified,
     build_pool,
     canonical_cluster,
@@ -408,24 +407,37 @@ def test_exchange_triangle_a3_end_vertex():
 
 
 def test_exchange_triangles_balance_unsolvable():
-    x = co(projective(A2, 2))
-    y = co(simple(A2, 1))
-    with pytest.raises(BalanceUnsolvable):
+    # {sigma P_1, P_2} is a seed of A2, but S_1 is not the partner of P_2
+    # there: Ext^1_C(sigma P_1, S_1) = Z.  Neither candidate of the
+    # exchange matrix balances dim P_2 + dim S_1
+    x, y, complement = co(projective(A2, 2)), co(simple(A2, 1)), (sp(A2, 1),)
+    assert not ext1_c(complement[0], y).is_trivial
+    with pytest.raises(BalanceUnsolvable, match=r"0 middle terms .* balance \(1, 1\)"):
+        exchange_triangles(x, y, complement)
+
+
+def test_exchange_triangles_need_a_seed():
+    # the complement and x must make n summands whose classes are a basis
+    x, y = co(projective(A2, 2)), co(simple(A2, 1))
+    with pytest.raises(PreconditionViolated, match="a seed has 2 summands, not 1"):
         exchange_triangles(x, y, ())
+    with pytest.raises(PreconditionViolated, match="not a seed"):
+        exchange_triangles(x, y, (sp(A2, 2),))
 
 
 def test_balance_solution_unique():
-    # 0 -> P_3 -> P_2 -> S_2 -> 0: dim S_2 + dim P_3 is dim P_2 alone
+    # the balance oracle: 0 -> P_3 -> P_2 -> S_2 -> 0, so dim S_2 + dim
+    # P_3 is dim P_2 alone
     p1, p2 = co(projective(A3, 1)), co(projective(A3, 2))
-    assert _balance_solution((0, 1, 1), (p1, p2)) == (0, 1)
-    assert _balance_solution((1, 2, 2), (p1, p2)) == (1, 1)
-    assert _balance_solution((1, 2, 3), (p1, p2)) is None  # not in the span
+    assert oracles.balance_solution((0, 1, 1), (p1, p2)) == (0, 1)
+    assert oracles.balance_solution((1, 2, 2), (p1, p2)) == (1, 1)
+    assert oracles.balance_solution((1, 2, 3), (p1, p2)) is None  # not in the span
 
 
 def test_balance_solution_negative_is_unsolvable():
     # over the complement {sigma P_1} the balance forces multiplicity -1
     complement = (sp(A2, 1),)
-    assert _balance_solution((1, 1), complement) is None
+    assert oracles.balance_solution((1, 1), complement) is None
     with pytest.raises(BalanceUnsolvable):
         exchange_triangles(co(projective(A2, 2)), co(simple(A2, 1)), complement)
 
@@ -433,12 +445,12 @@ def test_balance_solution_negative_is_unsolvable():
 def test_balance_solution_dependent_complement():
     complement = (co(projective(A2, 1)), co(projective(A2, 2)), co(simple(A2, 1)))
     with pytest.raises(PreconditionViolated):
-        _balance_solution((1, 1), complement)
+        oracles.balance_solution((1, 1), complement)
     with pytest.raises(PreconditionViolated):
         exchange_triangles(co(projective(A2, 2)), co(simple(A2, 1)), complement)
 
 
-def test_exchange_triangles_certified_once():
+def test_exchange_triangles_certified_once(count_calls):
     pool = build_pool(A3, 6)
     initial = canonical_cluster([co(projective(A3, i)) for i in A3.vertices])
     k = next(i for i, s in enumerate(initial) if s.key() == ("M", (0, 0, 1)))
@@ -446,14 +458,13 @@ def test_exchange_triangles_certified_once():
     _, tri = mutate(initial, k, pool)
     assert tri.e_prime_witness == "ses"
     certified = _ses_certified.cache_info().misses
-    before = _middle_terms.cache_info()
+    solves = count_calls(zlinalg, "_solve")
     again = exchange_triangles(tri.x, tri.y, initial[:k] + initial[k + 1:])
-    after = _middle_terms.cache_info()
     assert again == tri
-    # the repeated call stops at the middle-term table, so the SES
-    # search behind the "ses" witness ran once
-    assert after.misses == before.misses
-    assert after.hits == before.hits + 1
+    # the lone call reads the class matrix, one solve; the SES search
+    # behind the "ses" witness ran once
+    assert len(solves) == 1
+    assert again.e_prime_witness == "ses"
     assert _ses_certified.cache_info().misses == certified
 
 
@@ -474,19 +485,21 @@ def test_exchange_triangles_are_an_involution(q, edges):
         assert len(reverse) == 1
 
 
-def test_mutating_back_hits_the_middle_terms():
+def test_mutating_back_reads_the_carried_matrix(count_calls):
+    # the lone projective cluster gets its class matrix, one solve; the
+    # way back reads the matrix mutate carried and solves nothing
     pool = build_pool(A3, 6)
     initial = canonical_cluster([co(projective(A3, i)) for i in A3.vertices])
     k = next(i for i, s in enumerate(initial) if s.key() == ("M", (0, 1, 1)))
     clear_caches()
+    solves = count_calls(zlinalg, "_solve")
     step, tri = mutate(initial, k, pool)
-    before = _middle_terms.cache_info()
+    assert len(solves) == 1
     back, reverse = mutate(step, step.index(tri.y), pool)
-    after = _middle_terms.cache_info()
+    assert len(solves) == 1
     assert back == initial
     assert (reverse.e, reverse.e_prime) == (tri.e_prime, tri.e)
-    assert after.hits == before.hits + 1
-    assert after.misses == before.misses
+    assert pool.exchange_matrix(back) == _class_matrix(initial)
 
 
 def test_exchange_graph_closed_form_counts():
@@ -782,11 +795,11 @@ def test_witnesses_are_computed_when_read(q, bound, max_nodes, edges, counts):
 
 
 def test_exchange_graph_makes_no_dense_solve(count_calls):
-    # a work count, not a time: on A4 and D4 every balance solve splits
-    # on unit pivots, no witness is certified and no module is built, so
-    # no dense elimination is left: a dense solve (u_inv), an SES
-    # certification (U, in free_cokernel) or a translate kernel (v_inv)
-    # shows here
+    # a work count, not a time: on A4 and D4 the middle terms are read
+    # off carried exchange matrices, no witness is certified and no
+    # module is built, so no elimination is left: a dense solve (u_inv),
+    # an SES certification (U, in free_cokernel) or a translate kernel
+    # (v_inv) shows here
     clear_caches()
     tracked = count_calls(zlinalg, "_eliminate")
     for q in (A4, D4):
@@ -836,27 +849,83 @@ def test_partner_rows_equal_the_pool_scan(q, bound, max_nodes, grows, monkeypatc
 def test_exchange_graph_work_counts(count_calls):
     # on A4 and D4 the compatibility masks test each pair of distinct
     # objects once, and the survivors' rank-one tests read groups already
-    # computed; each undirected edge is balanced once: the reverse
-    # mutation reads the same middle-term entry.  Each of the 42 + 50
-    # clusters is certified once, the other 278 of the 370 certificates
-    # (one per mutation and one per initial cluster) are read back, and
-    # each of the 14 + 16 pool objects has its suspension built once
+    # computed; the middle terms are read off the exchange matrices that
+    # mutate carries from the projective cluster's, so no class matrix
+    # and no integer system is solved.  Each of the 42 + 50 clusters is
+    # certified once, the other 278 of the 370 certificates (one per
+    # mutation and one per initial cluster) are read back, and each of
+    # the 14 + 16 pool objects has its suspension built once
     clear_caches()
-    balances = count_calls(cluster_module, "_balance_solution")
+    solves = count_calls(zlinalg, "_solve")
+    class_matrices = count_calls(cluster_module, "_class_matrix")
     suspended = count_calls(cluster_module, "suspension")
     for q, undirected in ((A4, 84), (D4, 100)):
-        before = _middle_terms.cache_info()
         g = exchange_graph(q, 12)
-        after = _middle_terms.cache_info()
         assert len(g.edges) == 2 * undirected
-        assert after.misses - before.misses == after.hits - before.hits == undirected
     lookups = ext1_c.cache_info()
     assert lookups.misses == 452
     assert lookups.hits + lookups.misses == 2874
     certificates = cluster_module._tilting_certificate.cache_info()
     assert (certificates.misses, certificates.hits) == (42 + 50, 278)
-    assert len(balances) == 84 + 100
+    assert solves == []
+    assert class_matrices == []
     assert len(suspended) == len({id(x) for x, in suspended}) == 14 + 16
+
+
+# the tier-1 exchange graphs: (quiver, bound, node limit)
+SEED_GRAPHS = ((A3, 6, 10000), (A4, 12, 10000), (D4, 12, 10000), (A5_MIXED, 12, 10000),
+               (KRONECKER, 6, 8), (KRONECKER, 16, 1000), (A_TILDE_2_1, 5, 10000),
+               (WILD, 6, 20))
+
+
+def _candidates(node, b, k):
+    """E_B and E'_B of the k-th summand: c taken [b_ck]+ and [b_kc]+ times."""
+    others = [(j, c) for j, c in enumerate(node) if j != k]
+    return (tuple(c for j, c in others for _ in range(b[j][k])),
+            tuple(c for j, c in others for _ in range(b[k][j])))
+
+
+@pytest.mark.parametrize("q, bound, max_nodes", SEED_GRAPHS,
+                         ids=["A3", "A4", "D4", "A5-mixed", "Kronecker@6/8", "Kronecker@16",
+                              "A~(2,1)@5", "1=>2->3@6/20"])
+def test_carried_exchange_matrices(q, bound, max_nodes):
+    # on every edge the matrix carried to the target is the oracle's FZ
+    # mutation of the source's, in the target's key order, and equals
+    # the target's class matrix; E_B and E'_B share no summand, and the
+    # printed middle terms are the balance oracle's, or empty when the
+    # suspension of the tail is the head
+    g = exchange_graph(q, bound, max_nodes)
+    assert g.exchange_matrices[0] == _class_matrix(g.nodes[0])
+    for i, k, j, tri in g.edges:
+        source, target = g.nodes[i], g.nodes[j]
+        b = g.exchange_matrices[i]
+        assert tri.x is source[k]
+        mutated = oracles.fz_mutate(b, k)
+        place = {s.key(): a for a, s in enumerate(source)}
+        place[tri.y.key()] = k
+        order = [place[s.key()] for s in target]
+        assert g.exchange_matrices[j] == tuple(tuple(mutated[r][c] for c in order) for r in order)
+        assert g.exchange_matrices[j] == _class_matrix(target)
+        e_b, e_prime_b = _candidates(source, b, k)
+        assert not {c.key() for c in e_b} & {c.key() for c in e_prime_b}
+        complement = source[:k] + source[k + 1:]
+        middle = oracles.balanced_middle(tri.x, tri.y, complement)
+        assert tri.e == (() if tri.y.suspended().key() == tri.x.key() else middle)
+        assert tri.e_prime == (() if tri.x.suspended().key() == tri.y.key() else middle)
+
+
+def test_a3_exchange_matrix_middle_terms():
+    # x = P_2 = M[0,1,1] leaving the projective cluster of 1 -> 2 -> 3 for
+    # y = S_1: E_B = P_3, since P_3 -> P_2 is the right add(P_1, P_3)-
+    # approximation, and E'_B = P_1; only E'_B balances dim x + dim y,
+    # and it is the one printed
+    g = exchange_graph(A3, 6)
+    i, k, _, tri = next(e for e in g.edges if e[0] == 0 and e[3].x.key() == ("M", (0, 1, 1)))
+    assert tri.y.key() == ("M", (1, 0, 0))
+    e_b, e_prime_b = _candidates(g.nodes[i], g.exchange_matrices[i], k)
+    assert [c.describe() for c in e_b] == ["M[0, 0, 1]"]
+    assert [c.describe() for c in e_prime_b] == ["M[1, 1, 1]"]
+    assert tri.e == tri.e_prime == e_prime_b
 
 
 @pytest.mark.parametrize("q, bound, max_nodes, calls, work", (

@@ -25,9 +25,18 @@ Hom(P_1, N) with N a presented copy of P_1: by Yoneda the group is
 N_1 = Z, and its rank is the dimension of Hom over Q of the
 rationalized modules, which `tests/test_rep.py` checks on random
 presented pairs.
+
+The `mutate` digests were recorded before each cluster carried its
+exchange matrix: every position of the A4 projective cluster, every
+position of a D4 cluster holding sigma P_1, both positions of a
+Kronecker cluster holding sigma P_1, and two `--interactive` sessions.
+A cluster read from a file carries no orbit coordinates, so these pin
+the middle terms a lone cluster reads off its class matrix, and the
+sessions pin the ones carried from mutation to mutation.
 """
 
 import hashlib
+import io
 
 import pytest
 
@@ -42,6 +51,15 @@ QUIVERS = {
     "at21.quiver": "vertices 3\narrows [[1, 2], [2, 3], [1, 3]]\n",
     "wild.quiver": "vertices 3\narrows [[1, 2], [1, 2], [2, 3]]\n",
     "a2.quiver": "vertices 2\narrows [[1, 2]]\n",
+}
+
+CLUSTERS = {
+    "a4proj.cluster": "quiver a4.quiver\nsummand projective 1\nsummand projective 2\n"
+                      "summand projective 3\nsummand projective 4\n",
+    "d4sp.cluster": "quiver d4.quiver\nsummand shifted_projective 1\nsummand projective 2\n"
+                    "summand projective 3\nsummand projective 4\n",
+    "k2sp.cluster": "quiver kronecker.quiver\nsummand projective 2\n"
+                    "summand shifted_projective 1\n",
 }
 
 REPS = {
@@ -86,13 +104,55 @@ GOLDEN = (
 )
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[:2]) for a, _ in GOLDEN])
-def test_cli_stdout_digest(tmp_path, monkeypatch, capsys, argv, digest):
+# (argv, standard input, sha256 of stdout)
+MUTATE_GOLDEN = (
+    *((("mutate", "a4.quiver", "a4proj.cluster", str(k)), "", digest) for k, digest in (
+        (1, "db283fba1c5fca290752c160daa7aca86cce75918ebff76ba3faea41f270c895"),
+        (2, "7383aace77c7c1661996c4eedbaaca2aab5aa110f4b31056e824f5cd676d8d8d"),
+        (3, "2365974ead9ba35560d8fa302072e289ed549a240abac9cf486e767a17b5b9fe"),
+        (4, "da6686358747f33e4ca246521f6eb3c01a530b0445645ffb8170af2596e6a85a"),
+    )),
+    *((("mutate", "d4.quiver", "d4sp.cluster", str(k)), "", digest) for k, digest in (
+        (1, "a987e797da5d2c3cb7640565ad0786023e2b64097e567dc369a421f7fef8af6e"),
+        (2, "ed3213890e1d591ca31fc6fd25d3befe24837c97f65ec389f2ea0d598c170bce"),
+        (3, "7531e43071ec38512f84afa74709194eb4f7f9e35feff317f064f3dcd21cbbbb"),
+        (4, "174367979d345d7e57b05ba7ca3c576b9c52fd8357155f5f3a6145bbeda86ba9"),
+    )),
+    *((("mutate", "kronecker.quiver", "k2sp.cluster", str(k), "--dim-bound", "6"), "", digest)
+      for k, digest in (
+        (1, "f42c84a255f30b73b59f908f25dde5a346a820fa8310133ddd8a089ccab0aa6a"),
+        (2, "e864f41b08d1f4d64d61fe607d75f51c0e278818bcd036e035ff75ddf0ea694b"),
+    )),
+    (("mutate", "a4.quiver", "a4proj.cluster", "--interactive"), "1\n2\n3\n4\n1\nx\n9\n2\nq\n",
+     "94241119768855cf2af5c0a579443ecefe4299c0ee580d9b33e7e09deec0ea58"),
+    (("mutate", "d4.quiver", "d4sp.cluster", "--interactive"), "1\n4\n2\n3\n1\n",
+     "456188bdeb9f91fe68afb9a9b2c3dc24bc3039fc3ab5817bd7e183e4a78a4adc"),
+)
+
+
+def _workdir(tmp_path, monkeypatch):
     for name, body in QUIVERS.items():
         (tmp_path / name).write_text("clusterforge/1 quiver\n" + body)
     for name, body in REPS.items():
         (tmp_path / name).write_text("clusterforge/1 rep\n" + body)
+    for name, body in CLUSTERS.items():
+        (tmp_path / name).write_text("clusterforge/1 cluster\n" + body)
     monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[:2]) for a, _ in GOLDEN])
+def test_cli_stdout_digest(tmp_path, monkeypatch, capsys, argv, digest):
+    _workdir(tmp_path, monkeypatch)
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,stdin,digest", MUTATE_GOLDEN,
+                         ids=[" ".join(a[1:3] + a[3:4]) for a, _, _ in MUTATE_GOLDEN])
+def test_cli_mutate_digest(tmp_path, monkeypatch, capsys, argv, stdin, digest):
+    _workdir(tmp_path, monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

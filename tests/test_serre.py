@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from clusterforge import clear_caches, rep
+from clusterforge import clear_caches, rep, verify
 from clusterforge.cluster import build_pool
 from clusterforge.errors import (
     IsInjective,
@@ -245,6 +245,45 @@ def test_reflected_lattices_equal_checked_ones(q, bound):
             checked = ZRep(t.quiver, t.gens, t.relations, t.actions)
             assert t == checked and hash(t) == hash(checked)
             assert repr(t) == repr(checked)
+
+
+@pytest.mark.parametrize("q, bound", TAU_CLOSED_POOLS,
+                         ids=["A4", "D4", "E6", "Kronecker", "A~(2,1)", "wild"])
+def test_translates_stay_on_the_callers_quiver(q, bound):
+    # the sink reflections end on an orientation equal to m.quiver and
+    # tau_inv dualizes through the opposite quiver; both translates are
+    # put back on m.quiver itself, so no lookup compares two quivers
+    # field by field
+    for obj in build_pool(q, bound).modules():
+        m = obj.module
+        if projective_index_of(m) is None:
+            assert tau(m).quiver is m.quiver
+        if injective_index_of(m) is None:
+            assert tau_inv(m).quiver is m.quiver
+            assert rep.dualize(rep.dualize(m)).quiver is m.quiver
+
+
+@pytest.mark.parametrize("arrows, bound, built, orientations", (
+    (((1, 2), (1, 2)), 12, 3, 2),
+    (((1, 2), (2, 3), (1, 3)), 6, 7, 6),
+), ids=["Kronecker@12", "A~(2,1)@6"])
+def test_verify_builds_few_quivers(arrows, bound, built, orientations, monkeypatch):
+    # each quiver keeps its one opposite, and tau and tau_inv put their
+    # translates on the quiver of their argument, so verify constructs
+    # the reflected orientations once and one opposite
+    q = Quiver(max(max(a) for a in arrows), arrows)
+    made = []
+    checked = Quiver.__post_init__
+
+    def counted(quiver):
+        checked(quiver)
+        made.append(quiver.arrows)
+
+    clear_caches()
+    monkeypatch.setattr(Quiver, "__post_init__", counted)
+    assert verify.run_suite(q, bound).ok
+    assert len(made) == built
+    assert len(set(made)) == orientations
 
 
 E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
