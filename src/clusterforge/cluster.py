@@ -47,21 +47,20 @@ Presented modules, lattices read from files and mutation-cone partners
 carry no coordinate, nor does an orbit the bound cuts on a Dynkin or
 disconnected quiver; their pairs are computed by elimination.
 
-Exchange matrices.  Each cluster a mutation meets carries its exchange
-matrix, kept in the pool: the projective cluster's is read off the
-arrows of the quiver, mutate carries the Fomin-Zelevinsky mutation of a
-cluster's matrix to the cluster it reaches, and a cluster that arrives
-alone gets its class matrix from one integer solve.  The middle terms
-of the exchange triangles are read off the column of the leaving
-summand.
-
-Partners past the bound.  The pool's members are its objects and, for
-each orbit walk with coordinates that the bound stopped, the first
-translate past the bound (RigidPool.frontier).  mutate looks for the
-partner among all members with one search, the compatibility masks of
-the rest (RigidPool.partners), before it builds an approximation cone,
-so a partner on such an orbit is refused at the cost of integer
-arithmetic.
+Exchange matrices and partners.  Each cluster a mutation meets carries
+its extended exchange matrix [B_T; C_T], kept in the pool: the
+projective cluster's is read off the arrows of the quiver over the
+identity, mutate carries the Fomin-Zelevinsky mutation of a cluster's
+matrix to the cluster it reaches, and a cluster that arrives alone gets
+its class matrix from one integer solve.  The columns of C_T, the
+c-vectors, are sign-coherent (Derksen-Weyman-Zelevinsky, Quivers with
+potentials and their representations II, 2010), and the sign of the
+leaving summand's names the middle term E of the exchange triangle that
+lifts to the fundamental domain; the partner's class is dim E minus the
+leaving class (the g-vector recursion of Fomin-Zelevinsky, Cluster
+algebras IV, 2007).  So mutate looks the partner up by its class,
+refuses a class past the bound before it builds anything, and builds an
+approximation cone only for a class the pool lacks.
 """
 
 from __future__ import annotations
@@ -424,23 +423,15 @@ class RigidPool:
 
     complete is True exactly for Dynkin quivers, where the translate
     orbits of the projectives exhaust the exceptional modules.  objects
-    stays sorted by key and grows only through add.
+    stays sorted by key, find looks a key up by bisection, and the pool
+    grows only through add.
 
-    Exchange matrices.  The pool also keeps the exchange matrix B_T of
-    each canonical cluster a mutation met, rows and columns in summand
-    order (exchange_matrix): mutate carries it to the cluster it
-    reaches, so the matrices of an exchange graph come from the one of
-    its projective cluster.
-
-    Members and masks.  The members are the objects and the frontier:
-    for each orbit walk with coordinates that the bound stopped, the
-    first translate past the bound (see build_pool).  Each member holds
-    a bit, in insertion order, that stays when the pool grows.  For an
-    object key t the pool keeps one compatibility mask, the bits of the
-    members y other than t with Ext^1_C(y, t) and Ext^1_C(t, y) both
-    trivial; it is filled on first use and extended to the members
-    enlisted since when next used, so each pair is tested once (see
-    partners).
+    Exchange matrices.  The pool also keeps the extended exchange matrix
+    [B_T; C_T] of each canonical cluster a mutation met
+    (exchange_matrix): n columns in summand order over 2n rows, the n of
+    B_T in summand order and the n of C_T in vertex order.  mutate
+    carries it to the cluster it reaches, so the matrices of an exchange
+    graph come from the one of its projective cluster.
     """
 
     quiver: Quiver
@@ -448,27 +439,19 @@ class RigidPool:
     objects: tuple = ()
     provenance: dict = field(default_factory=dict)
     complete: bool = False
-    _members: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _bits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # object key -> (compatibility mask, members tested)
-    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # canonical cluster -> its exchange matrix
+    # canonical cluster -> its extended exchange matrix
     _exchange: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for obj in self.objects:
-            self._enlist(obj)
 
     def __contains__(self, obj: ClusterObject) -> bool:
         """Whether an object of the pool has the key of obj."""
-        key = obj.key()
-        i = bisect(self.objects, key, key=ClusterObject.key)
-        return i > 0 and self.objects[i - 1].key() == key
+        return self.find(obj.key()) is not None
 
-    @property
-    def frontier(self) -> tuple:
-        """The members that are not objects, in insertion order."""
-        return tuple(y for y in self._members if y not in self)
+    def find(self, key: tuple) -> ClusterObject | None:
+        """The object with the given key, or None."""
+        i = bisect(self.objects, key, key=ClusterObject.key)
+        if i and self.objects[i - 1].key() == key:
+            return self.objects[i - 1]
+        return None
 
     def by_key(self) -> dict:
         return {obj.key(): obj for obj in self.objects}
@@ -477,77 +460,28 @@ class RigidPool:
         return tuple(obj for obj in self.objects if obj.is_module)
 
     def add(self, obj: ClusterObject, tag: str) -> bool:
-        """Make obj an object unless one has its key; a frontier member
-        keeps its bit."""
+        """Make obj an object unless one has its key."""
         if obj in self:
             return False
-        self._enlist(obj)
         key = obj.key()
         self.provenance[key] = tag
         i = bisect(self.objects, key, key=ClusterObject.key)
         self.objects = self.objects[:i] + (obj,) + self.objects[i:]
         return True
 
-    def _enlist(self, obj: ClusterObject) -> None:
-        """Give obj the next bit unless a member has its key."""
-        if obj.key() not in self._bits:
-            self._bits[obj.key()] = len(self._members)
-            self._members.append(obj)
-
-    def partners(self, x: ClusterObject, others) -> tuple:
-        """The members other than x and others with no Ext^1_C either way
-        against any object of others, in insertion order.
-
-        An almost complete cluster-tilting object has exactly two
-        complements (Buan-Marsh-Reineke-Reiten-Todorov 2006), so next to
-        a cluster-tilting others + (x,) this is the partner of x when it
-        is a member, and nothing otherwise.
-        """
-        left = (1 << len(self._members)) - 1
-        for t in others:
-            if not left:
-                break
-            left &= self._mask(t)
-        if (own := self._bits.get(x.key())) is not None:
-            left &= ~(1 << own)
-        found = []
-        while left:
-            low = left & -left
-            found.append(self._members[low.bit_length() - 1])
-            left ^= low
-        return tuple(found)
-
     def exchange_matrix(self, seed: tuple) -> tuple:
-        """B_T of the canonical cluster seed: the matrix carried to it,
-        else its class matrix, kept from then on."""
+        """[B_T; C_T] of the canonical cluster seed: the matrix carried to
+        it, else its class matrix, kept from then on."""
         b = self._exchange.get(seed)
         if b is None:
             b = self._exchange[seed] = _class_matrix(seed)
         return b
 
     def carry(self, seed: tuple, make) -> None:
-        """Keep make() as B_T of the canonical cluster seed unless a
-        matrix is kept for it already."""
+        """Keep make() as [B_T; C_T] of the canonical cluster seed unless
+        a matrix is kept for it already."""
         if seed not in self._exchange:
             self._exchange[seed] = make()
-
-    def _mask(self, t: ClusterObject) -> int:
-        """The compatibility mask of t, tested against the members
-        enlisted since it was last asked for."""
-        key = t.key()
-        mask, tested = self._masks.get(key, (0, 0))
-        if tested < len(self._members):
-            own = self._bits.get(key)
-            for bit in range(tested, len(self._members)):
-                y = self._members[bit]
-                if bit != own and ext1_c(y, t).is_trivial and ext1_c(t, y).is_trivial:
-                    mask |= 1 << bit
-            self._masks[key] = mask, len(self._members)
-        return mask
-
-
-def _within_bound(obj: ClusterObject, bound: int) -> bool:
-    return max(obj.dim_c(), default=0) <= bound
 
 
 def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
@@ -573,11 +507,8 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
     open orbit is infinite only on a connected non-Dynkin quiver, where
     preinjectives never meet preprojectives; elsewhere (a Dynkin orbit
     cut by the bound, a disconnected quiver) its backward walk leaves no
-    coordinate and builds its modules as it goes.  A walk with
-    coordinates that the bound stops enlists the translate it stopped
-    before, the first past the bound, as a member that is not an object
-    (pool.frontier), so mutate's partner search meets a partner past the
-    bound there before it builds a cone.
+    coordinate and builds its modules as it goes.  A partner past the
+    bound needs no pool member: mutate refuses it by its predicted class.
     """
     validate(q)
     if dim_bound < 1:
@@ -599,7 +530,6 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
                      for b in range(len(dims))]
         elif open_is_infinite:
             orbit = [ClusterObject.at(q, ("I", j, b)) for b in range(len(dims))]
-            pool._enlist(ClusterObject.at(q, ("I", j, len(dims))))
         else:
             m = rep.injective_lattice(q, j)
             orbit = [ClusterObject.from_module(m)]
@@ -617,11 +547,9 @@ def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
         dims, a = rep.projective(q, i).gens, 0
         while serre.index_by_dims(q, dims, rep.injective_lattice) is None:
             dims, a = phi_inv.mul_vec(dims), a + 1
-            obj = ClusterObject.at(q, ("P", i, a))
             if max(dims) > dim_bound:
-                pool._enlist(obj)
                 break
-            pool.add(obj, "tau-orbit")
+            pool.add(ClusterObject.at(q, ("P", i, a)), "tau-orbit")
     return pool
 
 
@@ -669,27 +597,31 @@ def canonical_cluster(summands) -> tuple:
 # exchange matrices
 
 def _arrow_matrix(q: Quiver, order) -> tuple:
-    """B_T of the projective cluster, rows and columns in the vertex
-    order given: each arrow s -> t of q gives an arrow P_t -> P_s of
-    End(T), so b(P_t, P_s) counts it and b(P_s, P_t) is its negative."""
-    at = {v: i for i, v in enumerate(order)}
-    b = [[0] * q.n for _ in range(q.n)]
+    """[B_T; C_T] of the projective cluster, its summands P_v in the
+    vertex order given: each arrow s -> t of q gives an arrow P_t -> P_s
+    of End(T), so b(P_t, P_s) counts it and b(P_s, P_t) is its negative,
+    and the c-vector of P_v is the unit vector at v."""
+    n, at = q.n, {v: i for i, v in enumerate(order)}
+    b = [[0] * n for _ in range(2 * n)]
     for s, t in q.arrows:
         b[at[t]][at[s]] += 1
         b[at[s]][at[t]] -= 1
+    for v in q.vertices:
+        b[n + v - 1][at[v]] = 1
     return tuple(map(tuple, b))
 
 
 def _class_matrix(seed) -> tuple:
-    """B_T of the seed, rows and columns in its order, from its classes.
+    """[B_T; C_T] of the seed, columns and the rows of B_T in its order,
+    from its classes.
 
     With D_T the columns dim_c T_i and C the columns dim P_j, the index
     of T_i over the projective cluster is the column i of G = C^-1 D_T,
     and the indices of a cluster form a Z-basis, so D_T is unimodular.
-    B_T = G^-1 B_Q G^-T with G^-1 = D_T^-1 C and B_Q the matrix of the
-    projective cluster (the g- and c-vector duality of Nakanishi-
-    Zelevinsky), one integer solve.  PreconditionViolated when the seed
-    has not n summands or its classes are no basis.
+    C_T = G^-T and B_T = G^-1 B_Q G^-T with G^-1 = D_T^-1 C and B_Q the
+    matrix of the projective cluster (the g- and c-vector duality of
+    Nakanishi-Zelevinsky, 2012), one integer solve.  PreconditionViolated
+    when the seed has not n summands or its classes are no basis.
     """
     q = seed[0].quiver
     if len(seed) != q.n:
@@ -700,8 +632,9 @@ def _class_matrix(seed) -> tuple:
         g = solve_matrix(classes, cartan)
     except NoSolution:
         raise PreconditionViolated("the summand classes are no basis: not a seed") from None
-    b_q = IntMatrix(q.n, q.n, _arrow_matrix(q, q.vertices))
-    return g.mul(b_q).mul(g.transpose()).entries
+    b_q = IntMatrix(q.n, q.n, _arrow_matrix(q, q.vertices)[:q.n])
+    c_t = g.transpose()
+    return g.mul(b_q).mul(c_t).entries + c_t.entries
 
 
 @dataclass(frozen=True)
@@ -759,11 +692,9 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement,
     complement = tuple(complement)
     if b_x is None:
         b = _class_matrix(complement + (x,))
-        b_x = tuple(row[-1] for row in b[:-1])
-    e_empty = y.suspended().key() == x.key()
-    e_prime_empty = x.suspended().key() == y.key()
-    if e_empty and e_prime_empty:
-        return ExchangeTriangleData(x=x, y=y, e=(), e_prime=())
+        b_x = tuple(row[-1] for row in b[:len(complement)])
+    if y.suspended().key() == x.key() and x.suspended().key() == y.key():
+        return _triangle_data(x, y, ())
     target = [a + b for a, b in zip(x.dim_c(), y.dim_c())]
     # the classes of E_B and E'_B
     sums = {1: [0] * len(target), -1: [0] * len(target)}
@@ -778,9 +709,16 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement,
         raise BalanceUnsolvable(
             f"{len(balanced)} middle terms of the exchange matrix balance {tuple(target)}")
     side = balanced[0]
-    middle = canonical_cluster([c for c, b in zip(complement, b_x) for _ in range(side * b)])
-    return ExchangeTriangleData(x=x, y=y, e=() if e_empty else middle,
-                                e_prime=() if e_prime_empty else middle)
+    return _triangle_data(x, y, canonical_cluster(
+        c for c, b in zip(complement, b_x) for _ in range(side * b)))
+
+
+def _triangle_data(x: ClusterObject, y: ClusterObject, middle: tuple) -> ExchangeTriangleData:
+    """The triangles of (x, y) with the middle term middle, a multiset of
+    summands in key order, or none where the suspension of one end is
+    the other."""
+    return ExchangeTriangleData(x=x, y=y, e=() if y.suspended().key() == x.key() else middle,
+                                e_prime=() if x.suspended().key() == y.key() else middle)
 
 
 def _witness(tail: ClusterObject, head: ClusterObject, middle: tuple) -> str:
@@ -828,77 +766,118 @@ def _ses_certified(tail: ClusterObject, head: ClusterObject, middle: tuple) -> b
 def mutate(summands, k: int, pool: RigidPool) -> tuple:
     """Replace the k-th summand by its unique exchange partner.
 
-    Pool search first: RigidPool.partners intersects the compatibility
-    masks of the rest over the pool's members, the objects and the
-    frontier, and one member is left when the partner is among them.
-    That survivor is certified by one test, Ext^1_C against the leaving
-    summand free of rank one; a second survivor or a failed test raises
-    ConstructionFailed.  A survivor that is not a pool object, the first
-    translate past the bound of an open orbit, is refused without a
-    construction.  With no survivor the partner of an all-module
-    cluster is constructed by approximation and, when it lies within
-    the pool's dimension bound, inserted into the pool.  The new cluster
-    is certified by is_cluster_tilting, which reads the stored
-    certificate when the cluster was certified before.  The exchange
-    triangles are read off the cluster's exchange matrix, the one the
-    pool carried to it or else its class matrix, and the pool carries
-    its mutation to the new cluster.  Raises NotFoundWithinBound rather
-    than returning anything unverified or past the bound.
+    summands must be cluster-tilting: its memoized certificate is read
+    first, and PreconditionViolated raised before anything is built.
+    The partner y of the leaving summand x is predicted from the
+    cluster's [B_T; C_T], the one the pool carried to it or else its
+    class matrix: the middle term E of the triangle that lifts to the
+    fundamental domain and the class dim_c E - dim_c x
+    (_predicted_partner).  The pool object of that class is y.  When the
+    pool lacks it, a cluster with a suspended projective is refused, and
+    so is a class past the bound, with nothing built; otherwise y is
+    constructed by approximation, must have the predicted class, and
+    joins the pool.  y is certified by Ext^1_C(x, y) free of rank one,
+    and the new cluster by is_cluster_tilting, which reads the stored
+    certificate when the cluster was certified before.  Both exchange
+    triangles have the middle term E unless a connecting isomorphism
+    empties them, and the pool carries the mutated matrix to the new
+    cluster.  Raises NotFoundWithinBound rather than returning anything
+    unverified or past the bound.
     """
     summands = tuple(summands)
     if not 0 <= k < len(summands):
         raise PreconditionViolated(f"position {k} out of range")
+    ok, cert = is_cluster_tilting(summands)
+    if not ok:
+        raise PreconditionViolated(f"mutation needs a cluster-tilting object: {cert}")
     x = summands[k]
-    others = summands[:k] + summands[k + 1:]
-    found = pool.partners(x, others)
-    if len(found) > 1:
-        raise ConstructionFailed(
-            f"pool offers {len(found)} exchange partners for {x.describe()}; "
-            "the pool is inconsistent")
-    held = bool(found) and found[0] in pool
-    if not held and not all(s.is_module for s in summands):
-        raise NotFoundWithinBound(
-            f"no exchange partner for {x.describe()} in the pool "
-            f"(bound {pool.dim_bound}); constructive fallback needs all-module clusters")
-    y = found[0] if found else mutate_construct(summands, k)
+    seed = canonical_cluster(summands)
+    i = seed.index(x)
+    b = pool.exchange_matrix(seed)
+    middle, cls = _predicted_partner(seed, b, i)
+    # a negative class is that of sigma P_j when it is -dim P_j
+    j = min(cls) < 0 and serre.index_by_dims(x.quiver, tuple(-d for d in cls), rep.projective)
+    y = pool.find(("S", (j,)) if j else ("M", cls))
+    if y is None:
+        if not all(s.is_module for s in summands):
+            raise NotFoundWithinBound(
+                f"no exchange partner for {x.describe()} in the pool "
+                f"(bound {pool.dim_bound}); constructive fallback needs all-module clusters")
+        if max(cls) > pool.dim_bound:
+            raise NotFoundWithinBound(
+                f"exchange partner M{list(cls)} of {x.describe()} lies past "
+                f"the bound {pool.dim_bound}")
+        y = mutate_construct(summands, k)
+        if y.dim_c() != cls:
+            raise ConstructionFailed(
+                f"constructed partner {y.describe()} of {x.describe()} is not of the "
+                f"predicted class {cls}")
+        pool.add(y, "mutation-cone")
     if ext1_c(x, y) != RANK_ONE:
         raise ConstructionFailed(
-            f"{y.describe()} is compatible with the complement of {x.describe()} "
-            f"but Ext1({x.describe()}, {y.describe()}) = {ext1_c(x, y)}")
-    if not held:
-        if not _within_bound(y, pool.dim_bound):
-            raise NotFoundWithinBound(
-                f"exchange partner {y.describe()} of {x.describe()} lies past "
-                f"the bound {pool.dim_bound}")
-        pool.add(y, "mutation-cone")
-    new_summands = canonical_cluster(others + (y,))
+            f"predicted partner {y.describe()} of {x.describe()} has "
+            f"Ext1({x.describe()}, {y.describe()}) = {ext1_c(x, y)}")
+    new_summands = canonical_cluster(summands[:k] + summands[k + 1:] + (y,))
     ok, cert = is_cluster_tilting(new_summands)
     if not ok:
         raise ConstructionFailed(f"candidate fails the cluster-tilting check: {cert}")
-    seed = canonical_cluster(summands)
-    b = pool.exchange_matrix(seed)
-    i = seed.index(x)
-    complement = seed[:i] + seed[i + 1:]
-    triangles = exchange_triangles(x, y, complement, tuple([row[i] for row in b[:i] + b[i + 1:]]))
     pool.carry(new_summands, lambda: _carried(b, i, new_summands.index(y)))
-    return new_summands, triangles
+    return new_summands, _triangle_data(x, y, middle)
+
+
+def _predicted_partner(seed: tuple, b: tuple, i: int) -> tuple:
+    """(E, dim_c y): the middle term, in key order, and the class of the
+    partner y of the i-th summand x of the canonical cluster seed, whose
+    [B_T; C_T] is b.
+
+    The c-vector of x, column i of C_T, is sign-coherent; with eps = 1
+    when it is nonpositive and -1 when it is nonnegative, E takes each
+    summand c of the complement [eps b_cx]+ times, and dim_c y =
+    dim_c E - dim_c x (the g-vector recursion; the classes are the
+    g-vectors times the Cartan matrix).  ConstructionFailed when the
+    c-vector has mixed signs.
+    """
+    n = len(seed)
+    c_x = [row[i] for row in b[n:]]
+    if max(c_x) <= 0:
+        eps = 1
+    elif min(c_x) >= 0:
+        eps = -1
+    else:
+        raise ConstructionFailed(
+            f"the c-vector {tuple(c_x)} of {seed[i].describe()} is not sign-coherent")
+    middle = []
+    cls = [-d for d in seed[i].dim_c()]
+    for c, row in zip(seed, b):
+        times = eps * row[i]  # 0 for x itself, as b_xx = 0
+        if times > 0:
+            middle += [c] * times
+            cls = [a + times * d for a, d in zip(cls, c.dim_c())]
+    return tuple(middle), tuple(cls)
 
 
 def _carried(b: tuple, i: int, j: int) -> tuple:
-    """The Fomin-Zelevinsky mutation mu_i(b) (Cluster algebras I, 2002)
-    with row and column i moved to j: the matrix of the cluster where the
-    partner of the i-th summand lands at position j.  Row and column i
-    change sign, and every other b_rc gains (|b_ri| b_ic + b_ri |b_ic|) / 2."""
-    order = [r for r in range(len(b)) if r != i]
+    """The Fomin-Zelevinsky mutation mu_i of [B_T; C_T] (Cluster algebras
+    IV, 2007) with column i and row i of B_T moved to j: the matrix of
+    the cluster where the partner of the i-th summand lands at position
+    j, the rows of C_T staying in vertex order.  Row i and column i
+    change sign, and every other b_rc gains b_ri [b_ic]+ when b_ri > 0
+    and b_ri [-b_ic]+ when b_ri < 0."""
+    n = len(b[0])
+    order = [r for r in range(n) if r != i]
     order.insert(j, i)
-    b_i = b[i]
+    gains = {1: [max(v, 0) for v in b[i]], -1: [max(-v, 0) for v in b[i]]}
 
-    def entry(r, c):
-        if r == i or c == i:
-            return -b[r][c]
-        return b[r][c] + (abs(b[r][i]) * b_i[c] + b[r][i] * abs(b_i[c])) // 2
+    def row(r):
+        b_r, b_ri = b[r], b[r][i]
+        if r == i:
+            out = [-v for v in b_r]
+        else:
+            out = [v + b_ri * g for v, g in zip(b_r, gains[1 if b_ri > 0 else -1])]
+            out[i] = -b_ri
+        return tuple(out[c] for c in order)
 
-    return tuple(tuple(entry(r, c) for c in order) for r in order)
+    return tuple(row(r) for r in order + list(range(n, len(b))))
 
 
 def mutate_construct(summands, k: int) -> ClusterObject:
@@ -998,7 +977,7 @@ class ExchangeGraph:
     truncated: bool = False
     truncation_reason: str = ""
     truncations: tuple = ()  # sorted (cause, count): node-limit, not-found-within-bound
-    exchange_matrices: tuple = ()  # B_T of each node, rows and columns in its order
+    exchange_matrices: tuple = ()  # [B_T; C_T] of each node, columns in its order
 
     def degree(self, i: int) -> int:
         return sum(1 for e in self.edges if e[0] == i)
@@ -1007,8 +986,8 @@ class ExchangeGraph:
 def exchange_graph(q: Quiver, dim_bound: int = 12, max_nodes: int = 10000) -> ExchangeGraph:
     """Breadth-first mutation closure of the initial projective cluster,
     holding at most max_nodes clusters.  The projective cluster's
-    exchange matrix is read off the arrows of q, and mutate carries it
-    along every edge, so no class matrix is computed."""
+    extended exchange matrix is read off the arrows of q, and mutate
+    carries it along every edge, so no class matrix is computed."""
     if max_nodes < 1:
         raise PreconditionViolated("max_nodes must be at least 1")
     pool = build_pool(q, dim_bound)

@@ -37,10 +37,11 @@ index sends each pivot only to the rows holding its column.
   same row operations, solve the residual with u_inv and v_inv
   tracked, and back-substitute through the kept pivot rows.  Whether a
   solution exists agrees with the dense route, and so does the
-  solution whenever the columns are independent.  Exchange triangles
-  solve only for the class matrix of a cluster that arrives alone
-  (`cluster._class_matrix`); exchange graphs carry their exchange
-  matrices and solve nothing for them.
+  solution whenever the columns are independent.  Mutation solves only
+  for the class matrix of a cluster that arrives alone
+  (`cluster._class_matrix`), whose one solution gives both its exchange
+  matrix and its c-vectors; exchange graphs carry their extended
+  exchange matrices and solve nothing for them.
 """
 
 from __future__ import annotations

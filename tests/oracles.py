@@ -6,10 +6,12 @@ and cluster counts from exhaustive enumeration of maximal pairwise
 compatible subsets of a pool, or from the closed-form finite-type
 counts of Fomin-Zelevinsky (Cluster algebras II, 2003) and the
 generalized Catalan numbers over the exponents, and exchange
-partners from a scan of every pool member, the objects and the
-frontier, with the rank-one test the pool's search leaves to mutate.
-Exchange matrices mutate by the Fomin-Zelevinsky rule written out on
-lists, and exchange-triangle middle terms come from the balance
+partners from a scan of every pool object, with the rank-one test and
+no Ext^1 against the complement.  Extended exchange matrices [B; C]
+mutate by the Fomin-Zelevinsky rule written out on lists, and
+c-vectors come from a walk over seeds that starts at the arrows of the
+quiver and a Cartan matrix of path counts, with no module and no
+library mutation.  Exchange-triangle middle terms come from the balance
 dim E = dim x + dim y over the complement, solved over the rationals.
 Morphisms in the cluster category come from the orbit formula itself,
 summed over the f_apply translates of the target, and projectives and
@@ -150,13 +152,15 @@ def partner_scan(objects, x, others):
 
 
 def fz_mutate(b, k):
-    """Fomin-Zelevinsky matrix mutation mu_k (Cluster algebras I, 2002):
-    b'_ij = -b_ij if i or j is k, and otherwise b_ij + b_ik b_kj when
-    b_ik and b_kj are both positive, b_ij - b_ik b_kj when both are
+    """Fomin-Zelevinsky matrix mutation mu_k (Cluster algebras I, 2002)
+    of a matrix whose n columns are those of its top n rows, the
+    exchange matrix, and whose other rows extend it (Cluster algebras
+    IV, 2007): b'_ij = -b_ij if i or j is k, and otherwise b_ij + b_ik b_kj
+    when b_ik and b_kj are both positive, b_ij - b_ik b_kj when both are
     negative, and b_ij unchanged when their signs differ."""
-    n = len(b)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
+    n = len(b[0])
+    out = [[0] * n for _ in b]
+    for i in range(len(b)):
         for j in range(n):
             if k in (i, j):
                 out[i][j] = -b[i][j]
@@ -167,6 +171,56 @@ def fz_mutate(b, k):
             else:
                 out[i][j] = b[i][j]
     return out
+
+
+def cartan_by_paths(quiver):
+    """Row i is dim P_i: its entry j counts the paths from i to j."""
+    n = quiver.n
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    # each round extends the paths by one arrow; an acyclic quiver has no path of length n
+    for _ in range(n):
+        rows = [[int(i == j) + sum(rows[t - 1][j] for s, t in quiver.arrows if s - 1 == i)
+                 for j in range(n)] for i in range(n)]
+    return [tuple(row) for row in rows]
+
+
+def c_vectors(quiver, bound):
+    """The c-vectors of every seed a walk from the projective cluster
+    reaches, mutating no summand whose partner's class has an entry past
+    the bound.
+
+    A seed is the classes of its summands with [B; C], B from the arrows
+    (an arrow s -> t gives b(P_t, P_s) = 1) over C = I at the start.
+    Mutating at k sets eps = 1 when column k of C is nonpositive and -1
+    when it is nonnegative, and the new class is the sum of [eps b_ik]+
+    class_i over i minus class_k (the g-vector recursion).
+    """
+    n = quiver.n
+    start = [[0] * n for _ in range(2 * n)]
+    for s, t in quiver.arrows:
+        start[t - 1][s - 1] += 1
+        start[s - 1][t - 1] -= 1
+    for v in range(n):
+        start[n + v][v] = 1
+    seeds = [(cartan_by_paths(quiver), start)]
+    seen = {tuple(sorted(seeds[0][0]))}
+    found = set()
+    while seeds:
+        classes, b = seeds.pop()
+        for k in range(n):
+            c = tuple(b[n + v][k] for v in range(n))
+            found.add(c)
+            eps = 1 if max(c) <= 0 else -1
+            assert eps == 1 or min(c) >= 0, f"c-vector {c} is not sign-coherent"
+            new = tuple(sum(max(eps * b[i][k], 0) * classes[i][v] for i in range(n))
+                        - classes[k][v] for v in range(n))
+            if max(new) > bound:
+                continue
+            mutated = classes[:k] + [new] + classes[k + 1:]
+            if tuple(sorted(mutated)) not in seen:
+                seen.add(tuple(sorted(mutated)))
+                seeds.append((mutated, fz_mutate(b, k)))
+    return found
 
 
 def balance_solution(target, complement):

@@ -335,26 +335,29 @@ def test_kronecker_unreachable_is_loud():
 
 
 def test_two_survivors_raise_without_a_construction(count_calls):
-    # P_2 and S_1 of A2 are no cluster: both P_1 and sigma P_2 are
-    # compatible with S_1, so the search leaves two members
+    # P_2 and S_1 of A2 are no cluster, though both P_1 and sigma P_2 are
+    # compatible with S_1: mutate reads the tilting certificate of its
+    # input first and refuses it before predicting or building a partner
     constructions = count_calls(cluster_module, "mutate_construct")
     pool = build_pool(A2, 5)
     summands = (co(projective(A2, 2)), co(simple(A2, 1)))
-    assert {y.key() for y in pool.partners(summands[0], summands[1:])} == {
-        ("M", (1, 1)), ("S", (2,))}
-    with pytest.raises(ConstructionFailed, match="the pool is inconsistent"):
+    assert is_cluster_tilting(summands) == (
+        False, ("Ext1(M[0, 1], M[1, 0]) = Z^1", "Ext1(M[1, 0], M[0, 1]) = Z^1"))
+    with pytest.raises(PreconditionViolated, match=r"cluster-tilting object: \('Ext1\(M\[0, 1\]"):
         mutate(summands, 0, pool)
     assert constructions == []
 
 
 def test_a_survivor_off_rank_one_raises_without_a_construction(count_calls):
     # P_2 and S_1 of A3 are not compatible, so P_3 next to them is no
-    # cluster: the one member left, P_1, has Ext^1_C(P_3, P_1) = 0
+    # cluster, and its one compatible pool object P_1 has
+    # Ext^1_C(P_3, P_1) = 0: the certificate refuses the input first
     constructions = count_calls(cluster_module, "mutate_construct")
     pool = build_pool(A3, 6)
     summands = tuple(pool.by_key()[("M", d)] for d in ((0, 0, 1), (0, 1, 1), (1, 0, 0)))
-    assert [y.key() for y in pool.partners(summands[0], summands[1:])] == [("M", (1, 1, 1))]
-    with pytest.raises(ConstructionFailed, match=r"but Ext1\(M\[0, 0, 1\], M\[1, 1, 1\]\) = 0"):
+    ok, cert = is_cluster_tilting(summands)
+    assert not ok and "Ext1(M[1, 0, 0], M[0, 1, 1]) = Z^1" in cert
+    with pytest.raises(PreconditionViolated, match="cluster-tilting object"):
         mutate(summands, 0, pool)
     assert constructions == []
 
@@ -577,6 +580,29 @@ def test_ext1_c_matches_the_orbit_formula_closed_forms(q, bound, max_nodes):
 
 A_TILDE_3_1 = Quiver(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
 A_TILDE_2_2 = Quiver(4, ((1, 2), (2, 4), (1, 3), (3, 4)))
+
+
+@pytest.mark.parametrize("q, bound, roots", (
+    (E6, 12, 36), (A5_MIXED, 12, 15), (KRONECKER, 16, 31), (A_TILDE_2_1, 5, 20),
+    (A_TILDE_2_2, 4, 33),
+), ids=["E6@12", "A5-mixed@12", "Kronecker@16", "A~(2,1)@5", "A~(2,2)@4"])
+def test_c_vectors_are_classes_of_pool_or_graph_objects(q, bound, roots):
+    # the c-vectors of an acyclic quiver are, up to sign, real Schur roots
+    # (Speyer-Thomas, Acyclic cluster algebras revisited, 2013), so each
+    # one within the bound that the oracle's walk over seeds meets is the
+    # dimension vector of an exceptional module, and an object of the
+    # pool or of the exchange graph holds it.  Not run on 1=>2->3: at
+    # bound 6 the graph lacks (1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0),
+    # (5, 4, 0) and (6, 5, 0), since a cluster holding a suspended
+    # projective refuses a partner the pool lacks and the pool lacks the
+    # rigid modules off the translate orbits of the projectives and
+    # injectives
+    found = {tuple(abs(a) for a in c) for c in oracles.c_vectors(q, bound)}
+    within = {c for c in found if max(c) <= bound}
+    assert len(within) == roots
+    g = exchange_graph(q, bound)
+    classes = {o.dim_c() for o in build_pool(q, bound).objects}
+    assert within <= classes | {s.dim_c() for node in g.nodes for s in node}
 
 
 @pytest.mark.parametrize("q, bound, clusters",
@@ -815,22 +841,30 @@ PARTNER_GRAPHS = ((A4, 12, 10000, False), (D4, 12, 10000, False), (KRONECKER, 16
 @pytest.mark.parametrize("q, bound, max_nodes, grows", PARTNER_GRAPHS,
                          ids=["A4", "D4", "Kronecker-16", "A~(2,1)", "wild"])
 def test_partner_rows_equal_the_pool_scan(q, bound, max_nodes, grows, monkeypatch):
-    # at every mutation the compatibility masks give what a scan of every
-    # pool member, the objects and the frontier, gives, as the pool grows;
-    # so, through the same check, does a pool rebuilt from its objects
-    # alone, whose bits follow key order
-    search = RigidPool.partners
+    # at every (node, position) a partner mutate takes from the pool is
+    # the only exchange partner a scan of every pool object finds at that
+    # moment, and the scan finds none where mutate builds a cone or
+    # refuses; the pool grows through the cones alone.  A pool rebuilt
+    # from the grown pool's objects finds each by its key
+    step = cluster_module.mutate
     sizes = []
 
-    def checked(pool, x, others):
-        found = search(pool, x, others)
-        scan = oracles.partner_scan(pool.objects + pool.frontier, x, others)
-        assert sorted(y.key() for y in found) == sorted(y.key() for y in scan), x.describe()
-        sizes.append(len(pool.objects))
-        return found
+    def checked(summands, k, pool):
+        held = pool.objects
+        others = summands[:k] + summands[k + 1:]
+        scan = [y.key() for y in oracles.partner_scan(held, summands[k], others)]
+        sizes.append(len(held))
+        try:
+            result = step(summands, k, pool)
+        except NotFoundWithinBound:
+            assert scan == [], summands[k].describe()
+            raise
+        y = result[1].y
+        assert scan == ([y.key()] if any(o is y for o in held) else []), summands[k].describe()
+        return result
 
     clear_caches()
-    monkeypatch.setattr(RigidPool, "partners", checked)
+    monkeypatch.setattr(cluster_module, "mutate", checked)
     start = len(build_pool(q, bound).objects)
     g = exchange_graph(q, bound, max_nodes)
     assert len(sizes) == len(g.nodes) * q.n
@@ -841,20 +875,19 @@ def test_partner_rows_equal_the_pool_scan(q, bound, max_nodes, grows, monkeypatc
             grown.add(o, "graph")
     rebuilt = RigidPool(q, bound, objects=grown.objects)
     assert not rebuilt.add(grown.objects[0], "again")
-    for node in g.nodes:
-        for k in range(q.n):
-            rebuilt.partners(node[k], node[:k] + node[k + 1:])
+    assert all(rebuilt.find(o.key()) is o for o in grown.objects)
 
 
 def test_exchange_graph_work_counts(count_calls):
-    # on A4 and D4 the compatibility masks test each pair of distinct
-    # objects once, and the survivors' rank-one tests read groups already
-    # computed; the middle terms are read off the exchange matrices that
+    # on A4 and D4 ext1_c is asked by the tilting certificates and the
+    # rank-one tests alone, each partner is looked up by its predicted
+    # class, and the middle terms are read off the exchange matrices that
     # mutate carries from the projective cluster's, so no class matrix
     # and no integer system is solved.  Each of the 42 + 50 clusters is
-    # certified once, the other 278 of the 370 certificates (one per
-    # mutation and one per initial cluster) are read back, and each of
-    # the 14 + 16 pool objects has its suspension built once
+    # certified once, the other 646 of the 738 certificates (one per
+    # mutation for its input and one for its output, and one per initial
+    # cluster) are read back, and each of the 14 + 16 pool objects has
+    # its suspension built once
     clear_caches()
     solves = count_calls(zlinalg, "_solve")
     class_matrices = count_calls(cluster_module, "_class_matrix")
@@ -863,10 +896,10 @@ def test_exchange_graph_work_counts(count_calls):
         g = exchange_graph(q, 12)
         assert len(g.edges) == 2 * undirected
     lookups = ext1_c.cache_info()
-    assert lookups.misses == 452
-    assert lookups.hits + lookups.misses == 2874
+    assert lookups.misses == 448
+    assert lookups.hits + lookups.misses == 1840
     certificates = cluster_module._tilting_certificate.cache_info()
-    assert (certificates.misses, certificates.hits) == (42 + 50, 278)
+    assert (certificates.misses, certificates.hits) == (42 + 50, 646)
     assert solves == []
     assert class_matrices == []
     assert len(suspended) == len({id(x) for x, in suspended}) == 14 + 16
@@ -885,17 +918,33 @@ def _candidates(node, b, k):
             tuple(c for j, c in others for _ in range(b[k][j])))
 
 
+def _predicted_class(node, b, k):
+    """The class of the partner of the k-th summand by the g-vector
+    recursion: the classes of E_B when its c-vector, column k of the rows
+    of C under those of B, is nonpositive, and of E'_B when it is
+    nonnegative, less the summand's own."""
+    e_b, e_prime_b = _candidates(node, b, k)
+    middle = e_b if max(row[k] for row in b[len(node):]) <= 0 else e_prime_b
+    return tuple(sum(c.dim_c()[v] for c in middle) - node[k].dim_c()[v]
+                 for v in range(len(node)))
+
+
 @pytest.mark.parametrize("q, bound, max_nodes", SEED_GRAPHS,
                          ids=["A3", "A4", "D4", "A5-mixed", "Kronecker@6/8", "Kronecker@16",
                               "A~(2,1)@5", "1=>2->3@6/20"])
 def test_carried_exchange_matrices(q, bound, max_nodes):
-    # on every edge the matrix carried to the target is the oracle's FZ
-    # mutation of the source's, in the target's key order, and equals
-    # the target's class matrix; E_B and E'_B share no summand, and the
-    # printed middle terms are the balance oracle's, or empty when the
-    # suspension of the tail is the head
+    # on every edge the [B; C] carried to the target is the oracle's FZ
+    # mutation of the source's, columns and the rows of B in the target's
+    # key order, and equals the target's class matrix; every c-vector is
+    # sign-coherent, and the class its sign predicts is the partner's.
+    # E_B and E'_B share no summand, and the printed middle terms are the
+    # balance oracle's, or empty when the suspension of the tail is the
+    # head
     g = exchange_graph(q, bound, max_nodes)
+    n = q.n
     assert g.exchange_matrices[0] == _class_matrix(g.nodes[0])
+    for b in g.exchange_matrices:
+        assert all(max(c) <= 0 or min(c) >= 0 for c in zip(*b[n:]))
     for i, k, j, tri in g.edges:
         source, target = g.nodes[i], g.nodes[j]
         b = g.exchange_matrices[i]
@@ -904,8 +953,10 @@ def test_carried_exchange_matrices(q, bound, max_nodes):
         place = {s.key(): a for a, s in enumerate(source)}
         place[tri.y.key()] = k
         order = [place[s.key()] for s in target]
-        assert g.exchange_matrices[j] == tuple(tuple(mutated[r][c] for c in order) for r in order)
+        rows = [mutated[r] for r in order] + mutated[n:]
+        assert g.exchange_matrices[j] == tuple(tuple(row[c] for c in order) for row in rows)
         assert g.exchange_matrices[j] == _class_matrix(target)
+        assert _predicted_class(source, b, k) == tri.y.dim_c()
         e_b, e_prime_b = _candidates(source, b, k)
         assert not {c.key() for c in e_b} & {c.key() for c in e_prime_b}
         complement = source[:k] + source[k + 1:]
@@ -930,14 +981,16 @@ def test_a3_exchange_matrix_middle_terms():
 
 @pytest.mark.parametrize("q, bound, max_nodes, calls, work", (
     (KRONECKER, 16, 1000, 0, 0),
-    (WILD, 6, 20, 87, 543_552),
+    (WILD, 6, 20, 7, 148),
 ), ids=["Kronecker@16", "1=>2->3@6/20"])
 def test_constructive_mutation_reads_hom_bases_off_the_presentations(
         q, bound, max_nodes, calls, work, count_calls):
     # Hom bases are kernels of Hom(P., N); the summed rows x columns of
     # the matrices rep hands to kernel_basis were 404,100 and 8,724,213
-    # on the standard intertwining systems.  K2@16 now builds no cone:
-    # both of its partners past the bound are frontier objects
+    # on the standard intertwining systems, and 0 and 543,552 in 87 calls
+    # while the pool searched its compatibility masks and built a cone
+    # for each partner it missed.  K2@16 builds no cone: both of its
+    # partners past the bound are refused by their predicted classes
     clear_caches()
     kernels = count_calls(rep, "kernel_basis")
     exchange_graph(q, bound, max_nodes)
@@ -958,34 +1011,58 @@ def test_kronecker_construction_reads_hom_bases_off_the_presentations(count_call
 
 
 @pytest.mark.parametrize("q, bound, max_nodes, refusals", (
-    (KRONECKER, 16, 1000, 2), (A_TILDE_2_1, 5, 10000, 6), (WILD, 6, 20, 2),
+    (KRONECKER, 16, 1000, 2), (A_TILDE_2_1, 5, 10000, 6), (WILD, 6, 20, 6),
 ), ids=["Kronecker@16", "A~(2,1)@5", "1=>2->3@6/20"])
 def test_frontier_refusals_are_the_constructed_partners(q, bound, max_nodes, refusals,
                                                         count_calls, monkeypatch):
-    # an all-module cluster whose partner search leaves a frontier member
-    # is refused without a cone; the approximation construction on the
-    # same cluster and position builds a partner with its dimension
-    # vector, past the bound
-    search = RigidPool.partners
+    # an all-module cluster is refused, with no cone built, exactly when
+    # its partner's predicted class lies past the bound; the
+    # approximation construction on the same cluster and position builds
+    # a partner of that class, the one the refusal names
+    step = cluster_module.mutate
     met = []
 
-    def recorded(pool, x, others):
-        found = search(pool, x, others)
-        if found and found[0] not in pool and all(s.is_module for s in (x, *others)):
-            met.append(((x, *others), found[0]))
-        return found
+    def recorded(summands, k, pool):
+        try:
+            return step(summands, k, pool)
+        except NotFoundWithinBound as exc:
+            if all(s.is_module for s in summands):
+                met.append((summands, k, pool.exchange_matrix(canonical_cluster(summands)),
+                            str(exc)))
+            raise
 
-    monkeypatch.setattr(RigidPool, "partners", recorded)
+    monkeypatch.setattr(cluster_module, "mutate", recorded)
     constructions = count_calls(cluster_module, "mutate_construct")
     g = exchange_graph(q, bound, max_nodes)
     assert len(met) == refusals
     assert dict(g.truncations)["not-found-within-bound"] >= refusals
-    built = {(c[k], *c[:k], *c[k + 1:]) for c, k in constructions}
-    assert not built & {summands for summands, _ in met}
-    for summands, f in met:
-        y = mutate_construct(summands, 0)
-        assert y.key() == f.key()
-        assert max(y.dim_c()) > bound
+    assert not set(constructions) & {(summands, k) for summands, k, _, _ in met}
+    for summands, k, b, reason in met:
+        seed = canonical_cluster(summands)
+        cls = _predicted_class(seed, b, seed.index(summands[k]))
+        y = mutate_construct(summands, k)
+        assert y.dim_c() == cls
+        assert max(cls) > bound
+        assert reason == (f"exchange partner {y.describe()} of {summands[k].describe()} "
+                          f"lies past the bound {bound}")
+
+
+@pytest.mark.parametrize("q, bound, max_nodes, cones", (
+    (A_TILDE_2_1, 5, 10000, 2), (WILD, 6, 20, 4), (WILD, 20, 20, 8),
+), ids=["A~(2,1)@5", "1=>2->3@6/20", "1=>2->3@20/20"])
+def test_cones_are_built_only_for_classes_the_pool_lacks(q, bound, max_nodes, cones,
+                                                         count_calls):
+    # mutate builds an approximation cone only for an all-module cluster
+    # whose partner's predicted class is within the bound and missing
+    # from the pool, and the cone joins the pool, so no cone is built
+    # twice; on 1=>2->3@20/20 the compatibility masks, searched first,
+    # left 12 partners to be built
+    constructions = count_calls(cluster_module, "mutate_construct")
+    exchange_graph(q, bound, max_nodes)
+    assert len(constructions) == cones
+    built = [mutate_construct(summands, k) for summands, k in constructions]
+    assert len({y.key() for y in built}) == cones
+    assert all(max(y.dim_c()) <= bound for y in built)
 
 
 def _module_builds(count_calls) -> list:
@@ -1039,8 +1116,8 @@ def test_e7_verify_builds_each_module_once(count_calls, monkeypatch):
 
 
 def test_kronecker_at_80_refuses_both_partners_without_a_cone(count_calls):
-    # the two partners past the bound are frontier objects, so no
-    # approximation cone is built
+    # the two partners past the bound are refused by their predicted
+    # classes, so no approximation cone is built
     constructions = count_calls(cluster_module, "mutate_construct")
     g = exchange_graph(KRONECKER, 80, 1000)
     assert len(g.nodes) == 161

@@ -33,6 +33,14 @@ Kronecker cluster holding sigma P_1, and two `--interactive` sessions.
 A cluster read from a file carries no orbit coordinates, so these pin
 the middle terms a lone cluster reads off its class matrix, and the
 sessions pin the ones carried from mutation to mutation.
+
+The larger `graph` digests were recorded before each exchange partner
+was predicted from the carried c-vectors, while the pool still searched
+its compatibility masks and the first translates past the bound: E6
+closing on its 833 clusters, the Kronecker quiver at bound 80 (two
+refusals past the bound) and at bound 1 (a cluster holding sigma P_1
+whose partner is refused), the wild 1=>2->3 at bound 20 (cone partners)
+and at bound 6 with no node limit, and A~(2,2) at bound 4.
 """
 
 import hashlib
@@ -51,6 +59,7 @@ QUIVERS = {
     "at21.quiver": "vertices 3\narrows [[1, 2], [2, 3], [1, 3]]\n",
     "wild.quiver": "vertices 3\narrows [[1, 2], [1, 2], [2, 3]]\n",
     "a2.quiver": "vertices 2\narrows [[1, 2]]\n",
+    "at22.quiver": "vertices 4\narrows [[1, 2], [2, 4], [1, 3], [3, 4]]\n",
 }
 
 CLUSTERS = {
@@ -104,6 +113,23 @@ GOLDEN = (
 )
 
 
+# (graph arguments before --format structured, sha256 of stdout)
+GRAPH_GOLDEN = (
+    (("e6.quiver", "--dim-bound", "12"),
+     "a6d552473c71f7b41ed0a0e0726328c71cf1fa64a1a4127c6a6178ec1001c642"),
+    (("kronecker.quiver", "--dim-bound", "80", "--max-nodes", "1000"),
+     "ae18d44918ddb1ea155c78700ff3e37ff1e8ce1709f97b0ae4d563ed851ffdfe"),
+    (("kronecker.quiver", "--dim-bound", "1", "--max-nodes", "3"),
+     "86015b12255ccfa541835c464e7918dd6ee4e3172ea5f13aad1401b7e874b26f"),
+    (("wild.quiver", "--dim-bound", "20", "--max-nodes", "20"),
+     "19fe277acf95d2636ca9723132411bad3b6bc5b4edd9b1bab33244c9d10d2e58"),
+    (("wild.quiver", "--dim-bound", "6", "--max-nodes", "100000"),
+     "0cca1ac4bfa3fcd2ceb9d0681c25f4910f86f1c55316e94d7f0366a51d752620"),
+    (("at22.quiver", "--dim-bound", "4"),
+     "954b9727edf833be61b573f3a13cb2fd0a6eb97509d1915657d42569a170feb1"),
+)
+
+
 # (argv, standard input, sha256 of stdout)
 MUTATE_GOLDEN = (
     *((("mutate", "a4.quiver", "a4proj.cluster", str(k)), "", digest) for k, digest in (
@@ -144,6 +170,14 @@ def _workdir(tmp_path, monkeypatch):
 def test_cli_stdout_digest(tmp_path, monkeypatch, capsys, argv, digest):
     _workdir(tmp_path, monkeypatch)
     assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,digest", GRAPH_GOLDEN, ids=[" ".join(a) for a, _ in GRAPH_GOLDEN])
+def test_cli_graph_digest(tmp_path, monkeypatch, capsys, args, digest):
+    _workdir(tmp_path, monkeypatch)
+    assert main(["graph", *args, "--format", "structured"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
