@@ -60,7 +60,8 @@ lifts to the fundamental domain; the partner's class is dim E minus the
 leaving class (the g-vector recursion of Fomin-Zelevinsky, Cluster
 algebras IV, 2007).  So mutate looks the partner up by its class,
 refuses a class past the bound before it builds anything, and builds an
-approximation cone only for a class the pool lacks.
+approximation cone only for a class the pool lacks; exchange_triangles
+makes the same prediction from a lone seed's class matrix.
 """
 
 from __future__ import annotations
@@ -668,49 +669,29 @@ class ExchangeTriangleData:
 RANK_ONE = FinAbGroup(1)
 
 
-def exchange_triangles(x: ClusterObject, y: ClusterObject, complement,
-                       b_x: tuple | None = None) -> ExchangeTriangleData:
+def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> ExchangeTriangleData:
     """Middle terms of both exchange triangles for the pair (x, y).
 
-    complement + (x,) must be a seed; b_x holds its exchange-matrix
-    entries b_cx for c in complement, read off the class matrix when not
-    given (_class_matrix, which raises PreconditionViolated on no seed).
-    The candidates are E_B, c taken [b_cx]+ times, and E'_B, c taken
-    [-b_cx]+ times (Buan-Marsh-Reiten, Cluster-tilted algebras, 2007).  A
-    triangle collapses to a zero middle term exactly when the suspension
-    of one end (ClusterObject.suspended) is isomorphic to the other;
-    otherwise its middle term is the candidate whose classes sum to
-    dim x + dim y, as one exchange triangle lifts to a sequence on the
-    fundamental domain, where classes add up.  BalanceUnsolvable is
-    raised unless exactly one candidate balances.  A middle term's
-    witness, for all-module triangles a short exact sequence whose first
-    map is the one Hom-basis approximation of the tail (_ses_certified),
-    is computed and memoized when first read.
+    complement + (x,) must be a seed: its [B_T; C_T] is read off its
+    class matrix (_class_matrix, which raises PreconditionViolated on no
+    seed), and the middle term E and the partner's class are predicted
+    from the column of x as in mutate (_predicted_partner).
+    BalanceUnsolvable is raised unless y has that class.  Both triangles
+    have the middle term E unless a connecting isomorphism empties them
+    (_triangle_data).  A middle term's witness, for all-module triangles
+    a short exact sequence whose first map is the one Hom-basis
+    approximation of the tail (_ses_certified), is computed and memoized
+    when first read.
     """
     if ext1_c(x, y) != RANK_ONE:
         raise PreconditionViolated("exchange triangles need Ext1 free of rank one")
-    complement = tuple(complement)
-    if b_x is None:
-        b = _class_matrix(complement + (x,))
-        b_x = tuple(row[-1] for row in b[:len(complement)])
-    if y.suspended().key() == x.key() and x.suspended().key() == y.key():
-        return _triangle_data(x, y, ())
-    target = [a + b for a, b in zip(x.dim_c(), y.dim_c())]
-    # the classes of E_B and E'_B
-    sums = {1: [0] * len(target), -1: [0] * len(target)}
-    for c, b in zip(complement, b_x):
-        if b:
-            side = 1 if b > 0 else -1
-            sums[side] = [t + side * b * d for t, d in zip(sums[side], c.dim_c())]
-    balanced = [side for side in (1, -1) if sums[side] == target]
-    if not any(b_x):
-        balanced = balanced[:1]  # E_B and E'_B are both empty
-    if len(balanced) != 1:
+    seed = canonical_cluster(tuple(complement) + (x,))
+    middle, cls = _predicted_partner(seed, _class_matrix(seed), seed.index(x))
+    if y.dim_c() != cls:
         raise BalanceUnsolvable(
-            f"{len(balanced)} middle terms of the exchange matrix balance {tuple(target)}")
-    side = balanced[0]
-    return _triangle_data(x, y, canonical_cluster(
-        c for c, b in zip(complement, b_x) for _ in range(side * b)))
+            f"{y.describe()} is not of the class {cls} predicted for the partner of "
+            f"{x.describe()}")
+    return _triangle_data(x, y, middle)
 
 
 def _triangle_data(x: ClusterObject, y: ClusterObject, middle: tuple) -> ExchangeTriangleData:
@@ -861,23 +842,18 @@ def _carried(b: tuple, i: int, j: int) -> tuple:
     IV, 2007) with column i and row i of B_T moved to j: the matrix of
     the cluster where the partner of the i-th summand lands at position
     j, the rows of C_T staying in vertex order.  Row i and column i
-    change sign, and every other b_rc gains b_ri [b_ic]+ when b_ri > 0
-    and b_ri [-b_ic]+ when b_ri < 0."""
+    change sign, and every other b_rc gains (|b_ri| b_ic + b_ri |b_ic|) / 2."""
     n = len(b[0])
     order = [r for r in range(n) if r != i]
     order.insert(j, i)
-    gains = {1: [max(v, 0) for v in b[i]], -1: [max(-v, 0) for v in b[i]]}
+    b_i = b[i]
 
-    def row(r):
-        b_r, b_ri = b[r], b[r][i]
-        if r == i:
-            out = [-v for v in b_r]
-        else:
-            out = [v + b_ri * g for v, g in zip(b_r, gains[1 if b_ri > 0 else -1])]
-            out[i] = -b_ri
-        return tuple(out[c] for c in order)
+    def entry(r, c):
+        if r == i or c == i:
+            return -b[r][c]
+        return b[r][c] + (abs(b[r][i]) * b_i[c] + b[r][i] * abs(b_i[c])) // 2
 
-    return tuple(row(r) for r in order + list(range(n, len(b))))
+    return tuple(tuple(entry(r, c) for c in order) for r in order + list(range(n, len(b))))
 
 
 def mutate_construct(summands, k: int) -> ClusterObject:

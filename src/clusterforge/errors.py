@@ -63,8 +63,8 @@ class ConstructionFailed(ClusterForgeError):
 
 
 class BalanceUnsolvable(ClusterForgeError):
-    """Not exactly one middle term read off the exchange matrix balances
-    the classes of the exchange pair."""
+    """The partner of an exchange pair is not of the class its exchange
+    matrix predicts."""
 
 
 class FormatError(ClusterForgeError):

@@ -411,11 +411,12 @@ def test_exchange_triangle_a3_end_vertex():
 
 def test_exchange_triangles_balance_unsolvable():
     # {sigma P_1, P_2} is a seed of A2, but S_1 is not the partner of P_2
-    # there: Ext^1_C(sigma P_1, S_1) = Z.  Neither candidate of the
-    # exchange matrix balances dim P_2 + dim S_1
+    # there: Ext^1_C(sigma P_1, S_1) = Z.  The exchange matrix predicts
+    # the class -dim P_2 of sigma P_2
     x, y, complement = co(projective(A2, 2)), co(simple(A2, 1)), (sp(A2, 1),)
     assert not ext1_c(complement[0], y).is_trivial
-    with pytest.raises(BalanceUnsolvable, match=r"0 middle terms .* balance \(1, 1\)"):
+    with pytest.raises(BalanceUnsolvable,
+                       match=r"M\[1, 0\] is not of the class \(0, -1\) predicted"):
         exchange_triangles(x, y, complement)
 
 
@@ -918,14 +919,17 @@ def _candidates(node, b, k):
             tuple(c for j, c in others for _ in range(b[k][j])))
 
 
+def _signed_candidate(node, b, k):
+    """E_B when the c-vector of the k-th summand, column k of the rows of
+    C under those of B, is nonpositive, and E'_B when it is nonnegative."""
+    e_b, e_prime_b = _candidates(node, b, k)
+    return e_b if max(row[k] for row in b[len(node):]) <= 0 else e_prime_b
+
+
 def _predicted_class(node, b, k):
     """The class of the partner of the k-th summand by the g-vector
-    recursion: the classes of E_B when its c-vector, column k of the rows
-    of C under those of B, is nonpositive, and of E'_B when it is
-    nonnegative, less the summand's own."""
-    e_b, e_prime_b = _candidates(node, b, k)
-    middle = e_b if max(row[k] for row in b[len(node):]) <= 0 else e_prime_b
-    return tuple(sum(c.dim_c()[v] for c in middle) - node[k].dim_c()[v]
+    recursion: the classes of the signed candidate less the summand's."""
+    return tuple(sum(c.dim_c()[v] for c in _signed_candidate(node, b, k)) - node[k].dim_c()[v]
                  for v in range(len(node)))
 
 
@@ -936,10 +940,10 @@ def test_carried_exchange_matrices(q, bound, max_nodes):
     # on every edge the [B; C] carried to the target is the oracle's FZ
     # mutation of the source's, columns and the rows of B in the target's
     # key order, and equals the target's class matrix; every c-vector is
-    # sign-coherent, and the class its sign predicts is the partner's.
-    # E_B and E'_B share no summand, and the printed middle terms are the
-    # balance oracle's, or empty when the suspension of the tail is the
-    # head
+    # sign-coherent, and the candidate its sign picks is the balance
+    # oracle's middle term for the certified partner.  E_B and E'_B share
+    # no summand, and the printed middle terms are the balance oracle's,
+    # or empty when the suspension of the tail is the head
     g = exchange_graph(q, bound, max_nodes)
     n = q.n
     assert g.exchange_matrices[0] == _class_matrix(g.nodes[0])
@@ -956,11 +960,11 @@ def test_carried_exchange_matrices(q, bound, max_nodes):
         rows = [mutated[r] for r in order] + mutated[n:]
         assert g.exchange_matrices[j] == tuple(tuple(row[c] for c in order) for row in rows)
         assert g.exchange_matrices[j] == _class_matrix(target)
-        assert _predicted_class(source, b, k) == tri.y.dim_c()
         e_b, e_prime_b = _candidates(source, b, k)
         assert not {c.key() for c in e_b} & {c.key() for c in e_prime_b}
         complement = source[:k] + source[k + 1:]
         middle = oracles.balanced_middle(tri.x, tri.y, complement)
+        assert _signed_candidate(source, b, k) == middle
         assert tri.e == (() if tri.y.suspended().key() == tri.x.key() else middle)
         assert tri.e_prime == (() if tri.x.suspended().key() == tri.y.key() else middle)
 
