@@ -48,26 +48,28 @@ carry no coordinate, nor does an orbit the bound cuts on a Dynkin or
 disconnected quiver; their pairs are computed by elimination.
 
 Exchange matrices and partners.  Each cluster a mutation meets carries
-its extended exchange matrix [B_T; C_T], kept in the pool: the
-projective cluster's is read off the arrows of the quiver over the
-identity, mutate carries the Fomin-Zelevinsky mutation of a cluster's
-matrix to the cluster it reaches, and a cluster that arrives alone gets
-its class matrix from one integer solve.  The columns of C_T, the
-c-vectors, are sign-coherent (Derksen-Weyman-Zelevinsky, Quivers with
-potentials and their representations II, 2010), and the sign of the
-leaving summand's names the middle term E of the exchange triangle that
-lifts to the fundamental domain; the partner's class is dim E minus the
-leaving class (the g-vector recursion of Fomin-Zelevinsky, Cluster
-algebras IV, 2007).  So mutate looks the partner up by its class,
-refuses a class past the bound before it builds anything, and builds an
-approximation cone only for a class the pool lacks; exchange_triangles
-makes the same prediction from a lone seed's class matrix.
+its extended exchange matrix [B_T; C_T], kept in the pool by the ids
+of its summands: the projective cluster's is read off the arrows of the
+quiver over the identity, mutate carries the Fomin-Zelevinsky mutation
+of a cluster's matrix to the cluster it reaches, and a cluster that
+arrives alone gets its class matrix from one integer solve.  The
+columns of C_T, the c-vectors, are sign-coherent (Derksen-Weyman-
+Zelevinsky, Quivers with potentials and their representations II,
+2010), and the sign of the leaving summand's names the middle term E
+of the exchange triangle that lifts to the fundamental domain; the
+partner's class is dim E minus the leaving class (the g-vector
+recursion of Fomin-Zelevinsky, Cluster algebras IV, 2007).  So mutate
+looks the partner up by its class, refuses a class past the bound
+before it builds anything, and builds an approximation cone only for a
+class the pool lacks; exchange_triangles makes the same prediction
+from a lone seed's class matrix.  A new cluster is certified from the
+one it left, by 2n - 1 Ext^1_C groups.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from math import inf
 
@@ -424,15 +426,17 @@ class RigidPool:
 
     complete is True exactly for Dynkin quivers, where the translate
     orbits of the projectives exhaust the exceptional modules.  objects
-    stays sorted by key, find looks a key up by bisection, and the pool
-    grows only through add.
+    stays sorted by key, and the pool grows only through add.
 
-    Exchange matrices.  The pool also keeps the extended exchange matrix
-    [B_T; C_T] of each canonical cluster a mutation met
-    (exchange_matrix): n columns in summand order over 2n rows, the n of
-    B_T in summand order and the n of C_T in vertex order.  mutate
-    carries it to the cluster it reaches, so the matrices of an exchange
-    graph come from the one of its projective cluster.
+    Each object the pool meets (ids), a member (add) or not, such as a
+    projective past the bound, keeps a stable id, its index into by_id,
+    keys, classes and suspensions (keys, read once); members maps the
+    class of a member to its id.  A seed is the tuple of the ids of a
+    cluster in key order; seeds records each certified cluster with its
+    seed, and matrices keeps by seed its [B_T; C_T]: n columns in
+    summand order over 2n rows, the n of B_T in summand order and the n
+    of C_T in vertex order.  mutate carries both to the cluster it
+    reaches.
     """
 
     quiver: Quiver
@@ -440,8 +444,18 @@ class RigidPool:
     objects: tuple = ()
     provenance: dict = field(default_factory=dict)
     complete: bool = False
-    # canonical cluster -> its extended exchange matrix
-    _exchange: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    by_id: list = field(default_factory=list, init=False, repr=False, compare=False)
+    keys: list = field(default_factory=list, init=False, repr=False, compare=False)
+    classes: list = field(default_factory=list, init=False, repr=False, compare=False)
+    suspensions: list = field(default_factory=list, init=False, repr=False, compare=False)
+    members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    seeds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for obj in self.objects:
+            self.members[obj.dim_c()] = self.ids((obj,))[0]
 
     def __contains__(self, obj: ClusterObject) -> bool:
         """Whether an object of the pool has the key of obj."""
@@ -449,10 +463,8 @@ class RigidPool:
 
     def find(self, key: tuple) -> ClusterObject | None:
         """The object with the given key, or None."""
-        i = bisect(self.objects, key, key=ClusterObject.key)
-        if i and self.objects[i - 1].key() == key:
-            return self.objects[i - 1]
-        return None
+        i = self._ids.get(key)
+        return None if i is None or self.classes[i] not in self.members else self.by_id[i]
 
     def by_key(self) -> dict:
         return {obj.key(): obj for obj in self.objects}
@@ -466,23 +478,37 @@ class RigidPool:
             return False
         key = obj.key()
         self.provenance[key] = tag
+        self.members[obj.dim_c()] = self.ids((obj,))[0]
         i = bisect(self.objects, key, key=ClusterObject.key)
         self.objects = self.objects[:i] + (obj,) + self.objects[i:]
         return True
 
-    def exchange_matrix(self, seed: tuple) -> tuple:
-        """[B_T; C_T] of the canonical cluster seed: the matrix carried to
-        it, else its class matrix, kept from then on."""
-        b = self._exchange.get(seed)
-        if b is None:
-            b = self._exchange[seed] = _class_matrix(seed)
-        return b
+    def ids(self, objects) -> tuple:
+        """The ids of objects, in their order, given on first sight."""
+        for obj in objects:
+            if obj.key() not in self._ids:
+                self._ids[obj.key()] = len(self.by_id)
+                self.by_id.append(obj)
+                self.keys.append(obj.key())
+                self.classes.append(obj.dim_c())
+                self.suspensions.append(None)
+        return tuple(self._ids[obj.key()] for obj in objects)
 
-    def carry(self, seed: tuple, make) -> None:
-        """Keep make() as [B_T; C_T] of the canonical cluster seed unless
-        a matrix is kept for it already."""
-        if seed not in self._exchange:
-            self._exchange[seed] = make()
+    def suspension_key(self, i: int) -> tuple:
+        """The key of the suspension of the object with id i, read once."""
+        if self.suspensions[i] is None:
+            self.suspensions[i] = self.by_id[i].suspended().key()
+        return self.suspensions[i]
+
+    def keep(self, cluster: tuple, seed: tuple, matrix: tuple) -> None:
+        """Record a certified cluster in key order, its seed and [B_T; C_T]."""
+        self.seeds[cluster] = seed
+        self.matrices[seed] = matrix
+
+    def exchange_matrix(self, cluster: tuple) -> tuple:
+        """[B_T; C_T] of the cluster in key order, kept or its class matrix."""
+        b = self.matrices.get(self.ids(cluster))
+        return _class_matrix(cluster) if b is None else b
 
 
 def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
@@ -564,9 +590,9 @@ def is_cluster_tilting(summands) -> tuple:
     naming the offending pair or count, in the order of the summands.
     Being cluster-tilting depends on the summands alone (Buan-Marsh-
     Reineke-Reiten-Todorov 2006), so the certificate is memoized on the
-    summand tuple as given: a cluster that an exchange graph reaches
-    along several edges is certified once, and a list or a generator
-    asked again returns the identical result.
+    summand tuple as given, and a list or a generator asked again
+    returns the identical result.  mutate asks it only for a cluster
+    its pool has not certified, or for a failure text.
     """
     return _tilting_certificate(tuple(summands))
 
@@ -677,8 +703,8 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
     seed), and the middle term E and the partner's class are predicted
     from the column of x as in mutate (_predicted_partner).
     BalanceUnsolvable is raised unless y has that class.  Both triangles
-    have the middle term E unless a connecting isomorphism empties them
-    (_triangle_data).  A middle term's witness, for all-module triangles
+    have the middle term E unless the suspension of one end is the
+    other, which empties the middle term.  A middle term's witness, for all-module triangles
     a short exact sequence whose first map is the one Hom-basis
     approximation of the tail (_ses_certified), is computed and memoized
     when first read.
@@ -686,20 +712,16 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
     if ext1_c(x, y) != RANK_ONE:
         raise PreconditionViolated("exchange triangles need Ext1 free of rank one")
     seed = canonical_cluster(tuple(complement) + (x,))
-    middle, cls = _predicted_partner(seed, _class_matrix(seed), seed.index(x))
+    i = seed.index(x)
+    middle, cls = _predicted_partner(range(len(seed)), [s.dim_c() for s in seed],
+                                     [row[i] for row in _class_matrix(seed)], i, x)
     if y.dim_c() != cls:
         raise BalanceUnsolvable(
             f"{y.describe()} is not of the class {cls} predicted for the partner of "
             f"{x.describe()}")
-    return _triangle_data(x, y, middle)
-
-
-def _triangle_data(x: ClusterObject, y: ClusterObject, middle: tuple) -> ExchangeTriangleData:
-    """The triangles of (x, y) with the middle term middle, a multiset of
-    summands in key order, or none where the suspension of one end is
-    the other."""
-    return ExchangeTriangleData(x=x, y=y, e=() if y.suspended().key() == x.key() else middle,
-                                e_prime=() if x.suspended().key() == y.key() else middle)
+    middle = tuple(seed[r] for r in middle)
+    return ExchangeTriangleData(x, y, () if y.suspended().key() == x.key() else middle,
+                                () if x.suspended().key() == y.key() else middle)
 
 
 def _witness(tail: ClusterObject, head: ClusterObject, middle: tuple) -> str:
@@ -747,94 +769,109 @@ def _ses_certified(tail: ClusterObject, head: ClusterObject, middle: tuple) -> b
 def mutate(summands, k: int, pool: RigidPool) -> tuple:
     """Replace the k-th summand by its unique exchange partner.
 
-    summands must be cluster-tilting: its memoized certificate is read
-    first, and PreconditionViolated raised before anything is built.
+    summands must be cluster-tilting: unless the pool certified them,
+    is_cluster_tilting is read first, and PreconditionViolated raised.
     The partner y of the leaving summand x is predicted from the
-    cluster's [B_T; C_T], the one the pool carried to it or else its
-    class matrix: the middle term E of the triangle that lifts to the
-    fundamental domain and the class dim_c E - dim_c x
-    (_predicted_partner).  The pool object of that class is y.  When the
-    pool lacks it, a cluster with a suspended projective is refused, and
-    so is a class past the bound, with nothing built; otherwise y is
-    constructed by approximation, must have the predicted class, and
-    joins the pool.  y is certified by Ext^1_C(x, y) free of rank one,
-    and the new cluster by is_cluster_tilting, which reads the stored
-    certificate when the cluster was certified before.  Both exchange
-    triangles have the middle term E unless a connecting isomorphism
-    empties them, and the pool carries the mutated matrix to the new
-    cluster.  Raises NotFoundWithinBound rather than returning anything
-    unverified or past the bound.
+    cluster's [B_T; C_T], carried to it or else its class matrix: the
+    middle term E of the triangle that lifts to the fundamental domain
+    and the class dim_c E - dim_c x (_predicted_partner).  The pool
+    member of that class is y.  When the pool lacks it, a class past
+    the bound is refused, and so is a cluster with a suspended
+    projective, with nothing built; otherwise y is built by
+    approximation, must have the predicted class, and joins the pool.
+    y is certified by Ext^1_C(x, y) free of rank one, and the new
+    cluster from its certified parent by the 2n - 1 checks of
+    is_cluster_tilting that involve y: y is no other summand c, and
+    Ext^1_C(y, y), Ext^1_C(y, c) and Ext^1_C(c, y) vanish.  Both
+    triangles have the middle term E unless the suspension of one end
+    is the other, and the pool carries the mutated matrix to the new
+    cluster.  Raises rather than returning anything unverified.
     """
     summands = tuple(summands)
     if not 0 <= k < len(summands):
         raise PreconditionViolated(f"position {k} out of range")
-    ok, cert = is_cluster_tilting(summands)
-    if not ok:
-        raise PreconditionViolated(f"mutation needs a cluster-tilting object: {cert}")
     x = summands[k]
-    seed = canonical_cluster(summands)
-    i = seed.index(x)
-    b = pool.exchange_matrix(seed)
-    middle, cls = _predicted_partner(seed, b, i)
-    # a negative class is that of sigma P_j when it is -dim P_j
-    j = min(cls) < 0 and serre.index_by_dims(x.quiver, tuple(-d for d in cls), rep.projective)
-    y = pool.find(("S", (j,)) if j else ("M", cls))
-    if y is None:
-        if not all(s.is_module for s in summands):
-            raise NotFoundWithinBound(
-                f"no exchange partner for {x.describe()} in the pool "
-                f"(bound {pool.dim_bound}); constructive fallback needs all-module clusters")
+    seed = pool.seeds.get(summands)
+    if seed is None:
+        ok, cert = is_cluster_tilting(summands)
+        if not ok:
+            raise PreconditionViolated(f"mutation needs a cluster-tilting object: {cert}")
+        summands = canonical_cluster(summands)
+        k, seed = summands.index(x), pool.ids(summands)
+        if seed not in pool.matrices:
+            pool.keep(summands, seed, _class_matrix(summands))
+    b = pool.matrices[seed]
+    middle, cls = _predicted_partner(seed, pool.classes, [row[k] for row in b], k, x)
+    if cls not in pool.members:
         if max(cls) > pool.dim_bound:
             raise NotFoundWithinBound(
                 f"exchange partner M{list(cls)} of {x.describe()} lies past "
                 f"the bound {pool.dim_bound}")
+        if not all(s.is_module for s in summands):
+            raise NotFoundWithinBound(
+                f"no exchange partner for {x.describe()} in the pool "
+                f"(bound {pool.dim_bound}); constructive fallback needs all-module clusters")
         y = mutate_construct(summands, k)
         if y.dim_c() != cls:
             raise ConstructionFailed(
                 f"constructed partner {y.describe()} of {x.describe()} is not of the "
                 f"predicted class {cls}")
         pool.add(y, "mutation-cone")
+    x_id, y_id = seed[k], pool.members[cls]
+    y = pool.by_id[y_id]
     if ext1_c(x, y) != RANK_ONE:
         raise ConstructionFailed(
             f"predicted partner {y.describe()} of {x.describe()} has "
             f"Ext1({x.describe()}, {y.describe()}) = {ext1_c(x, y)}")
-    new_summands = canonical_cluster(summands[:k] + summands[k + 1:] + (y,))
-    ok, cert = is_cluster_tilting(new_summands)
-    if not ok:
-        raise ConstructionFailed(f"candidate fails the cluster-tilting check: {cert}")
-    pool.carry(new_summands, lambda: _carried(b, i, new_summands.index(y)))
-    return new_summands, _triangle_data(x, y, middle)
+    new, new_summands = list(seed), list(summands)
+    del new[k], new_summands[k]
+    j = bisect(new, pool.keys[y_id], key=pool.keys.__getitem__)
+    new.insert(j, y_id)
+    new_summands.insert(j, y)
+    new, new_summands = tuple(new), tuple(new_summands)
+    if new not in pool.matrices:
+        others = new_summands[:j] + new_summands[j + 1:]
+        if new.count(y_id) > 1 or not ext1_c(y, y).is_trivial or not all(
+                ext1_c(y, c).is_trivial and ext1_c(c, y).is_trivial for c in others):
+            ok, cert = is_cluster_tilting(new_summands)
+            if not ok:
+                raise ConstructionFailed(f"candidate fails the cluster-tilting check: {cert}")
+        pool.keep(new_summands, new, _carried(b, k, j))
+    middle = tuple([summands[r] for r in middle])
+    return new_summands, ExchangeTriangleData(
+        x, y, () if pool.suspension_key(y_id) == pool.keys[x_id] else middle,
+        () if pool.suspension_key(x_id) == pool.keys[y_id] else middle)
 
 
-def _predicted_partner(seed: tuple, b: tuple, i: int) -> tuple:
-    """(E, dim_c y): the middle term, in key order, and the class of the
-    partner y of the i-th summand x of the canonical cluster seed, whose
-    [B_T; C_T] is b.
+def _predicted_partner(ids, classes: list, column: list, i: int, x: ClusterObject) -> tuple:
+    """(E, dim_c y): the positions of the middle term and the class of
+    the partner y of x, the i-th summand of a cluster whose r-th summand
+    has the class classes[ids[r]], from the column of x in [B_T; C_T].
 
-    The c-vector of x, column i of C_T, is sign-coherent; with eps = 1
-    when it is nonpositive and -1 when it is nonnegative, E takes each
-    summand c of the complement [eps b_cx]+ times, and dim_c y =
-    dim_c E - dim_c x (the g-vector recursion; the classes are the
+    The c-vector of x, the C_T part of the column, is sign-coherent;
+    with eps = 1 when it is nonpositive and -1 when it is nonnegative, E
+    takes each summand c of the complement [eps b_cx]+ times, and dim_c
+    y = dim_c E - dim_c x (the g-vector recursion; the classes are the
     g-vectors times the Cartan matrix).  ConstructionFailed when the
     c-vector has mixed signs.
     """
-    n = len(seed)
-    c_x = [row[i] for row in b[n:]]
+    n = len(ids)
+    c_x = column[n:]
     if max(c_x) <= 0:
         eps = 1
     elif min(c_x) >= 0:
         eps = -1
     else:
         raise ConstructionFailed(
-            f"the c-vector {tuple(c_x)} of {seed[i].describe()} is not sign-coherent")
+            f"the c-vector {tuple(c_x)} of {x.describe()} is not sign-coherent")
     middle = []
-    cls = [-d for d in seed[i].dim_c()]
-    for c, row in zip(seed, b):
-        times = eps * row[i]  # 0 for x itself, as b_xx = 0
+    cls = [-d for d in classes[ids[i]]]
+    for r in range(n):
+        times = eps * column[r]  # 0 for x itself, as b_xx = 0
         if times > 0:
-            middle += [c] * times
-            cls = [a + times * d for a, d in zip(cls, c.dim_c())]
-    return tuple(middle), tuple(cls)
+            middle += [r] * times
+            cls = [a + times * d for a, d in zip(cls, classes[ids[r]])]
+    return middle, tuple(cls)
 
 
 def _carried(b: tuple, i: int, j: int) -> tuple:
@@ -846,14 +883,17 @@ def _carried(b: tuple, i: int, j: int) -> tuple:
     n = len(b[0])
     order = [r for r in range(n) if r != i]
     order.insert(j, i)
-    b_i = b[i]
-
-    def entry(r, c):
-        if r == i or c == i:
-            return -b[r][c]
-        return b[r][c] + (abs(b[r][i]) * b_i[c] + b[r][i] * abs(b_i[c])) // 2
-
-    return tuple(tuple(entry(r, c) for c in order) for r in order + list(range(n, len(b))))
+    # the gain is b_ri [b_ic]+ for b_ri > 0 and b_ri [-b_ic]+ for b_ri < 0,
+    # and -2 b_ri in column i, which changes its sign
+    up, down = [v if v > 0 else 0 for v in b[i]], [-v if v < 0 else 0 for v in b[i]]
+    up[i] = down[i] = -2
+    rows = []
+    for r in order + list(range(n, len(b))):
+        a, t = b[r], b[r][i]
+        d = up if t > 0 else down
+        rows.append(tuple([a[c] + t * d[c] for c in order] if t else map(a.__getitem__, order)))
+    rows[j] = tuple([-b[i][c] for c in order])
+    return tuple(rows)
 
 
 def mutate_construct(summands, k: int) -> ClusterObject:
@@ -961,49 +1001,46 @@ class ExchangeGraph:
 
 def exchange_graph(q: Quiver, dim_bound: int = 12, max_nodes: int = 10000) -> ExchangeGraph:
     """Breadth-first mutation closure of the initial projective cluster,
-    holding at most max_nodes clusters.  The projective cluster's
-    extended exchange matrix is read off the arrows of q, and mutate
-    carries it along every edge, so no class matrix is computed."""
+    holding at most max_nodes clusters, told apart by their seeds.  The
+    projective cluster's extended exchange matrix is read off the arrows
+    of q, and mutate, called once per node and position, certifies each
+    new cluster and carries the matrix along every edge."""
     if max_nodes < 1:
         raise PreconditionViolated("max_nodes must be at least 1")
     pool = build_pool(q, dim_bound)
     # the pool's own P_i where it holds them, so each object of a node
     # is one value, whose suspension is built once
     projectives = (ClusterObject.at(q, ("P", i, 0)) for i in q.vertices)
-    held = pool.by_key()
-    initial = canonical_cluster(held.get(p.key(), p) for p in projectives)
+    initial = canonical_cluster(pool.find(p.key()) or p for p in projectives)
     ok, cert = is_cluster_tilting(initial)
     if not ok:
         raise ConstructionFailed(f"initial projective cluster is not tilting: {cert}")
-    pool.carry(initial, lambda: _arrow_matrix(q, [s.coord[1] for s in initial]))
-    nodes = [initial]
-    index = {tuple(s.key() for s in initial): 0}
+    nodes, seeds = [initial], [pool.ids(initial)]
+    pool.keep(initial, seeds[0], _arrow_matrix(q, [s.coord[1] for s in initial]))
+    index = {seeds[0]: 0}
     edges = []
     causes = Counter()
     reason = ""
-    frontier = deque([0])
-    while frontier:
-        current = frontier.popleft()
+    for current, node in enumerate(nodes):
         for k in range(q.n):
             try:
-                neighbor, triangles = mutate(nodes[current], k, pool)
+                neighbor, triangles = mutate(node, k, pool)
             except NotFoundWithinBound as exc:
                 causes["not-found-within-bound"] += 1
                 reason = str(exc)
                 continue
-            nkey = tuple(s.key() for s in neighbor)
-            if nkey not in index:
+            seed = pool.seeds[neighbor]
+            if seed not in index:
                 if len(nodes) >= max_nodes:
                     causes["node-limit"] += 1
                     reason = reason or f"node limit {max_nodes} reached"
                     continue
-                index[nkey] = len(nodes)
+                index[seed] = len(nodes)
                 nodes.append(neighbor)
-                frontier.append(index[nkey])
-            edges.append((current, k, index[nkey], triangles))
+                seeds.append(seed)
+            edges.append((current, k, index[seed], triangles))
     return ExchangeGraph(q, tuple(nodes), tuple(edges), bool(causes), reason,
-                         tuple(sorted(causes.items())),
-                         tuple(pool.exchange_matrix(node) for node in nodes))
+                         tuple(sorted(causes.items())), tuple(pool.matrices[s] for s in seeds))
 
 
 # ---------------------------------------------------------------------------

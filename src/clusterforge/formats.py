@@ -312,20 +312,18 @@ def describe_object(obj: ClusterObject) -> str:
     return f"SP{obj.shifted_projective}"
 
 
-def _describe_node(node) -> str:
-    return " ".join(describe_object(s) for s in node)
-
-
 def graph_to_structured(g: ExchangeGraph) -> str:
     out = [f"{HEADER} graph",
            f"vertices {g.quiver.n}",
            "arrows [" + ", ".join(f"[{s}, {t}]" for s, t in g.quiver.arrows) + "]",
            f"nodes {len(g.nodes)}"]
+    # each object once; every summand of a middle term is one of a node
+    name = {s: describe_object(s) for s in set().union(*g.nodes)}.__getitem__
     for i, node in enumerate(g.nodes):
-        out.append(f"node {i} {_describe_node(node)}")
+        out.append(f"node {i} {' '.join(map(name, node))}")
     for i, k, j, tri in g.edges:
-        e = ",".join(describe_object(s) for s in tri.e) or "-"
-        ep = ",".join(describe_object(s) for s in tri.e_prime) or "-"
+        e = ",".join(map(name, tri.e)) or "-"
+        ep = ",".join(map(name, tri.e_prime)) or "-"
         out.append(f"edge {i} {k} {j} e {e} eprime {ep}")
     out.append(f"truncated {'true' if g.truncated else 'false'}")
     if g.truncated and g.truncation_reason:
@@ -336,7 +334,7 @@ def graph_to_structured(g: ExchangeGraph) -> str:
 def graph_to_dot(g: ExchangeGraph) -> str:
     out = ["graph exchange {"]
     for i, node in enumerate(g.nodes):
-        out.append(f'  n{i} [label="{_describe_node(node)}"];')
+        out.append(f'  n{i} [label="{" ".join(map(describe_object, node))}"];')
     seen = set()
     for i, k, j, _tri in g.edges:
         key = (min(i, j), max(i, j))

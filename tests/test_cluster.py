@@ -291,11 +291,12 @@ def test_exchange_graph_kronecker_truncates():
 
 def test_exchange_graph_counts_every_truncation_cause():
     # at bound 1 the pool misses partners of clusters with a shifted
-    # projective; the last such miss names the reason, both causes count
+    # projective; the last such miss names the reason, its partner's
+    # class past the bound, and both causes count
     g = exchange_graph(KRONECKER, 1, 3)
     assert g.truncated
     assert g.truncations == (("node-limit", 1), ("not-found-within-bound", 2))
-    assert g.truncation_reason.startswith("no exchange partner for SP1")
+    assert g.truncation_reason == "exchange partner M[1, 2] of SP1 lies past the bound 1"
 
 
 def test_exchange_graph_closing_has_no_truncations():
@@ -537,6 +538,14 @@ def test_e6_exchange_graph_closes_on_the_catalan_count():
     assert len(g.edges) == 6 * 833 == 4998
     assert Counter(i for i, _, _, _ in g.edges) == Counter({i: 6 for i in range(833)})
     assert Counter(j for _, _, j, _ in g.edges) == Counter({j: 6 for j in range(833)})
+
+
+def test_e7_exchange_graph_closes_on_the_catalan_count():
+    g = exchange_graph(E7, 12)
+    assert not g.truncated
+    assert len(g.nodes) == oracles.cluster_count("E", 7) == 4160
+    assert len(g.edges) == 7 * 4160 == 29120
+    assert Counter(i for i, _, _, _ in g.edges) == Counter({i: 7 for i in range(4160)})
 
 
 A5_MIXED = Quiver(5, ((2, 1), (2, 3), (4, 3), (4, 5)))
@@ -884,11 +893,13 @@ def test_exchange_graph_work_counts(count_calls):
     # rank-one tests alone, each partner is looked up by its predicted
     # class, and the middle terms are read off the exchange matrices that
     # mutate carries from the projective cluster's, so no class matrix
-    # and no integer system is solved.  Each of the 42 + 50 clusters is
-    # certified once, the other 646 of the 738 certificates (one per
-    # mutation for its input and one for its output, and one per initial
-    # cluster) are read back, and each of the 14 + 16 pool objects has
-    # its suspension built once
+    # and no integer system is solved.  Only the two projective clusters
+    # get the full certificate, 16 lookups each; each of the other
+    # 41 + 49 clusters is certified from the cluster it was first reached
+    # from by the 2n - 1 = 7 lookups that involve the new summand, and
+    # each of the 168 + 200 mutations asks one rank-one test, 1,030
+    # lookups for the 448 groups of pairs inside a cluster.  Each of the
+    # 14 + 16 pool objects has its suspension built once
     clear_caches()
     solves = count_calls(zlinalg, "_solve")
     class_matrices = count_calls(cluster_module, "_class_matrix")
@@ -898,9 +909,9 @@ def test_exchange_graph_work_counts(count_calls):
         assert len(g.edges) == 2 * undirected
     lookups = ext1_c.cache_info()
     assert lookups.misses == 448
-    assert lookups.hits + lookups.misses == 1840
+    assert lookups.hits + lookups.misses == 2 * 16 + (41 + 49) * 7 + 168 + 200 == 1030
     certificates = cluster_module._tilting_certificate.cache_info()
-    assert (certificates.misses, certificates.hits) == (42 + 50, 646)
+    assert (certificates.misses, certificates.hits) == (2, 0)
     assert solves == []
     assert class_matrices == []
     assert len(suspended) == len({id(x) for x, in suspended}) == 14 + 16
@@ -910,6 +921,40 @@ def test_exchange_graph_work_counts(count_calls):
 SEED_GRAPHS = ((A3, 6, 10000), (A4, 12, 10000), (D4, 12, 10000), (A5_MIXED, 12, 10000),
                (KRONECKER, 6, 8), (KRONECKER, 16, 1000), (A_TILDE_2_1, 5, 10000),
                (WILD, 6, 20))
+
+
+@pytest.mark.parametrize("q, bound, max_nodes", SEED_GRAPHS,
+                         ids=["A3", "A4", "D4", "A5-mixed", "Kronecker@6/8", "Kronecker@16",
+                              "A~(2,1)@5", "1=>2->3@6/20"])
+def test_every_node_passes_the_full_certificate(q, bound, max_nodes):
+    # mutate certifies a new cluster from its certified parent by the
+    # 2n - 1 Ext^1_C lookups that involve the new summand; the full n^2
+    # certificate passes on every node
+    for node in exchange_graph(q, bound, max_nodes).nodes:
+        assert is_cluster_tilting(node) == (True, ())
+
+
+def test_a_failed_parent_certificate_raises_the_full_certificate(monkeypatch):
+    # S1 = M[1,0,0] replaces P2 = M[0,1,1] in the projective cluster of
+    # 1 -> 2 -> 3; with Ext^1_C(S1, P1) made non-trivial the parent
+    # certificate fails, and mutate raises with the text of the full one
+    initial = canonical_cluster([co(projective(A3, i)) for i in A3.vertices])
+    k = next(i for i, s in enumerate(initial) if s.key() == ("M", (0, 1, 1)))
+    real = cluster_module.ext1_c
+
+    def faked(a, b):
+        if (a.key(), b.key()) == (("M", (1, 0, 0)), ("M", (1, 1, 1))):
+            return FinAbGroup(1)
+        return real(a, b)
+
+    clear_caches()
+    monkeypatch.setattr(cluster_module, "ext1_c", faked)
+    with pytest.raises(ConstructionFailed) as failed:
+        mutate(initial, k, build_pool(A3, 6))
+    new = canonical_cluster(initial[:k] + initial[k + 1:] + (co(simple(A3, 1)),))
+    ok, cert = is_cluster_tilting(new)
+    assert (ok, cert) == (False, ("Ext1(M[1, 0, 0], M[1, 1, 1]) = Z^1",))
+    assert str(failed.value) == f"candidate fails the cluster-tilting check: {cert}"
 
 
 def _candidates(node, b, k):

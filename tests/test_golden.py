@@ -120,7 +120,7 @@ GRAPH_GOLDEN = (
     (("kronecker.quiver", "--dim-bound", "80", "--max-nodes", "1000"),
      "ae18d44918ddb1ea155c78700ff3e37ff1e8ce1709f97b0ae4d563ed851ffdfe"),
     (("kronecker.quiver", "--dim-bound", "1", "--max-nodes", "3"),
-     "86015b12255ccfa541835c464e7918dd6ee4e3172ea5f13aad1401b7e874b26f"),
+     "1d7a13fc4e9a7b6ed900774a56de429483cb56a7db86af525399054f739ebeb6"),
     (("wild.quiver", "--dim-bound", "20", "--max-nodes", "20"),
      "19fe277acf95d2636ca9723132411bad3b6bc5b4edd9b1bab33244c9d10d2e58"),
     (("wild.quiver", "--dim-bound", "6", "--max-nodes", "100000"),
