@@ -464,7 +464,7 @@ class RigidPool:
     def find(self, key: tuple) -> ClusterObject | None:
         """The object with the given key, or None."""
         i = self._ids.get(key)
-        return None if i is None or self.classes[i] not in self.members else self.by_id[i]
+        return self.by_id[i] if i is not None and self.members.get(self.classes[i]) == i else None
 
     def by_key(self) -> dict:
         return {obj.key(): obj for obj in self.objects}
@@ -704,10 +704,10 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
     from the column of x as in mutate (_predicted_partner).
     BalanceUnsolvable is raised unless y has that class.  Both triangles
     have the middle term E unless the suspension of one end is the
-    other, which empties the middle term.  A middle term's witness, for all-module triangles
-    a short exact sequence whose first map is the one Hom-basis
-    approximation of the tail (_ses_certified), is computed and memoized
-    when first read.
+    other, which empties the middle term.  A middle term's witness, for
+    all-module triangles a short exact sequence whose first map is the
+    one Hom-basis approximation of the tail (_ses_certified), is
+    computed and memoized when first read.
     """
     if ext1_c(x, y) != RANK_ONE:
         raise PreconditionViolated("exchange triangles need Ext1 free of rank one")
@@ -823,15 +823,11 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
         raise ConstructionFailed(
             f"predicted partner {y.describe()} of {x.describe()} has "
             f"Ext1({x.describe()}, {y.describe()}) = {ext1_c(x, y)}")
-    new, new_summands = list(seed), list(summands)
-    del new[k], new_summands[k]
-    j = bisect(new, pool.keys[y_id], key=pool.keys.__getitem__)
-    new.insert(j, y_id)
-    new_summands.insert(j, y)
-    new, new_summands = tuple(new), tuple(new_summands)
+    rest, others = seed[:k] + seed[k + 1:], summands[:k] + summands[k + 1:]
+    j = bisect(rest, pool.keys[y_id], key=pool.keys.__getitem__)
+    new, new_summands = rest[:j] + (y_id,) + rest[j:], others[:j] + (y,) + others[j:]
     if new not in pool.matrices:
-        others = new_summands[:j] + new_summands[j + 1:]
-        if new.count(y_id) > 1 or not ext1_c(y, y).is_trivial or not all(
+        if y_id in rest or not ext1_c(y, y).is_trivial or not all(
                 ext1_c(y, c).is_trivial and ext1_c(c, y).is_trivial for c in others):
             ok, cert = is_cluster_tilting(new_summands)
             if not ok:
@@ -1015,9 +1011,9 @@ def exchange_graph(q: Quiver, dim_bound: int = 12, max_nodes: int = 10000) -> Ex
     ok, cert = is_cluster_tilting(initial)
     if not ok:
         raise ConstructionFailed(f"initial projective cluster is not tilting: {cert}")
-    nodes, seeds = [initial], [pool.ids(initial)]
-    pool.keep(initial, seeds[0], _arrow_matrix(q, [s.coord[1] for s in initial]))
-    index = {seeds[0]: 0}
+    seed = pool.ids(initial)
+    pool.keep(initial, seed, _arrow_matrix(q, [s.coord[1] for s in initial]))
+    nodes, index = [initial], {seed: 0}
     edges = []
     causes = Counter()
     reason = ""
@@ -1037,10 +1033,10 @@ def exchange_graph(q: Quiver, dim_bound: int = 12, max_nodes: int = 10000) -> Ex
                     continue
                 index[seed] = len(nodes)
                 nodes.append(neighbor)
-                seeds.append(seed)
             edges.append((current, k, index[seed], triangles))
     return ExchangeGraph(q, tuple(nodes), tuple(edges), bool(causes), reason,
-                         tuple(sorted(causes.items())), tuple(pool.matrices[s] for s in seeds))
+                         tuple(sorted(causes.items())),
+                         tuple(map(pool.matrices.__getitem__, index)))
 
 
 # ---------------------------------------------------------------------------

@@ -934,26 +934,32 @@ def test_every_node_passes_the_full_certificate(q, bound, max_nodes):
         assert is_cluster_tilting(node) == (True, ())
 
 
-def test_a_failed_parent_certificate_raises_the_full_certificate(monkeypatch):
+@pytest.mark.parametrize("pair", [("M[1, 0, 0]", "M[1, 1, 1]"), ("M[1, 1, 1]", "M[1, 0, 0]")])
+def test_a_failed_parent_certificate_raises_the_full_certificate(monkeypatch, pair):
     # S1 = M[1,0,0] replaces P2 = M[0,1,1] in the projective cluster of
-    # 1 -> 2 -> 3; with Ext^1_C(S1, P1) made non-trivial the parent
-    # certificate fails, and mutate raises with the text of the full one
+    # 1 -> 2 -> 3; with Ext^1_C(S1, P1) or Ext^1_C(P1, S1) made non-trivial
+    # the parent certificate fails, and mutate raises with the text of
+    # the full one
     initial = canonical_cluster([co(projective(A3, i)) for i in A3.vertices])
     k = next(i for i, s in enumerate(initial) if s.key() == ("M", (0, 1, 1)))
     real = cluster_module.ext1_c
 
     def faked(a, b):
-        if (a.key(), b.key()) == (("M", (1, 0, 0)), ("M", (1, 1, 1))):
+        if (a.describe(), b.describe()) == pair:
             return FinAbGroup(1)
         return real(a, b)
 
     clear_caches()
     monkeypatch.setattr(cluster_module, "ext1_c", faked)
-    with pytest.raises(ConstructionFailed) as failed:
-        mutate(initial, k, build_pool(A3, 6))
-    new = canonical_cluster(initial[:k] + initial[k + 1:] + (co(simple(A3, 1)),))
-    ok, cert = is_cluster_tilting(new)
-    assert (ok, cert) == (False, ("Ext1(M[1, 0, 0], M[1, 1, 1]) = Z^1",))
+    try:
+        with pytest.raises(ConstructionFailed) as failed:
+            mutate(initial, k, build_pool(A3, 6))
+        new = canonical_cluster(initial[:k] + initial[k + 1:] + (co(simple(A3, 1)),))
+        ok, cert = is_cluster_tilting(new)
+    finally:
+        # the faked group is memoized in the certificate of new
+        clear_caches()
+    assert (ok, cert) == (False, (f"Ext1({pair[0]}, {pair[1]}) = Z^1",))
     assert str(failed.value) == f"candidate fails the cluster-tilting check: {cert}"
 
 
