@@ -441,7 +441,7 @@ class RigidPool:
 
     quiver: Quiver
     dim_bound: int
-    objects: tuple = ()
+    objects: tuple = field(default=(), init=False)
     provenance: dict = field(default_factory=dict)
     complete: bool = False
     by_id: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -453,10 +453,6 @@ class RigidPool:
     matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        for obj in self.objects:
-            self.members[obj.dim_c()] = self.ids((obj,))[0]
-
     def __contains__(self, obj: ClusterObject) -> bool:
         """Whether an object of the pool has the key of obj."""
         return self.find(obj.key()) is not None
@@ -465,9 +461,6 @@ class RigidPool:
         """The object with the given key, or None."""
         i = self._ids.get(key)
         return self.by_id[i] if i is not None and self.members.get(self.classes[i]) == i else None
-
-    def by_key(self) -> dict:
-        return {obj.key(): obj for obj in self.objects}
 
     def modules(self) -> tuple:
         return tuple(obj for obj in self.objects if obj.is_module)
@@ -504,11 +497,6 @@ class RigidPool:
         """Record a certified cluster in key order, its seed and [B_T; C_T]."""
         self.seeds[cluster] = seed
         self.matrices[seed] = matrix
-
-    def exchange_matrix(self, cluster: tuple) -> tuple:
-        """[B_T; C_T] of the cluster in key order, kept or its class matrix."""
-        b = self.matrices.get(self.ids(cluster))
-        return _class_matrix(cluster) if b is None else b
 
 
 def build_pool(q: Quiver, dim_bound: int) -> RigidPool:
@@ -588,17 +576,10 @@ def is_cluster_tilting(summands) -> tuple:
 
     Returns (flag, failures); each failure is a human-readable string
     naming the offending pair or count, in the order of the summands.
-    Being cluster-tilting depends on the summands alone (Buan-Marsh-
-    Reineke-Reiten-Todorov 2006), so the certificate is memoized on the
-    summand tuple as given, and a list or a generator asked again
-    returns the identical result.  mutate asks it only for a cluster
-    its pool has not certified, or for a failure text.
+    mutate asks it only for a cluster its pool has not certified, or for
+    a failure text.
     """
-    return _tilting_certificate(tuple(summands))
-
-
-@memo
-def _tilting_certificate(summands: tuple) -> tuple:
+    summands = tuple(summands)
     failures = []
     if not summands:
         return False, ("empty summand list",)
@@ -670,26 +651,13 @@ class ExchangeTriangleData:
 
     e is the middle multiset of y -> E -> x -> sigma y, e_prime that of
     x -> E' -> y -> sigma x.  Multisets are sorted tuples of cluster
-    objects drawn from the complement.  The witnesses, strings that
-    record how each middle term was certified, are not fields: each is
-    computed on its first read and kept on the value (see _witness), so
-    a mutation nobody asks about certifies nothing.
+    objects drawn from the complement.
     """
 
     x: ClusterObject
     y: ClusterObject
     e: tuple
     e_prime: tuple
-
-    @property
-    @once
-    def e_witness(self) -> str:
-        return _witness(self.y, self.x, self.e)
-
-    @property
-    @once
-    def e_prime_witness(self) -> str:
-        return _witness(self.x, self.y, self.e_prime)
 
 
 RANK_ONE = FinAbGroup(1)
@@ -704,10 +672,7 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
     from the column of x as in mutate (_predicted_partner).
     BalanceUnsolvable is raised unless y has that class.  Both triangles
     have the middle term E unless the suspension of one end is the
-    other, which empties the middle term.  A middle term's witness, for
-    all-module triangles a short exact sequence whose first map is the
-    one Hom-basis approximation of the tail (_ses_certified), is
-    computed and memoized when first read.
+    other, which empties the middle term.
     """
     if ext1_c(x, y) != RANK_ONE:
         raise PreconditionViolated("exchange triangles need Ext1 free of rank one")
@@ -722,45 +687,6 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
     middle = tuple(seed[r] for r in middle)
     return ExchangeTriangleData(x, y, () if y.suspended().key() == x.key() else middle,
                                 () if x.suspended().key() == y.key() else middle)
-
-
-def _witness(tail: ClusterObject, head: ClusterObject, middle: tuple) -> str:
-    """How the middle term of tail -> E -> head -> sigma tail is certified.
-
-    "connecting-iso" when E is empty because the suspension of tail is
-    head, "ses" when the cokernel of the Hom-basis approximation
-    tail -> E is head, making a short exact sequence, and "balance"
-    otherwise.
-    """
-    if not middle and tail.suspended().key() == head.key():
-        return "connecting-iso"
-    if (tail.is_module and head.is_module and all(c.is_module for c in middle)
-            and _ses_certified(tail, head, middle)):
-        return "ses"
-    return "balance"
-
-
-@memo
-def _ses_certified(tail: ClusterObject, head: ClusterObject, middle: tuple) -> bool:
-    """Whether 0 -> tail -> E -> head -> 0 is exact, E the direct sum of middle.
-
-    In such a sequence tail -> E is the left add(middle)-approximation
-    of tail (Buan-Marsh-Reineke-Reiten-Todorov 2006), so one map is
-    tested: each distinct summand c must occur rank Hom(tail, c) times,
-    and the map stacking the Hom bases must embed with a saturated image
-    whose cokernel is isomorphic to head.  An exceptional lattice is
-    identified by its dimension vector everywhere (ClusterObject.key), so
-    an exceptional cokernel with the dimension vector of head is head and
-    no isomorphism is searched for.
-    """
-    counts = Counter(middle)
-    if any(rep.hom_group(tail.module, c.module).group != FinAbGroup(m)
-           for c, m in counts.items()):
-        return False
-    coker = _left_approximation_cokernel(tail.module, canonical_cluster(counts))
-    if coker is None or rep.dim_vector(coker) != rep.dim_vector(head.module):
-        return False
-    return rep.is_exceptional(coker)
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +875,7 @@ def _left_approximation_cokernel(xm: ZRep, others) -> ZRep | None:
         maps.append(stack)
     if not all(is_split_injective(maps[v]) for v in range(q.n)):
         return None
-    return rep.cokernel_rep(xm, middle, tuple(maps), saturate=True)
+    return rep.cokernel_rep(xm, middle, tuple(maps))
 
 
 def _right_approximation_kernel(xm: ZRep, others) -> ZRep | None:

@@ -273,7 +273,7 @@ def parse_cluster(text: str, quiver: Quiver, pool: cluster.RigidPool | None = No
             dims = tuple(_parse_int_list(arg, no))
             if pool is None:
                 raise FormatError("dim summands need a pool to resolve against", line=no)
-            obj = pool.by_key().get(("M", dims))
+            obj = pool.find(("M", dims))
             if obj is None:
                 raise FormatError(f"no pool object with dimension vector {dims}", line=no)
             summands.append(obj)

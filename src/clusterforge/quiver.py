@@ -69,7 +69,7 @@ class Quiver:
 def validate(q: Quiver) -> tuple:
     """A topological order of the vertices, smallest index first on ties.
 
-    Raises CyclicQuiver with a witness cycle if the quiver has an
+    Raises CyclicQuiver, naming a cycle, if the quiver has an
     oriented cycle.
     """
     indegree = {v: 0 for v in q.vertices}

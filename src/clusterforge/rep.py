@@ -727,23 +727,16 @@ def kernel_subrep(m: ZRep, n: ZRep, maps) -> tuple:
     return make_lattice(q, gens, actions), tuple(incl)
 
 
-def cokernel_rep(m: ZRep, n: ZRep, maps, saturate: bool = False) -> ZRep:
-    """Cokernel of a morphism of lattices m -> n.
-
-    With saturate=True the torsion of each vertex group is discarded so
-    the result is a lattice; otherwise the honest presented cokernel is
-    returned.
-    """
+def cokernel_rep(m: ZRep, n: ZRep, maps) -> ZRep:
+    """Saturated cokernel of a morphism of lattices m -> n: the torsion of
+    each vertex group is discarded, so the result is a lattice."""
     q = m.quiver
-    if saturate:
-        projections, sections = zip(*(free_cokernel(maps[v]) for v in range(q.n)))
-        new_gens = tuple(p.rows for p in projections)
-        actions = []
-        for a, (s, t) in enumerate(q.arrows):
-            actions.append(projections[t - 1].mul(n.actions[a]).mul(sections[s - 1]))
-        return make_lattice(q, new_gens, tuple(actions))
-    relations = tuple(n.relations[v].hstack(maps[v]) for v in range(q.n))
-    return ZRep(q, n.gens, relations, n.actions)
+    projections, sections = zip(*(free_cokernel(maps[v]) for v in range(q.n)))
+    new_gens = tuple(p.rows for p in projections)
+    actions = []
+    for a, (s, t) in enumerate(q.arrows):
+        actions.append(projections[t - 1].mul(n.actions[a]).mul(sections[s - 1]))
+    return make_lattice(q, new_gens, tuple(actions))
 
 
 def strip_summand(m: ZRep, s: ZRep) -> ZRep:
@@ -751,7 +744,7 @@ def strip_summand(m: ZRep, s: ZRep) -> ZRep:
 
     Searches for a split pair r . incl = id_s through the composition
     pairing of Hom bases; the Smith form of the pairing matrix attains
-    its gcd, so a unit first invariant factor yields explicit witnesses.
+    its gcd, so a unit first invariant factor yields an explicit pair.
     Raises NotASummand when no split pair exists, before either basis
     is read when one of the two Hom groups is trivial.
     """
@@ -861,7 +854,7 @@ def base_change(m: ZRep, p: int) -> FieldRep:
                         for a in m.actions)
         return FieldRep(q, p, m.gens, actions, m)
     if p == 0:
-        free = cokernel_rep(m, m, m.relations, saturate=True)
+        free = cokernel_rep(m, m, m.relations)
         return FieldRep(q, 0, free.gens, tuple(a.entries for a in free.actions), free)
     bases = []   # per vertex: (pivot coords, reduced relation rows, free coords)
     for v in range(q.n):

@@ -7,13 +7,14 @@ from clusterforge.formats import (
     format_group,
     graph_to_dot,
     graph_to_structured,
+    parse_cluster,
     parse_quiver,
     parse_rep,
     serialize_rep,
 )
 from clusterforge.quiver import Quiver
 from clusterforge.rep import projective, simple, torsion_simple
-from clusterforge.cluster import exchange_graph
+from clusterforge.cluster import build_pool, exchange_graph
 from clusterforge.zlinalg import FinAbGroup
 
 A2 = Quiver(2, ((1, 2),))
@@ -338,6 +339,17 @@ def test_cli_pool(workdir, capsys):
     out = capsys.readouterr().out
     assert out.startswith("pool 5 complete true\n")
     assert "M[1,0] tau-orbit" in out
+
+
+def test_dim_summand_is_the_pool_object():
+    # a dim line resolves to the pool's own object, with its coordinate
+    pool = build_pool(A2, 5)
+    text = "clusterforge/1 cluster\nquiver a2.quiver\nsummand dim [1, 1]\nsummand dim [1, 0]\n"
+    summands = parse_cluster(text, A2, pool)
+    assert [s.describe() for s in summands] == ["M[1, 1]", "M[1, 0]"]
+    assert all(s is pool.find(s.key()) and s.coord is not None for s in summands)
+    with pytest.raises(FormatError, match=r"no pool object with dimension vector \(2, 1\)"):
+        parse_cluster(text.replace("[1, 0]", "[2, 1]"), A2, pool)
 
 
 def test_cluster_file_with_rep_summand(workdir, capsys):

