@@ -61,8 +61,9 @@ partner's class is dim E minus the leaving class (the g-vector
 recursion of Fomin-Zelevinsky, Cluster algebras IV, 2007).  So mutate
 looks the partner up by its class, refuses a class past the bound
 before it builds anything, and builds an approximation cone only for a
-class the pool lacks; exchange_triangles makes the same prediction
-from a lone seed's class matrix.  A new cluster is certified from the
+class the pool lacks, along the one route the sign names;
+exchange_triangles makes the same prediction from a lone seed's class
+matrix.  A new cluster is certified from the
 one it left, by 2n - 1 Ext^1_C groups.
 """
 
@@ -78,7 +79,6 @@ from .errors import (
     ConstructionFailed,
     DimensionMismatch,
     NoSolution,
-    NotASummand,
     NotFoundWithinBound,
     PreconditionViolated,
 )
@@ -96,7 +96,6 @@ from .quiver import (
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
-    cokernel_structure,
     free_group,
     is_split_injective,
     solve_matrix,
@@ -678,8 +677,8 @@ def exchange_triangles(x: ClusterObject, y: ClusterObject, complement) -> Exchan
         raise PreconditionViolated("exchange triangles need Ext1 free of rank one")
     seed = canonical_cluster(tuple(complement) + (x,))
     i = seed.index(x)
-    middle, cls = _predicted_partner(range(len(seed)), [s.dim_c() for s in seed],
-                                     [row[i] for row in _class_matrix(seed)], i, x)
+    middle, cls, _ = _predicted_partner(range(len(seed)), [s.dim_c() for s in seed],
+                                        [row[i] for row in _class_matrix(seed)], i, x)
     if y.dim_c() != cls:
         raise BalanceUnsolvable(
             f"{y.describe()} is not of the class {cls} predicted for the partner of "
@@ -704,7 +703,8 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
     member of that class is y.  When the pool lacks it, a class past
     the bound is refused, and so is a cluster with a suspended
     projective, with nothing built; otherwise y is built by
-    approximation, must have the predicted class, and joins the pool.
+    approximation (mutate_construct, which checks the predicted class)
+    and joins the pool.
     y is certified by Ext^1_C(x, y) free of rank one, and the new
     cluster from its certified parent by the 2n - 1 checks of
     is_cluster_tilting that involve y: y is no other summand c, and
@@ -727,7 +727,7 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
         if seed not in pool.matrices:
             pool.keep(summands, seed, _class_matrix(summands))
     b = pool.matrices[seed]
-    middle, cls = _predicted_partner(seed, pool.classes, [row[k] for row in b], k, x)
+    middle, cls, _ = _predicted_partner(seed, pool.classes, [row[k] for row in b], k, x)
     if cls not in pool.members:
         if max(cls) > pool.dim_bound:
             raise NotFoundWithinBound(
@@ -737,12 +737,7 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
             raise NotFoundWithinBound(
                 f"no exchange partner for {x.describe()} in the pool "
                 f"(bound {pool.dim_bound}); constructive fallback needs all-module clusters")
-        y = mutate_construct(summands, k)
-        if y.dim_c() != cls:
-            raise ConstructionFailed(
-                f"constructed partner {y.describe()} of {x.describe()} is not of the "
-                f"predicted class {cls}")
-        pool.add(y, "mutation-cone")
+        pool.add(mutate_construct(summands, k), "mutation-cone")
     x_id, y_id = seed[k], pool.members[cls]
     y = pool.by_id[y_id]
     if ext1_c(x, y) != RANK_ONE:
@@ -766,9 +761,10 @@ def mutate(summands, k: int, pool: RigidPool) -> tuple:
 
 
 def _predicted_partner(ids, classes: list, column: list, i: int, x: ClusterObject) -> tuple:
-    """(E, dim_c y): the positions of the middle term and the class of
-    the partner y of x, the i-th summand of a cluster whose r-th summand
-    has the class classes[ids[r]], from the column of x in [B_T; C_T].
+    """(E, dim_c y, eps): the positions of the middle term, the class of
+    the partner y of x and the sign of the exchange, for x the i-th
+    summand of a cluster whose r-th summand has the class
+    classes[ids[r]], from the column of x in [B_T; C_T].
 
     The c-vector of x, the C_T part of the column, is sign-coherent;
     with eps = 1 when it is nonpositive and -1 when it is nonnegative, E
@@ -793,7 +789,7 @@ def _predicted_partner(ids, classes: list, column: list, i: int, x: ClusterObjec
         if times > 0:
             middle += [r] * times
             cls = [a + times * d for a, d in zip(cls, classes[ids[r]])]
-    return middle, tuple(cls)
+    return middle, tuple(cls), eps
 
 
 def _carried(b: tuple, i: int, j: int) -> tuple:
@@ -819,87 +815,70 @@ def _carried(b: tuple, i: int, j: int) -> tuple:
 
 
 def mutate_construct(summands, k: int) -> ClusterObject:
-    """Approximation construction of the exchange partner, module case.
+    """The exchange partner y of the k-th summand x of a cluster of
+    lattices (else PreconditionViolated), as an approximation cone.
 
-    Builds the universal map into (or from) the additive hull of the
-    complement from deterministic Hom bases, takes the cokernel when the
-    universal map embeds with saturated image and the kernel of the dual
-    map otherwise, strips complement summands, and only returns a result
-    that passes the rank-one test.
+    The class matrix of the seed gives E, the class of y and the sign
+    eps of the c-vector of x, as in exchange_triangles.  eps names the
+    triangle that is a short exact sequence: 0 -> x -> E -> y -> 0 for
+    eps = -1, so y is the cokernel of the left approximation of x, and
+    0 -> y -> E -> x -> 0 for eps = +1, so y is the kernel of the right
+    one, built as the left one on the opposite quiver (rep.dualize, as
+    serre.tau_inv does).  Stacking a whole Hom basis leaves each
+    complement summand c rank Hom(x, c) - mult_E(c) more times in the
+    cone (Hom(c, x) for eps = +1); exactly those copies are stripped,
+    and a strip that fails raises NotASummand.  ConstructionFailed
+    unless y is exceptional, of the predicted class, and has Ext^1_C(x,
+    y) free of rank one.
     """
     summands = tuple(summands)
-    x = summands[k]
-    others = summands[:k] + summands[k + 1:]
-    if not all(s.is_module for s in summands):
-        raise PreconditionViolated("constructive mutation needs module summands")
-    xm = x.module
-    q = xm.quiver
-
-    result = _left_approximation_cokernel(xm, others)
-    if result is None:
-        result = _right_approximation_kernel(xm, others)
-    if result is None:
+    if not 0 <= k < len(summands):
+        raise PreconditionViolated(f"position {k} out of range")
+    if not all(s.dims is not None for s in summands):
+        raise PreconditionViolated("constructive mutation needs lattice summands")
+    ok, cert = is_cluster_tilting(summands)
+    if not ok:
+        raise PreconditionViolated(f"mutation needs a cluster-tilting object: {cert}")
+    x, others = summands[k], summands[:k] + summands[k + 1:]
+    seed = canonical_cluster(summands)
+    i = seed.index(x)
+    middle, cls, eps = _predicted_partner(range(len(seed)), [s.dim_c() for s in seed],
+                                          [row[i] for row in _class_matrix(seed)], i, x)
+    xm, modules = x.module, [c.module for c in others]
+    if eps < 0:
+        cone = _left_approximation_cokernel(xm, modules)
+        ranks = [rep.hom_group(xm, m).free_rank for m in modules]
+    else:
+        cone = rep.dualize(_left_approximation_cokernel(
+            rep.dualize(xm), [rep.dualize(m) for m in modules]))
+        ranks = [rep.hom_group(m, xm).free_rank for m in modules]
+    times = Counter(seed[r] for r in middle)
+    for c, m, r in zip(others, modules, ranks):
+        for _ in range(r - times[c]):
+            cone = rep.strip_summand(cone, m)
+    if cone.gens != cls:
         raise ConstructionFailed(
-            f"neither approximation route produced a complement for {x.describe()}")
-    for obj in others:
-        while True:
-            try:
-                result = rep.strip_summand(result, obj.module)
-            except NotASummand:
-                break
-    if result.is_zero() or not rep.is_exceptional(result):
+            f"constructed partner M{list(cone.gens)} of {x.describe()} is not of the "
+            f"predicted class {cls}")
+    if not rep.is_exceptional(cone):
         raise ConstructionFailed("stripped approximation cone is not exceptional")
-    y = ClusterObject.from_module(result)
+    y = ClusterObject.from_module(cone)
     if ext1_c(x, y) != RANK_ONE:
         raise ConstructionFailed("constructed cone fails the rank-one certificate")
     return y
 
 
-def _left_approximation_cokernel(xm: ZRep, others) -> ZRep | None:
-    q = xm.quiver
-    pieces = []
-    maps_rows = [[] for _ in range(q.n)]
-    for obj in others:
-        for f in rep.hom_group(xm, obj.module).basis:
-            pieces.append(obj.module)
-            for v in range(q.n):
-                maps_rows[v].append(f[v])
-    if not pieces:
-        return None
-    middle = rep.direct_sum_many(pieces)
-    maps = []
-    for v in range(q.n):
-        stack = IntMatrix.zero(0, xm.gens[v])
-        for block in maps_rows[v]:
-            stack = stack.vstack(block)
-        maps.append(stack)
-    if not all(is_split_injective(maps[v]) for v in range(q.n)):
-        return None
-    return rep.cokernel_rep(xm, middle, tuple(maps))
-
-
-def _right_approximation_kernel(xm: ZRep, others) -> ZRep | None:
-    q = xm.quiver
-    pieces = []
-    maps_cols = [[] for _ in range(q.n)]
-    for obj in others:
-        for f in rep.hom_group(obj.module, xm).basis:
-            pieces.append(obj.module)
-            for v in range(q.n):
-                maps_cols[v].append(f[v])
-    if not pieces:
-        return None
-    middle = rep.direct_sum_many(pieces)
-    maps = []
-    for v in range(q.n):
-        stack = IntMatrix.zero(xm.gens[v], 0)
-        for block in maps_cols[v]:
-            stack = stack.hstack(block)
-        maps.append(stack)
-    if any(not cokernel_structure(maps[v]).is_trivial for v in range(q.n)):
-        return None
-    kernel, _ = rep.kernel_subrep(middle, xm, tuple(maps))
-    return kernel
+def _left_approximation_cokernel(xm: ZRep, modules) -> ZRep:
+    """The cokernel of the map from xm into the direct sum that stacks a
+    Hom basis into each of the modules; ConstructionFailed unless the map
+    is split injective at every vertex, as the left map of a short exact
+    sequence of lattices is."""
+    basis = [(m, f) for m in modules for f in rep.hom_group(xm, m).basis]
+    maps = tuple(IntMatrix.from_rows([row for _, f in basis for row in f[v].entries],
+                                     cols=xm.gens[v]) for v in range(xm.quiver.n))
+    if not all(map(is_split_injective, maps)):
+        raise ConstructionFailed("the approximation is not split injective at every vertex")
+    return rep.cokernel_rep(xm, rep.direct_sum_many(m for m, _ in basis), maps)
 
 
 # ---------------------------------------------------------------------------

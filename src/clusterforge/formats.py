@@ -98,11 +98,15 @@ def parse_quiver(text: str) -> Quiver:
         key, _, value = line.partition(" ")
         value = value.strip()
         if key == "vertices":
+            if vertices is not None:
+                raise FormatError("vertices is given twice", line=no)
             try:
                 vertices = int(value)
             except ValueError:
                 raise FormatError(f"vertices wants an integer, found {value!r}", line=no)
         elif key == "arrows":
+            if arrows is not None:
+                raise FormatError("arrows is given twice", line=no)
             rows = _parse_matrix(value, no)
             for pair in rows:
                 if len(pair) != 2:
@@ -144,6 +148,8 @@ def parse_rep(text: str, quiver: Quiver) -> ZRep:
         if key == "quiver":
             continue  # reference resolved by the caller
         elif key == "generators":
+            if gens is not None:
+                raise FormatError("generators is given twice", line=no)
             gens = _parse_int_list(value, no)
             if any(g < 0 for g in gens):
                 raise FormatError("generator counts must be non-negative", line=no)
@@ -246,9 +252,9 @@ def parse_cluster(text: str, quiver: Quiver, pool: cluster.RigidPool | None = No
                   rep_loader=None) -> tuple:
     """Summand list of a cluster file.
 
-    Supported summand forms: `projective i`, `shifted_projective i`,
-    `dim [d1, ...]` (resolved through the pool), `rep <path>` (resolved
-    through rep_loader).
+    Supported summand forms: `projective i` (the pool's P_i when it holds
+    it), `shifted_projective i`, `dim [d1, ...]` (resolved through the
+    pool), `rep <path>` (resolved through rep_loader).
     """
     header_line = _check_header(text, "cluster")
     summands = []
@@ -264,8 +270,9 @@ def parse_cluster(text: str, quiver: Quiver, pool: cluster.RigidPool | None = No
         kind, _, arg = value.partition(" ")
         arg = arg.strip()
         if kind == "projective":
-            v = _parse_index(arg, quiver.n, "projective", no)
-            summands.append(ClusterObject.from_module(rep.projective(quiver, v)))
+            p = rep.projective(quiver, _parse_index(arg, quiver.n, "projective", no))
+            obj = pool.find(("M", p.gens)) if pool is not None else None
+            summands.append(obj or ClusterObject.from_module(p))
         elif kind == "shifted_projective":
             v = _parse_index(arg, quiver.n, "shifted_projective", no)
             summands.append(ClusterObject.sigma_projective(quiver, v))

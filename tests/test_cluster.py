@@ -7,6 +7,7 @@ from clusterforge.errors import (
     BalanceUnsolvable,
     ConstructionFailed,
     NotExceptional,
+    NotASummand,
     NotFoundWithinBound,
     PreconditionViolated,
 )
@@ -229,6 +230,24 @@ def test_mutate_construct_a3_middle():
     k = next(i for i, s in enumerate(initial) if s.key() == ("M", (0, 1, 1)))
     y = mutate_construct(initial, k)
     assert ext1_c(co(projective(A3, 2)), y) == FinAbGroup(1)
+
+
+def test_mutate_construct_refuses_what_is_no_cluster_of_lattices():
+    # P_3, P_2 and S_1 of A3 are no cluster (Ext^1_C(S_1, P_2) = Z); the
+    # construction reads the certificate first and builds nothing
+    a3 = [co(projective(A3, 3)), co(projective(A3, 2)), co(simple(A3, 1))]
+    with pytest.raises(PreconditionViolated, match="cluster-tilting object"):
+        mutate_construct(a3, 0)
+    # P_1 of A2 presented with a relation is exceptional but no lattice
+    presented = ZRep(A2, (1, 2), (IntMatrix.zero(1, 0), IntMatrix.from_rows([[1], [1]], cols=1)),
+                     (IntMatrix.from_rows([[1], [0]], cols=1),))
+    a2 = [co(presented), co(projective(A2, 2))]
+    assert not a2[0].module.is_lattice and is_cluster_tilting(a2)[0]
+    for k in (0, 1):
+        with pytest.raises(PreconditionViolated, match="lattice summands"):
+            mutate_construct(a2, k)
+    with pytest.raises(PreconditionViolated, match="position 2 out of range"):
+        mutate_construct(canonical_cluster([co(projective(A2, i)) for i in A2.vertices]), 2)
 
 
 def test_exchange_triangle_balance():
@@ -810,13 +829,13 @@ def test_ses_certified_past_four_hom_basis_maps():
     head = tau_inv(p2)
     assert (dim_vector(p1), dim_vector(p2), dim_vector(head)) == ((1, 3), (0, 1), (3, 8))
     assert hom_group(p2, p1).group == FinAbGroup(3)
-    coker = _left_approximation_cokernel(p2, (co(p1),))
+    coker = _left_approximation_cokernel(p2, (p1,))
     assert coker.is_lattice and dim_vector(coker) == (3, 8)
     assert rep.is_exceptional(coker)
     assert co(coker).key() == co(head).key()
     # P_1 listed twice stacks six maps into P_1^6, whose cokernel has the
     # class (6, 17), no real root, so it is not exceptional
-    wrong = _left_approximation_cokernel(p2, (co(p1),) * 2)
+    wrong = _left_approximation_cokernel(p2, (p1,) * 2)
     assert dim_vector(wrong) == (6, 17) and not rep.is_exceptional(wrong)
 
 
@@ -1049,16 +1068,18 @@ def test_a3_exchange_matrix_middle_terms():
 
 @pytest.mark.parametrize("q, bound, max_nodes, calls, work", (
     (KRONECKER, 16, 1000, 0, 0),
-    (WILD, 6, 20, 7, 148),
+    (WILD, 6, 20, 4, 144),
 ), ids=["Kronecker@16", "1=>2->3@6/20"])
 def test_constructive_mutation_reads_hom_bases_off_the_presentations(
         q, bound, max_nodes, calls, work, count_calls):
     # Hom bases are kernels of Hom(P., N); the summed rows x columns of
     # the matrices rep hands to kernel_basis were 404,100 and 8,724,213
-    # on the standard intertwining systems, and 0 and 543,552 in 87 calls
+    # on the standard intertwining systems, 0 and 543,552 in 87 calls
     # while the pool searched its compatibility masks and built a cone
-    # for each partner it missed.  K2@16 builds no cone: both of its
-    # partners past the bound are refused by their predicted classes
+    # for each partner it missed, and 0 and 148 in 7 calls while a cone
+    # tried both approximations and stripped until a strip failed.  K2@16
+    # builds no cone: both of its partners past the bound are refused by
+    # their predicted classes
     clear_caches()
     kernels = count_calls(rep, "kernel_basis")
     exchange_graph(q, bound, max_nodes)
@@ -1131,6 +1152,64 @@ def test_cones_are_built_only_for_classes_the_pool_lacks(q, bound, max_nodes, co
     built = [mutate_construct(summands, k) for summands, k in constructions]
     assert len({y.key() for y in built}) == cones
     assert all(max(y.dim_c()) <= bound for y in built)
+
+
+@pytest.mark.parametrize("q, bound, max_nodes, left, right", (
+    (A_TILDE_2_1, 5, 10000, 2, 0), (A_TILDE_2_2, 4, 10000, 4, 0), (A_TILDE_3_1, 4, 10000, 6, 0),
+    (WILD, 6, 20, 3, 1), (WILD, 20, 20, 6, 2), (WILD, 6, 100000, 4, 4), (WILD, 8, 100000, 6, 6),
+), ids=["A~(2,1)@5", "A~(2,2)@4", "A~(3,1)@4", "1=>2->3@6/20", "1=>2->3@20/20",
+        "1=>2->3@6/100000", "1=>2->3@8/100000"])
+def test_each_cone_takes_the_route_its_sign_names(q, bound, max_nodes, left, right,
+                                                  monkeypatch):
+    # the sign of the leaving c-vector names the exchange triangle that is
+    # a short exact sequence: 0 -> x -> E -> y -> 0 for a nonnegative one,
+    # whose cone is the cokernel of the left approximation of x over q,
+    # and 0 -> y -> E -> x -> 0 for a nonpositive one, the same over the
+    # opposite quiver.  One approximation cokernel is taken per cone, and
+    # each complement summand c is stripped exactly its surplus times,
+    # rank Hom(x, c) (or Hom(c, x)) less its multiplicity in the
+    # predicted middle term; no strip fails
+    construct, cokernel, strip = (cluster_module.mutate_construct, rep.cokernel_rep,
+                                  rep.strip_summand)
+    records = []  # per construction: summands, position, cokernel quivers, strips
+
+    def constructed(summands, k):
+        records.append((summands, k, [], []))
+        return construct(summands, k)
+
+    def cokernel_recorded(m, n, maps):
+        records[-1][2].append(m.quiver)
+        return cokernel(m, n, maps)
+
+    def strip_recorded(m, s):
+        try:
+            result = strip(m, s)
+        except NotASummand:
+            records[-1][3].append((dim_vector(s), False))
+            raise
+        records[-1][3].append((dim_vector(s), True))
+        return result
+
+    monkeypatch.setattr(cluster_module, "mutate_construct", constructed)
+    monkeypatch.setattr(rep, "cokernel_rep", cokernel_recorded)
+    monkeypatch.setattr(rep, "strip_summand", strip_recorded)
+    exchange_graph(q, bound, max_nodes)
+    routes = Counter()
+    for summands, k, quivers, strips in records:
+        seed = canonical_cluster(summands)
+        i, b = seed.index(summands[k]), _class_matrix(seed)
+        x = seed[i]
+        nonnegative = min(row[i] for row in b[q.n:]) >= 0
+        routes["left" if nonnegative else "right"] += 1
+        assert quivers == [q if nonnegative else q.opposite()]
+        middle = Counter(c.key() for c in _signed_candidate(seed, b, i))
+        surplus = Counter()
+        for c in seed[:i] + seed[i + 1:]:
+            pair = (x.module, c.module) if nonnegative else (c.module, x.module)
+            surplus[c.dim_c()] = hom_group(*pair).free_rank - middle[c.key()]
+        assert all(ok for _, ok in strips)
+        assert Counter(d for d, _ in strips) == +surplus
+    assert routes == Counter(left=left, right=right)
 
 
 def _module_builds(count_calls) -> list:

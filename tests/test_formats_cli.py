@@ -1,6 +1,6 @@
 import pytest
 
-from clusterforge import cli
+from clusterforge import cli, clear_caches, rep
 from clusterforge.cli import _is_prime, main
 from clusterforge.errors import FormatError
 from clusterforge.formats import (
@@ -114,6 +114,21 @@ def test_bad_rep_lines_name_lines(tmp_path, capsys):
     assert main(["ext", str(tmp_path / "a2.quiver"), str(tmp_path / "stray.rep"),
                  str(tmp_path / "stray.rep")]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parse, text, line, field", (
+    (parse_quiver, "clusterforge/1 quiver\nvertices 2\narrows [[1, 2]]\nvertices 3\n", 4,
+     "vertices"),
+    (parse_quiver, "clusterforge/1 quiver\narrows [[1, 2]]\nvertices 2\narrows [[2, 1]]\n", 4,
+     "arrows"),
+    (lambda text: parse_rep(text, A2),
+     "clusterforge/1 rep\ngenerators [1, 0]\ngenerators [0, 1]\n", 3, "generators"),
+), ids=["vertices", "arrows", "generators"])
+def test_a_repeated_field_is_a_parse_error(parse, text, line, field):
+    # a field given twice is refused at its second line, not read at its last
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value) == f"line {line}: {field} is given twice"
 
 
 @pytest.mark.parametrize("summand", ["projective 9", "projective x", "shifted_projective 0",
@@ -350,6 +365,39 @@ def test_dim_summand_is_the_pool_object():
     assert all(s is pool.find(s.key()) and s.coord is not None for s in summands)
     with pytest.raises(FormatError, match=r"no pool object with dimension vector \(2, 1\)"):
         parse_cluster(text.replace("[1, 0]", "[2, 1]"), A2, pool)
+
+
+def test_projective_summand_is_the_pool_object():
+    # a projective line resolves to the pool's P_i, with its coordinate,
+    # and to a module without one when there is no pool or P_i lies past
+    # the bound (P_1 of the Kronecker quiver, M[1, 2], at bound 1)
+    kronecker = Quiver(2, ((1, 2), (1, 2)))
+    text = "clusterforge/1 cluster\nquiver k.quiver\nsummand projective 1\nsummand projective 2\n"
+    p1, p2 = parse_cluster(text, kronecker, build_pool(kronecker, 2))
+    assert p1.coord == ("P", 1, 0) and p2.coord == ("P", 2, 0)
+    p1, p2 = parse_cluster(text, kronecker, build_pool(kronecker, 1))
+    assert p1.coord is None and p2.coord == ("P", 2, 0)
+    assert all(s.coord is None for s in parse_cluster(text, kronecker))
+    assert [s.describe() for s in (p1, p2)] == ["M[1, 2]", "M[0, 1]"]
+
+
+def test_cli_mutate_on_projectives_presents_no_module(tmp_path, capsys, count_calls):
+    # the projective summands are the pool's, at orbit coordinates, so
+    # mutating the projective cluster of A4 presents no lattice and
+    # computes no module Hom or Ext^1 (6, 10 and 9 calls when each P_i
+    # was built from its module)
+    (tmp_path / "a4.quiver").write_text(
+        "clusterforge/1 quiver\nvertices 4\narrows [[1, 2], [2, 3], [3, 4]]\n")
+    (tmp_path / "a4proj.cluster").write_text(
+        "clusterforge/1 cluster\nquiver a4.quiver\n"
+        + "".join(f"summand projective {i}\n" for i in range(1, 5)))
+    clear_caches()
+    calls = [count_calls(rep, name) for name in ("_lattice_presentation", "hom_group",
+                                                 "ext1_group")]
+    assert main(["mutate", str(tmp_path / "a4.quiver"), str(tmp_path / "a4proj.cluster"),
+                 "2"]) == 0
+    assert capsys.readouterr().out.startswith("mutated M[0,0,1,1] -> M[0,1,0,0]\n")
+    assert calls == [[], [], []]
 
 
 def test_cluster_file_with_rep_summand(workdir, capsys):
