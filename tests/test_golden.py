@@ -60,6 +60,7 @@ QUIVERS = {
     "wild.quiver": "vertices 3\narrows [[1, 2], [1, 2], [2, 3]]\n",
     "a2.quiver": "vertices 2\narrows [[1, 2]]\n",
     "at22.quiver": "vertices 4\narrows [[1, 2], [2, 4], [1, 3], [3, 4]]\n",
+    "at31.quiver": "vertices 4\narrows [[1, 2], [2, 3], [3, 4], [1, 4]]\n",
 }
 
 CLUSTERS = {
@@ -127,6 +128,10 @@ GRAPH_GOLDEN = (
      "0cca1ac4bfa3fcd2ceb9d0681c25f4910f86f1c55316e94d7f0366a51d752620"),
     (("at22.quiver", "--dim-bound", "4"),
      "954b9727edf833be61b573f3a13cb2fd0a6eb97509d1915657d42569a170feb1"),
+    (("at31.quiver", "--dim-bound", "4"),
+     "4f6941e47100008e73c78296e0413736aa2775948c1c525d77b0e7e1b700bd50"),
+    (("wild.quiver", "--dim-bound", "8", "--max-nodes", "100000"),
+     "c1e25cd0b8fa8b08244e92b4b1eebc6b8727fb49f2a92d4732da029452996d39"),
 )
 
 
