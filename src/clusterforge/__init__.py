@@ -16,7 +16,6 @@ from .errors import (
     IsInjective,
     IsProjective,
     NoSolution,
-    NotASummand,
     NotExceptional,
     NotFoundWithinBound,
     PreconditionViolated,
@@ -44,7 +43,6 @@ from .rep import (
     projective,
     projective_resolution,
     simple,
-    strip_summand,
     torsion_simple,
     are_isomorphic_exceptional,
 )

@@ -60,11 +60,11 @@ of the exchange triangle that lifts to the fundamental domain; the
 partner's class is dim E minus the leaving class (the g-vector
 recursion of Fomin-Zelevinsky, Cluster algebras IV, 2007).  So mutate
 looks the partner up by its class, refuses a class past the bound
-before it builds anything, and builds an approximation cone only for a
-class the pool lacks, along the one route the sign names;
-exchange_triangles makes the same prediction from a lone seed's class
-matrix.  A new cluster is certified from the
-one it left, by 2n - 1 Ext^1_C groups.
+before it builds anything, and builds the cone of the minimal
+approximation only for a class the pool lacks, on the route the sign
+names, with the multiplicities E gives; exchange_triangles makes the
+same prediction from a lone seed's class matrix.  A new cluster is
+certified from the one it left, by 2n - 1 Ext^1_C groups.
 """
 
 from __future__ import annotations
@@ -96,6 +96,8 @@ from .quiver import (
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
+    cokernel_structure,
+    free_cokernel,
     free_group,
     is_split_injective,
     solve_matrix,
@@ -816,20 +818,21 @@ def _carried(b: tuple, i: int, j: int) -> tuple:
 
 def mutate_construct(summands, k: int) -> ClusterObject:
     """The exchange partner y of the k-th summand x of a cluster of
-    lattices (else PreconditionViolated), as an approximation cone.
+    lattices (else PreconditionViolated), as the cone of the minimal
+    approximation of x by the complement (Buan-Marsh-Reineke-Reiten-
+    Todorov, Tilting theory and cluster combinatorics, 2006, section 6).
 
     The class matrix of the seed gives E, the class of y and the sign
     eps of the c-vector of x, as in exchange_triangles.  eps names the
     triangle that is a short exact sequence: 0 -> x -> E -> y -> 0 for
-    eps = -1, so y is the cokernel of the left approximation of x, and
-    0 -> y -> E -> x -> 0 for eps = +1, so y is the kernel of the right
-    one, built as the left one on the opposite quiver (rep.dualize, as
-    serre.tau_inv does).  Stacking a whole Hom basis leaves each
-    complement summand c rank Hom(x, c) - mult_E(c) more times in the
-    cone (Hom(c, x) for eps = +1); exactly those copies are stripped,
-    and a strip that fails raises NotASummand.  ConstructionFailed
-    unless y is exceptional, of the predicted class, and has Ext^1_C(x,
-    y) free of rank one.
+    eps = -1, so y is the cokernel of the left approximation x -> E,
+    which must be split injective, and 0 -> y -> E -> x -> 0 for eps =
+    +1, so y is the kernel of the right approximation E -> x, which must
+    be split surjective.  Each complement summand c enters E through the
+    lifts _approximation_maps reads off Hom(x, c) (Hom(c, x) for eps =
+    +1), as many as c's multiplicity in E.  ConstructionFailed unless y
+    is exceptional, of the predicted class, and has Ext^1_C(x, y) free of
+    rank one.
     """
     summands = tuple(summands)
     if not 0 <= k < len(summands):
@@ -844,41 +847,81 @@ def mutate_construct(summands, k: int) -> ClusterObject:
     i = seed.index(x)
     middle, cls, eps = _predicted_partner(range(len(seed)), [s.dim_c() for s in seed],
                                           [row[i] for row in _class_matrix(seed)], i, x)
-    xm, modules = x.module, [c.module for c in others]
-    if eps < 0:
-        cone = _left_approximation_cokernel(xm, modules)
-        ranks = [rep.hom_group(xm, m).free_rank for m in modules]
-    else:
-        cone = rep.dualize(_left_approximation_cokernel(
-            rep.dualize(xm), [rep.dualize(m) for m in modules]))
-        ranks = [rep.hom_group(m, xm).free_rank for m in modules]
     times = Counter(seed[r] for r in middle)
-    for c, m, r in zip(others, modules, ranks):
-        for _ in range(r - times[c]):
-            cone = rep.strip_summand(cone, m)
+    lifts, parts = [], []
+    for c in others:
+        maps = _approximation_maps(x, c, others, times[c], eps)
+        lifts += maps
+        parts += [c.module] * len(maps)
+    # the approximation at each vertex, as the map x -> E or the transpose
+    # of E -> x: one block of rows per lift
+    xm, e = x.module, rep.direct_sum_many(parts)
+    stacked = tuple(IntMatrix.from_rows([row for f in lifts for row in (
+        f[v] if eps < 0 else f[v].transpose()).entries], cols=xm.gens[v])
+        for v in range(xm.quiver.n))
+    if not all(map(is_split_injective, stacked)):
+        side = "injective" if eps < 0 else "surjective"
+        raise ConstructionFailed(f"the approximation is not split {side} at every vertex")
+    if eps < 0:
+        cone = rep.cokernel_rep(xm, e, stacked)
+    else:
+        cone = rep.kernel_subrep(e, xm, tuple(m.transpose() for m in stacked))
     if cone.gens != cls:
         raise ConstructionFailed(
             f"constructed partner M{list(cone.gens)} of {x.describe()} is not of the "
             f"predicted class {cls}")
     if not rep.is_exceptional(cone):
-        raise ConstructionFailed("stripped approximation cone is not exceptional")
+        raise ConstructionFailed("the approximation cone is not exceptional")
     y = ClusterObject.from_module(cone)
     if ext1_c(x, y) != RANK_ONE:
         raise ConstructionFailed("constructed cone fails the rank-one certificate")
     return y
 
 
-def _left_approximation_cokernel(xm: ZRep, modules) -> ZRep:
-    """The cokernel of the map from xm into the direct sum that stacks a
-    Hom basis into each of the modules; ConstructionFailed unless the map
-    is split injective at every vertex, as the left map of a short exact
-    sequence of lattices is."""
-    basis = [(m, f) for m in modules for f in rep.hom_group(xm, m).basis]
-    maps = tuple(IntMatrix.from_rows([row for _, f in basis for row in f[v].entries],
-                                     cols=xm.gens[v]) for v in range(xm.quiver.n))
-    if not all(map(is_split_injective, maps)):
-        raise ConstructionFailed("the approximation is not split injective at every vertex")
-    return rep.cokernel_rep(xm, rep.direct_sum_many(m for m, _ in basis), maps)
+def _approximation_maps(x: ClusterObject, c: ClusterObject, others, times: int,
+                        eps: int) -> list:
+    """The maps x -> c (c -> x for eps = +1) of the minimal approximation
+    of x by the complement others.
+
+    Hom(x, c) modulo the composites x -> d -> c through the other
+    summands d of others (c -> d -> x for eps = +1), in coordinates over
+    the Hom basis, must be free of rank times, the multiplicity of c in
+    E; else ConstructionFailed.  One lift of each basis vector of that
+    quotient, through the section of free_cokernel, comes back.
+    """
+    def hom(a, b):
+        return rep.hom_group(*((a.module, b.module) if eps < 0 else (b.module, a.module))).basis
+
+    basis = hom(x, c)
+    # f in hom(x, d) and g in hom(d, c) compose to g f, or f g for eps = +1
+    composites = [tuple(b.mul(a) if eps < 0 else a.mul(b) for a, b in zip(f, g))
+                  for d in others if d is not c and basis
+                  for f in hom(x, d) for g in hom(d, c)]
+    coords = (solve_matrix(_flat_columns(basis), _flat_columns(composites)) if composites
+              else IntMatrix.zero(len(basis), 0))
+    quotient = cokernel_structure(coords)
+    if quotient != free_group(times):
+        pair = (x, c) if eps < 0 else (c, x)
+        raise ConstructionFailed(
+            f"Hom({pair[0].describe()}, {pair[1].describe()}) modulo the maps through the "
+            f"other summands is {quotient}, not free of rank {times}")
+    if not times:
+        return []
+    lifts = _flat_columns(basis).mul(free_cokernel(coords)[1])
+    shapes = [(m.rows, m.cols) for m in basis[0]]
+    out = []
+    for column in zip(*lifts.entries):
+        entries = iter(column)
+        out.append(tuple(IntMatrix(r, w, tuple(tuple(next(entries) for _ in range(w))
+                                               for _ in range(r))) for r, w in shapes))
+    return out
+
+
+def _flat_columns(maps) -> IntMatrix:
+    """The matrix whose columns are the maps, each read vertex by vertex
+    and row by row."""
+    columns = [tuple(a for m in f for row in m.entries for a in row) for f in maps]
+    return IntMatrix(len(columns[0]), len(columns), tuple(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------

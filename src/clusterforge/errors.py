@@ -26,10 +26,6 @@ class NoSolution(ClusterForgeError):
     """An integer linear system has no solution over Z."""
 
 
-class NotASummand(ClusterForgeError):
-    """strip_summand found no split embedding of the candidate."""
-
-
 class PreconditionViolated(ClusterForgeError):
     """An operation was called outside its documented domain."""
 

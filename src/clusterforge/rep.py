@@ -36,7 +36,6 @@ from typing import Callable
 from .errors import (
     DimensionMismatch,
     NoSolution,
-    NotASummand,
     PreconditionViolated,
 )
 from .memo import hash_once, memo, once
@@ -708,23 +707,17 @@ def _path_entries(q: Quiver, row_slots, col_slots, columns) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# kernels, cokernels, summands
+# kernels, cokernels, isomorphism
 
-def kernel_subrep(m: ZRep, n: ZRep, maps) -> tuple:
-    """Kernel of a morphism of lattices m -> n, with its inclusion matrices.
-
-    Returns (K, incl) where incl[v] expresses the chosen basis of the
-    kernel at v inside Z^{g_v}.  The kernel of an integer matrix is
-    saturated, so K is a lattice.
-    """
+def kernel_subrep(m: ZRep, n: ZRep, maps) -> ZRep:
+    """Kernel of a morphism of lattices m -> n, on the kernel_basis of
+    each vertex map.  The kernel of an integer matrix is saturated, so
+    it is a lattice."""
     q = m.quiver
     incl = [kernel_basis(maps[v]) for v in range(q.n)]
-    gens = tuple(b.cols for b in incl)
-    actions = []
-    for a, (s, t) in enumerate(q.arrows):
-        image = m.actions[a].mul(incl[s - 1])
-        actions.append(solve_matrix(incl[t - 1], image))
-    return make_lattice(q, gens, actions), tuple(incl)
+    actions = [solve_matrix(incl[t - 1], m.actions[a].mul(incl[s - 1]))
+               for a, (s, t) in enumerate(q.arrows)]
+    return make_lattice(q, tuple(b.cols for b in incl), actions)
 
 
 def cokernel_rep(m: ZRep, n: ZRep, maps) -> ZRep:
@@ -737,53 +730,6 @@ def cokernel_rep(m: ZRep, n: ZRep, maps) -> ZRep:
     for a, (s, t) in enumerate(q.arrows):
         actions.append(projections[t - 1].mul(n.actions[a]).mul(sections[s - 1]))
     return make_lattice(q, new_gens, tuple(actions))
-
-
-def strip_summand(m: ZRep, s: ZRep) -> ZRep:
-    """Remove one direct summand isomorphic to s from m.
-
-    Searches for a split pair r . incl = id_s through the composition
-    pairing of Hom bases; the Smith form of the pairing matrix attains
-    its gcd, so a unit first invariant factor yields an explicit pair.
-    Raises NotASummand when no split pair exists, before either basis
-    is read when one of the two Hom groups is trivial.
-    """
-    if not is_exceptional(s):
-        raise PreconditionViolated("strip_summand needs an exceptional summand")
-    hom_in, hom_out = hom_group(s, m), hom_group(m, s)
-    if hom_in.group.is_trivial or hom_out.group.is_trivial:
-        raise NotASummand("no homomorphisms in one direction")
-    maps_in, maps_out = hom_in.basis, hom_out.basis
-    probe = next((v for v in range(m.quiver.n) if s.gens[v] > 0), None)
-    pairing = []
-    for rb in maps_out:
-        row = []
-        for sb in maps_in:
-            comp = rb[probe].mul(sb[probe])
-            row.append(comp.entries[0][0])
-        pairing.append(row)
-    c = IntMatrix.from_rows(pairing, cols=len(maps_in))
-    dec = snf(c)
-    if dec.rank == 0 or dec.S.entries[0][0] != 1:
-        raise NotASummand("composition pairing never attains a unit")
-    y = dec.u_inv.row(0)
-    x = dec.v_inv.col(0)
-    retraction = [_combination(y, [rb[v] for rb in maps_out]) for v in range(m.quiver.n)]
-    section = [_combination(x, [sb[v] for sb in maps_in]) for v in range(m.quiver.n)]
-    for v in range(m.quiver.n):
-        comp = retraction[v].mul(section[v])
-        if comp.entries != IntMatrix.identity(s.gens[v]).entries:
-            raise NotASummand("split pair verification failed")
-    complement, _ = kernel_subrep(m, s, tuple(retraction))
-    return complement
-
-
-def _combination(coeffs, mats) -> IntMatrix:
-    """sum_k coeffs[k] mats[k], for matrices of one shape."""
-    rows, cols = mats[0].rows, mats[0].cols
-    return _matrix(rows, cols, tuple(
-        tuple(sum(c * mat.entries[i][j] for c, mat in zip(coeffs, mats)) for j in range(cols))
-        for i in range(rows)))
 
 
 def are_isomorphic_exceptional(m: ZRep, n: ZRep) -> bool:

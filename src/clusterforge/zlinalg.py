@@ -92,9 +92,6 @@ class IntMatrix:
     def column(vector: Sequence[int]) -> "IntMatrix":
         return IntMatrix.from_rows([[int(x)] for x in vector], cols=1)
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
 

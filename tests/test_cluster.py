@@ -7,7 +7,6 @@ from clusterforge.errors import (
     BalanceUnsolvable,
     ConstructionFailed,
     NotExceptional,
-    NotASummand,
     NotFoundWithinBound,
     PreconditionViolated,
 )
@@ -28,7 +27,6 @@ from clusterforge.cluster import (
     ClusterObject,
     RigidPool,
     _class_matrix,
-    _left_approximation_cokernel,
     build_pool,
     canonical_cluster,
     exchange_graph,
@@ -819,24 +817,43 @@ def test_ses_witness_iff_module_ext1_rank_one(q, bound, max_nodes, edges, counts
     assert sequences == counts["ses"]
 
 
-def test_ses_certified_past_four_hom_basis_maps():
-    # 3-Kronecker: 0 -> P_2 -> P_1^3 -> tau^-1 P_2 -> 0 with dims
-    # (0,1), (1,3) and (3,8); Hom(P_2, P_1) = Z^3, so the approximation
-    # of P_2 by P_1 stacks nine basis maps into P_1^3, and its cokernel
-    # is tau^-1 P_2
-    k3 = Quiver(2, ((1, 2), (1, 2), (1, 2)))
-    p1, p2 = projective(k3, 1), projective(k3, 2)
-    head = tau_inv(p2)
-    assert (dim_vector(p1), dim_vector(p2), dim_vector(head)) == ((1, 3), (0, 1), (3, 8))
+K3 = Quiver(2, ((1, 2), (1, 2), (1, 2)))
+
+
+def test_three_kronecker_cone_is_the_minimal_approximation(count_calls):
+    # 3-Kronecker: 0 -> P_2 -> P_1^3 -> tau^-1 P_2 -> 0 with dims (0,1),
+    # (1,3) and (3,8); Hom(P_2, P_1) = Z^3 and no other summand is there
+    # to factor through, so the minimal approximation lifts the three
+    # basis maps, one into each copy of P_1, and its cokernel is tau^-1 P_2
+    p1, p2 = projective(K3, 1), projective(K3, 2)
+    assert (dim_vector(p1), dim_vector(p2), dim_vector(tau_inv(p2))) == ((1, 3), (0, 1), (3, 8))
     assert hom_group(p2, p1).group == FinAbGroup(3)
-    coker = _left_approximation_cokernel(p2, (p1,))
-    assert coker.is_lattice and dim_vector(coker) == (3, 8)
-    assert rep.is_exceptional(coker)
-    assert co(coker).key() == co(head).key()
-    # P_1 listed twice stacks six maps into P_1^6, whose cokernel has the
-    # class (6, 17), no real root, so it is not exceptional
-    wrong = _left_approximation_cokernel(p2, (p1,) * 2)
-    assert dim_vector(wrong) == (6, 17) and not rep.is_exceptional(wrong)
+    cluster = canonical_cluster([co(p1), co(p2)])
+    cokernels = count_calls(rep, "cokernel_rep")
+    y = mutate_construct(cluster, cluster.index(co(p2)))
+    assert y.key() == co(tau_inv(p2)).key() and rep.is_exceptional(y.module)
+    (m, e, maps), = cokernels
+    assert m is p2 and dim_vector(e) == (3, 9)
+    assert [f.rows for f in maps] == [3, 9]
+
+
+def test_a_quotient_not_of_the_predicted_rank_raises(monkeypatch):
+    # fake one multiplicity on the 3-Kronecker cluster {P_1, P_2}: a
+    # middle term P_1^2 for P_2 is no quotient of Hom(P_2, P_1) = Z^3 by
+    # maps through other summands, so no cone is built
+    predicted = cluster_module._predicted_partner
+
+    def faked(ids, classes, column, i, x):
+        middle, cls, eps = predicted(ids, classes, column, i, x)
+        return middle[1:], cls, eps
+
+    monkeypatch.setattr(cluster_module, "_predicted_partner", faked)
+    cokernels = []
+    monkeypatch.setattr(rep, "cokernel_rep", lambda *args: cokernels.append(args))
+    cluster = canonical_cluster([co(projective(K3, 1)), co(projective(K3, 2))])
+    with pytest.raises(ConstructionFailed, match=r"is Z\^3, not free of rank 2"):
+        mutate_construct(cluster, cluster.index(co(projective(K3, 2))))
+    assert cokernels == []
 
 
 # side kinds of graphs explored without reading a side: A4 and D4 as
@@ -856,7 +873,7 @@ def test_witnesses_are_computed_when_read(q, bound, max_nodes, edges, counts, co
     # with the counts pinned above
     clear_caches()
     module_ext1 = count_calls(rep, "ext1_group")
-    approximations = count_calls(cluster_module, "_left_approximation_cokernel")
+    approximations = count_calls(cluster_module, "_approximation_maps")
     constructions = count_calls(cluster_module, "mutate_construct")
     g = exchange_graph(q, bound, max_nodes)
     assert len(g.edges) == edges
@@ -1068,18 +1085,25 @@ def test_a3_exchange_matrix_middle_terms():
 
 @pytest.mark.parametrize("q, bound, max_nodes, calls, work", (
     (KRONECKER, 16, 1000, 0, 0),
-    (WILD, 6, 20, 4, 144),
-), ids=["Kronecker@16", "1=>2->3@6/20"])
+    (WILD, 6, 20, 7, 148),
+    (WILD, 20, 20, 17, 4444),
+), ids=["Kronecker@16", "1=>2->3@6/20", "1=>2->3@20/20"])
 def test_constructive_mutation_reads_hom_bases_off_the_presentations(
         q, bound, max_nodes, calls, work, count_calls):
     # Hom bases are kernels of Hom(P., N); the summed rows x columns of
     # the matrices rep hands to kernel_basis were 404,100 and 8,724,213
     # on the standard intertwining systems, 0 and 543,552 in 87 calls
     # while the pool searched its compatibility masks and built a cone
-    # for each partner it missed, and 0 and 148 in 7 calls while a cone
-    # tried both approximations and stripped until a strip failed.  K2@16
-    # builds no cone: both of its partners past the bound are refused by
-    # their predicted classes
+    # for each partner it missed, 0 and 148 in 7 calls while a cone
+    # tried both approximations and stripped until a strip failed, and
+    # 0, 144 in 4 calls and 130,064 in 81 calls while a cone stacked
+    # whole Hom bases, on the opposite quiver for eps = +1, and stripped
+    # the surplus.  The minimal approximation reads the Hom bases of the
+    # composites through the other summands too, and the kernel of each
+    # right approximation, so 1=>2->3@6/20 makes 7 calls, but no
+    # stacked cone is built and stripped: 29 times less work at @20/20.
+    # K2@16 builds no cone: both of its partners past the bound are
+    # refused by their predicted classes
     clear_caches()
     kernels = count_calls(rep, "kernel_basis")
     exchange_graph(q, bound, max_nodes)
@@ -1163,53 +1187,64 @@ def test_each_cone_takes_the_route_its_sign_names(q, bound, max_nodes, left, rig
                                                   monkeypatch):
     # the sign of the leaving c-vector names the exchange triangle that is
     # a short exact sequence: 0 -> x -> E -> y -> 0 for a nonnegative one,
-    # whose cone is the cokernel of the left approximation of x over q,
-    # and 0 -> y -> E -> x -> 0 for a nonpositive one, the same over the
-    # opposite quiver.  One approximation cokernel is taken per cone, and
-    # each complement summand c is stripped exactly its surplus times,
-    # rank Hom(x, c) (or Hom(c, x)) less its multiplicity in the
-    # predicted middle term; no strip fails
-    construct, cokernel, strip = (cluster_module.mutate_construct, rep.cokernel_rep,
-                                  rep.strip_summand)
-    records = []  # per construction: summands, position, cokernel quivers, strips
+    # whose cone is one cokernel over q of the left approximation of x,
+    # and 0 -> y -> E -> x -> 0 for a nonpositive one, whose cone is one
+    # kernel over q of the right approximation.  Each complement summand
+    # c gets exactly its multiplicity in the predicted middle term in
+    # lifts, and no module is built over the opposite quiver
+    construct, cokernel, kernel, lifts, lattice = (
+        cluster_module.mutate_construct, rep.cokernel_rep, rep.kernel_subrep,
+        cluster_module._approximation_maps, rep._lattice)
+    records = []  # per construction: summands, position, cones, lifts per c
+    opposite, inside = [], []  # the pool's own walks may use the opposite quiver
 
     def constructed(summands, k):
-        records.append((summands, k, [], []))
-        return construct(summands, k)
+        records.append((summands, k, [], Counter()))
+        inside.append(True)
+        try:
+            return construct(summands, k)
+        finally:
+            inside.pop()
 
     def cokernel_recorded(m, n, maps):
-        records[-1][2].append(m.quiver)
+        records[-1][2].append(("cokernel", m.quiver))
         return cokernel(m, n, maps)
 
-    def strip_recorded(m, s):
-        try:
-            result = strip(m, s)
-        except NotASummand:
-            records[-1][3].append((dim_vector(s), False))
-            raise
-        records[-1][3].append((dim_vector(s), True))
-        return result
+    def kernel_recorded(m, n, maps):
+        records[-1][2].append(("kernel", m.quiver))
+        return kernel(m, n, maps)
+
+    def lifts_recorded(x, c, others, times, eps):
+        maps = lifts(x, c, others, times, eps)
+        records[-1][3][c.key()] += len(maps)
+        return maps
+
+    def built(self):
+        if inside and self.quiver == q.opposite():
+            opposite.append(self.gens)
+
+    def lattice_recorded(quiver, ranks, actions):
+        if inside and quiver == q.opposite():
+            opposite.append(ranks)
+        return lattice(quiver, ranks, actions)
 
     monkeypatch.setattr(cluster_module, "mutate_construct", constructed)
     monkeypatch.setattr(rep, "cokernel_rep", cokernel_recorded)
-    monkeypatch.setattr(rep, "strip_summand", strip_recorded)
+    monkeypatch.setattr(rep, "kernel_subrep", kernel_recorded)
+    monkeypatch.setattr(cluster_module, "_approximation_maps", lifts_recorded)
+    monkeypatch.setattr(ZRep, "__post_init__", built)
+    monkeypatch.setattr(rep, "_lattice", lattice_recorded)
     exchange_graph(q, bound, max_nodes)
     routes = Counter()
-    for summands, k, quivers, strips in records:
+    for summands, k, cones, maps in records:
         seed = canonical_cluster(summands)
         i, b = seed.index(summands[k]), _class_matrix(seed)
-        x = seed[i]
         nonnegative = min(row[i] for row in b[q.n:]) >= 0
         routes["left" if nonnegative else "right"] += 1
-        assert quivers == [q if nonnegative else q.opposite()]
-        middle = Counter(c.key() for c in _signed_candidate(seed, b, i))
-        surplus = Counter()
-        for c in seed[:i] + seed[i + 1:]:
-            pair = (x.module, c.module) if nonnegative else (c.module, x.module)
-            surplus[c.dim_c()] = hom_group(*pair).free_rank - middle[c.key()]
-        assert all(ok for _, ok in strips)
-        assert Counter(d for d, _ in strips) == +surplus
+        assert cones == [("cokernel" if nonnegative else "kernel", q)]
+        assert maps == Counter(c.key() for c in _signed_candidate(seed, b, i))
     assert routes == Counter(left=left, right=right)
+    assert opposite == []
 
 
 def _module_builds(count_calls) -> list:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from clusterforge import clear_caches, rep, zlinalg
 from clusterforge.cluster import build_pool
-from clusterforge.errors import NotASummand, PreconditionViolated
+from clusterforge.errors import PreconditionViolated
 from clusterforge.quiver import Quiver, euler_form, validate
 from clusterforge.rep import (
     ZRep,
@@ -26,7 +26,6 @@ from clusterforge.rep import (
     projective,
     projective_resolution,
     simple,
-    strip_summand,
     torsion_simple,
     zero_rep,
 )
@@ -388,14 +387,13 @@ def test_rigidity_examples():
     assert not is_exceptional(double)
 
 
-def test_strip_summand():
+def test_kernel_subrep_is_the_kernel_lattice():
+    # P_1 -> S_1 on A2 is onto with kernel P_2 = S_2
     p1, s1 = projective(A2, 1), simple(A2, 1)
-    rest = strip_summand(direct_sum(p1, s1), s1)
-    assert dim_vector(rest) == (1, 1)
-    assert are_isomorphic_exceptional(rest, p1)
-    with pytest.raises(NotASummand):
-        strip_summand(p1, s1)
-    assert dim_vector(strip_summand(direct_sum(s1, s1), s1)) == (1, 0)
+    maps = (IntMatrix.identity(1), IntMatrix.zero(0, 1))
+    kernel = rep.kernel_subrep(p1, s1, maps)
+    assert kernel.is_lattice and dim_vector(kernel) == (0, 1)
+    assert are_isomorphic_exceptional(kernel, projective(A2, 2))
 
 
 def test_direct_sum_ranks():
@@ -548,19 +546,6 @@ def test_rank_zero_lattice_hom_has_the_empty_basis_unreduced(q, monkeypatch):
     hom = hom_group(projective(q, 1), projective(q, 2))
     assert hom.group.is_trivial
     assert hom.basis == ()
-    assert calls == []
-
-
-def test_strip_summand_reads_no_basis_when_a_hom_is_zero(monkeypatch):
-    # Hom(P_2, P_1) = Z but Hom(P_1, P_2) = 0 on A2, so P_2 is no summand
-    # of P_1; the two groups show it before either basis is built
-    p1, p2 = projective(A2, 1), projective(A2, 2)
-    clear_caches()
-    assert is_exceptional(p2)
-    calls = _count_kernel_bases(monkeypatch)
-    with pytest.raises(NotASummand):
-        strip_summand(p1, p2)
-    assert hom_group(p2, p1).group == FinAbGroup(1)
     assert calls == []
 
 
